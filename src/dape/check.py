@@ -115,11 +115,12 @@ def check_cwa() -> list[CheckResult]:
             sorted((4 + np.argsort(-a[4:], kind="stable")[:2]).tolist())]
     out.append(_result("top-k exact selection", sel == want))
     t1 = Tensor(g.standard_normal((3, 4)))
-    t2 = Tensor(np.zeros((3, 4)))
-    out.append(_result("fuse zero identity", np.array_equal(cwa.fuse_text(t1, t2).a, t1.a)))
+    zero = Tensor(np.zeros((3, 4)))
+    out.append(_result("fuse zero identity", np.array_equal(cwa.fuse_text(t1, zero).a, t1.a)))
+    t2 = Tensor(g.standard_normal((3, 4)))
     out.append(_result(
         "fuse commutative",
-        np.array_equal(cwa.fuse_text(t1, t1).a, cwa.fuse_text(t1, t1).a),
+        np.array_equal(cwa.fuse_text(t1, t2).a, cwa.fuse_text(t2, t1).a),
     ))
     return out
 
@@ -172,12 +173,15 @@ def check_phi() -> list[CheckResult]:
     out = []
     g = _rng(5)
     d = 8
-    ts = coarse.tokenize_image(Tensor(g.standard_normal((4, 4, d))), (2, 2))
-    lt = phi.LearnableTokens(Tensor(g.standard_normal((2, d))))
-    padded = phi.pad_with_learnable(ts, lt)
-    out.append(_result("pad appends slots", padded.n == 6 and list(lt.positions) == [4, 5]))
-    back = phi.extract_slots(padded.tokens, lt.positions)
-    out.append(_result("pad/extract round trip", np.array_equal(back.a, lt.tokens.a)))
+    eye = coarse.ProjectionSet(Tensor(np.eye(d)), Tensor(np.eye(d)), Tensor(np.eye(d)))
+    slot_tokens = Tensor(g.standard_normal((2, d)))
+    _, _, _, padded, _, slots = coarse.coarse_align_block(
+        Tensor(g.standard_normal((4, 4, d))), Tensor(g.standard_normal((2, d))),
+        eye, eye, DapeConfig(d=d, j_text=2), s=1, grid=(2, 2), pad_tokens=slot_tokens,
+    )
+    out.append(_result("pad appends slots", padded.n == 6 and list(slots) == [4, 5]))
+    back = phi.extract_slots(padded.tokens, slots)
+    out.append(_result("pad/extract round trip", np.array_equal(back.a, slot_tokens.a)))
     const = Tensor(np.full((8, 8, 3), 2.0))
     tokens, grid, first = phi.make_detail_tokens(const, Tensor(g.standard_normal((3, d))), 0.25)
     out.append(_result("constant map yields zero detail", np.max(np.abs(tokens.a)) < 1e-9))

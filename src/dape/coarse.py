@@ -35,7 +35,6 @@ class TokenSet:
     provenance: list = field(default_factory=list)
     modality: str = "image"
     source: Tensor | None = None
-    grid: tuple[int, int] | None = None
 
     @property
     def n(self) -> int:
@@ -120,7 +119,7 @@ def tokenize_image(m0: Tensor, grid: tuple[int, int]) -> TokenSet:
         for y in range(gy)
         for x in range(gx)
     ]
-    return TokenSet(tokens, prov, "image", source=m0, grid=(gy, gx))
+    return TokenSet(tokens, prov, "image", source=m0)
 
 
 def even_spans(length: int, parts: int) -> list[tuple[int, int]]:
@@ -270,7 +269,7 @@ def coarse_align_block(
         prov = img_tokens.provenance + [
             ("slot", i) for i in range(pad_tokens.shape[0])
         ]
-        img_tokens = TokenSet(stacked, prov, "image", grid=img_tokens.grid)
+        img_tokens = TokenSet(stacked, prov, "image")
         slots = np.arange(n_real, n_real + pad_tokens.shape[0])
 
     if t_seq.a.ndim != 2:

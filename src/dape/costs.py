@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
+from .errors import ContractError
 
 
 class CostCounter:
@@ -48,27 +49,11 @@ class CostCounter:
 
 
 @contextmanager
-def relabel(module: str):
-    """Switch the active counter's module label (no-op without a counter).
-
-    Lets a nested path (the fine-alignment build inside an injection) bill
-    its cost to its own module regardless of the call site.
-    """
-    sink = T._COST_SINK
-    if sink is None:
-        yield
-        return
-    prev = sink._module
-    sink._module = module
-    try:
-        yield
-    finally:
-        sink._module = prev
-
-
-@contextmanager
 def cost_scope(counter: CostCounter | None, module: str):
-    """Route tensor-level counts into `counter` under a module label."""
+    """Route tensor-level counts into `counter` under a module label.
+
+    Passing the active sink (`tensor._COST_SINK`) only switches its label.
+    """
     if counter is None:
         yield
         return
@@ -142,6 +127,15 @@ class Replay:
             raise ValueError(f"replay expected {kind!r}, trace has {got_kind!r}")
         self._pos += 1
         return value
+
+    def check_consumed(self) -> None:
+        """A replayed forward must use every recorded decision."""
+        left = len(self._decisions) - self._pos
+        if left:
+            raise ContractError(
+                f"replay left {left} of {len(self._decisions)} decisions unconsumed; "
+                "structure diverged"
+            )
 
 
 def decide(trace: Trace | None, replay: Replay | None, kind: str, compute):

@@ -31,18 +31,6 @@ class ChannelGate:
     b2: Tensor
 
 
-@dataclass
-class ChannelTokenSet:
-    """L aggregated channel tokens plus which channels each row used."""
-
-    b: Tensor                      # (L, P)
-    segments: list[list[int]]      # selected channel indices per row
-
-    def __post_init__(self):
-        if self.b.shape[0] != len(self.segments):
-            raise DimensionError("one selection list per channel token row")
-
-
 def channelize(m_spatial: Tensor) -> Tensor:
     """(h, w, d) or (N, d) -> (d, P) channel-first view; lossless."""
     if m_spatial.a.ndim == 3:
@@ -53,11 +41,6 @@ def channelize(m_spatial: Tensor) -> Tensor:
     else:
         raise DimensionError(f"channelize expects 2-D or 3-D, got {m_spatial.shape}")
     return T.transpose(flat)
-
-
-def dechannelize(c: Tensor, shape: tuple[int, ...]) -> Tensor:
-    """Inverse of channelize back to the given spatial shape."""
-    return T.reshape(T.transpose(c), shape)
 
 
 def gate_channels(c: Tensor, gate: ChannelGate) -> Tensor:
@@ -75,31 +58,32 @@ def gate_channels(c: Tensor, gate: ChannelGate) -> Tensor:
     return T.reshape(T.row_softmax(T.transpose(logits)), (d,))
 
 
-def select_topk_segments(
-    c: Tensor, a_weights: np.ndarray, big_l: int, k1: int, agg: str = "mean"
-) -> ChannelTokenSet:
-    """Within each of L equal channel segments, keep the k1 channels with
-    the largest gate weight (ties -> lowest channel index) and aggregate
-    their position maps into one row."""
-    d = c.shape[0]
+def select_topk_segments_indices(a_weights: np.ndarray, big_l: int, k1: int) -> list[list[int]]:
+    """Within each of L equal channel segments, the k1 channels with the
+    largest gate weight (ties -> lowest channel index), sorted."""
+    a_weights = np.asarray(a_weights, dtype=np.float64).reshape(-1)
+    d = a_weights.shape[0]
     if big_l < 1 or d % big_l:
         raise ConfigurationError(f"L={big_l} must divide d={d}")
     seg = d // big_l
     if not 1 <= k1 <= seg:
         raise ConfigurationError(f"k1={k1} outside [1, {seg}]")
-    a_weights = np.asarray(a_weights, dtype=np.float64).reshape(-1)
-    if a_weights.shape[0] != d:
-        raise DimensionError(f"gate weights length {a_weights.shape[0]} != d={d}")
-    rows, segments = [], []
+    out = []
     for l in range(big_l):
         lo = l * seg
-        local = a_weights[lo : lo + seg]
-        order = np.argsort(-local, kind="stable")[:k1]
-        chosen = sorted(int(lo + i) for i in order)
-        segments.append(chosen)
+        order = np.argsort(-a_weights[lo : lo + seg], kind="stable")[:k1]
+        out.append(sorted(int(lo + i) for i in order))
+    return out
+
+
+def aggregate_segments(c: Tensor, segments: list[list[int]], agg: str) -> Tensor:
+    """One (L, P) row per segment: the mean (or sum) of its selected
+    channels' position maps."""
+    rows = []
+    for chosen in segments:
         picked = T.gather_rows(c, chosen)
         rows.append(T.tmean(picked, axis=0) if agg == "mean" else T.tsum(picked, axis=0))
-    return ChannelTokenSet(T.stack_rows(rows), segments)
+    return T.stack_rows(rows)
 
 
 def cwa_block(
@@ -124,17 +108,10 @@ def cwa_block(
     def compute_selection():
         with T.no_recording():
             a_weights = gate_channels(c, gate).a
-        sel = select_topk_segments_indices(a_weights, cfg.L, cfg.k1)
-        return sel
+        return select_topk_segments_indices(a_weights, cfg.L, cfg.k1)
 
     segments = decide(trace, replay, "cwa_topk", compute_selection)
-    rows = []
-    for chosen in segments:
-        picked = T.gather_rows(c, chosen)
-        rows.append(
-            T.tmean(picked, axis=0) if cfg.cwa_agg == "mean" else T.tsum(picked, axis=0)
-        )
-    b = T.stack_rows(rows)
+    b = aggregate_segments(c, segments, cfg.cwa_agg)
     b_proj = T.matmul(b, chan_proj)
 
     counter = trace.counter if trace is not None else None
@@ -151,23 +128,6 @@ def cwa_block(
         t1, b_proj, a_c.transposed(), (txt_proj, img_proj), cfg.mask_mode
     )
     return t2, a_c
-
-
-def select_topk_segments_indices(a_weights: np.ndarray, big_l: int, k1: int) -> list[list[int]]:
-    """Selection half of select_topk_segments: just the channel indices."""
-    a_weights = np.asarray(a_weights, dtype=np.float64).reshape(-1)
-    d = a_weights.shape[0]
-    if big_l < 1 or d % big_l:
-        raise ConfigurationError(f"L={big_l} must divide d={d}")
-    seg = d // big_l
-    if not 1 <= k1 <= seg:
-        raise ConfigurationError(f"k1={k1} outside [1, {seg}]")
-    out = []
-    for l in range(big_l):
-        lo = l * seg
-        order = np.argsort(-a_weights[lo : lo + seg], kind="stable")[:k1]
-        out.append(sorted(int(lo + i) for i in order))
-    return out
 
 
 def fuse_text(t1: Tensor, t2: Tensor) -> Tensor:

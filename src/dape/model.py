@@ -250,6 +250,8 @@ def forward(
         img_embs.append(T.tmean(m_stream, axis=0))
         txt_embs.append(T.tmean(t_stream, axis=0))
 
+    if replay is not None:
+        replay.check_consumed()
     img_emb = T.l2_normalize_rows(T.stack_rows(img_embs))
     txt_emb = T.l2_normalize_rows(T.stack_rows(txt_embs))
     if replay is None:

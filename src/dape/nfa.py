@@ -29,15 +29,6 @@ from .tensor import Tensor
 
 
 @dataclass
-class GranularitySplit:
-    """Convolved channel branches with their widths and kernel sizes."""
-
-    branches: tuple[Tensor, Tensor, Tensor]
-    widths: tuple[int, int, int]
-    kernels: tuple[int, int, int]
-
-
-@dataclass
 class NfaWeights:
     """Learned pieces of the fine-alignment path."""
 
@@ -93,29 +84,6 @@ def mask_lattice(mu1: float, mu2: float, mu3: float) -> np.ndarray:
 # Channel split and multiscale tokens
 
 
-def split_channels(
-    m: Tensor,
-    mu: tuple[float, float, float],
-    kernels: tuple[int, int, int],
-    conv_kernels: tuple[Tensor, Tensor, Tensor],
-) -> GranularitySplit:
-    """Split channels by largest-remainder mu widths and convolve each part
-    with its own depthwise kernel."""
-    if m.a.ndim != 3:
-        raise DimensionError(f"expected (h, w, c) map, got {m.shape}")
-    c = m.shape[2]
-    widths = mu_partition(c, mu)
-    if min(widths) < 1:
-        raise ConfigurationError(f"mu split {widths} leaves an empty branch (c={c})")
-    parts = []
-    lo = 0
-    for width, k, kw in zip(widths, kernels, conv_kernels):
-        part = T.slice_last(m, lo, lo + width)
-        parts.append(T.conv2d_local(part, k, kw))
-        lo += width
-    return GranularitySplit(tuple(parts), widths, tuple(kernels))
-
-
 @lru_cache(maxsize=128)
 def parent_major_perm(gy: int, gx: int, fy: int, fx: int) -> np.ndarray:
     """Row permutation taking row-major (fy*gy, fx*gx) cells to parent-major
@@ -141,73 +109,42 @@ def _pool_tokens(m: Tensor, gy: int, gx: int, fy: int, fx: int) -> Tensor:
     return T.gather_rows(flat, parent_major_perm(gy, gx, fy, fx))
 
 
-def _region_provenance(h: int, w: int, gy: int, gx: int, fy: int, fx: int) -> list:
-    cy, cx = h // (fy * gy), w // (fx * gx)
-    prov = []
-    for a in range(gy):
-        for b in range(gx):
-            for dy in range(fy):
-                for dx in range(fx):
-                    y0 = (fy * a + dy) * cy
-                    x0 = (fx * b + dx) * cx
-                    prov.append(("cell", (y0, y0 + cy, x0, x0 + cx)))
-    return prov
-
-
-def tokenize_multiscale(
-    split: GranularitySplit, base_grid: tuple[int, int]
-) -> tuple[TokenSet, TokenSet, TokenSet]:
-    """Crop the three branches at 1:2:4 token granularity.
+def multiscale_tokens(
+    m: Tensor,
+    grid: tuple[int, int],
+    mu: tuple[float, float, float],
+    kernels: tuple[int, int, int],
+    conv_kernels: tuple[Tensor, Tensor, Tensor],
+) -> tuple[Tensor, Tensor, Tensor]:
+    """Split channels by largest-remainder mu widths, convolve each part
+    with its own depthwise kernel, and pool the branches at 1:2:4 token
+    granularity, rows parent-major.
 
     Level 1 pools whole cells of the base grid (I tokens); level 2 pools
     the two vertical halves of each cell (2I); level 3 its four quadrants
-    (4I). Underlying cell grids double per axis each level, so the finest
-    uses a (4gy, 4gx) lattice whose 2x2 blocks form the quadrant tokens.
+    (4I). Levels 1 and 2 feed only mask construction, so their branches
+    run off-tape; gradient reaches the branch-3 kernel through level 3.
     """
-    gy, gx = base_grid
-    h, w, _ = split.branches[0].shape
+    gy, gx = grid
+    h, w, c = m.shape
     if h % (4 * gy) or w % (4 * gx):
         raise DimensionError(
-            f"grid {base_grid} needs map sides divisible by {4 * gy}x{4 * gx}, got {h}x{w}"
+            f"grid {grid} needs map sides divisible by {4 * gy}x{4 * gx}, got {h}x{w}"
         )
-    sets = []
-    for level, (fy, fx) in enumerate(((1, 1), (2, 1), (2, 2))):
-        branch = split.branches[level]
-        tokens = _pool_tokens(branch, gy, gx, fy, fx)
-        prov = _region_provenance(h, w, gy, gx, fy, fx)
-        cell_grid = (2**level * gy, 2**level * gx)
-        sets.append(TokenSet(tokens, prov, "image", source=branch, grid=cell_grid))
-    return tuple(sets)
+    widths = mu_partition(c, mu)
+    if min(widths) < 1:
+        raise ConfigurationError(f"mu split {widths} leaves an empty branch (c={c})")
 
+    def level(b: int, fy: int, fx: int) -> Tensor:
+        lo = sum(widths[:b])
+        part = T.slice_last(m, lo, lo + widths[b])
+        branch = T.conv2d_local(part, kernels[b], conv_kernels[b])
+        return _pool_tokens(branch, gy, gx, fy, fx)
 
-def tokenize_token_grid(
-    tokens: Tensor, grid: tuple[int, int]
-) -> tuple[TokenSet, TokenSet, TokenSet]:
-    """Multiscale pooling of an already-tokenized (N, d) grid (detail path);
-    base cells are 4x4 token blocks, no channel split involved.
-
-    Levels 1 and 2 feed only mask construction (stop-gradient), so their
-    pooling runs off-tape; level 3 carries the masked update's queries.
-    """
-    gy_t, gx_t = grid
-    n, d = tokens.shape
-    if n != gy_t * gx_t:
-        raise DimensionError(f"{n} tokens do not fill grid {grid}")
-    if gy_t % 4 or gx_t % 4:
-        raise DimensionError(f"token grid {grid} must be divisible by 4")
-    as_map = T.reshape(tokens, (gy_t, gx_t, d))
-    gy, gx = gy_t // 4, gx_t // 4
-    sets = []
-    for level, (fy, fx) in enumerate(((1, 1), (2, 1), (2, 2))):
-        if level < 2:
-            with T.no_recording():
-                pooled = _pool_tokens(as_map, gy, gx, fy, fx)
-        else:
-            pooled = _pool_tokens(as_map, gy, gx, fy, fx)
-        prov = _region_provenance(gy_t, gx_t, gy, gx, fy, fx)
-        cell_grid = (2**level * gy, 2**level * gx)
-        sets.append(TokenSet(pooled, prov, "image", grid=cell_grid))
-    return tuple(sets)
+    with T.no_recording():
+        l1 = level(0, 1, 1)
+        l2 = level(1, 2, 1)
+    return l1, l2, level(2, 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -246,17 +183,9 @@ def refine_text(t_tokens: TokenSet, factor: int) -> TokenSet:
 # Masks
 
 
-def _token_array(x) -> np.ndarray:
-    if isinstance(x, TokenSet):
-        return x.tokens.a
-    if isinstance(x, Tensor):
-        return x.a
-    return np.asarray(x)
-
-
 def level_mask(
-    xk,
-    tk,
+    xk: Tensor,
+    tk: Tensor,
     k_thr: float,
     mu_k: float,
     active_rows: np.ndarray | None = None,
@@ -264,8 +193,7 @@ def level_mask(
     level: str = "fine-1",
 ) -> AffinityMask:
     """Binarized {0, mu_k} affinity, evaluated only on active rows."""
-    xa = _token_array(xk)
-    ta = _token_array(tk)
+    xa, ta = xk.a, tk.a
     n, m = xa.shape[0], ta.shape[0]
     weights = np.zeros((n, m))
     if active_rows is None:
@@ -392,41 +320,18 @@ def build_hierarchy(
     Returns (HierarchicalMask, level-3 image tokens projected to d,
     level-3 text tokens) so the caller can run the masked update.
 
-    Branches 1 and 2 feed only mask construction, so their convolutions
-    and projections run off-tape; gradient reaches the branch-3 kernel and
+    Levels 1 and 2 feed only mask construction, so their projections run
+    off-tape like their branches; gradient reaches the branch-3 kernel and
     projection through the masked update's queries.
     """
-    gy, gx = cfg.grid
-    h, w, c = m.shape
-    if h % (4 * gy) or w % (4 * gx):
-        raise DimensionError(
-            f"grid {cfg.grid} needs map sides divisible by {4 * gy}x{4 * gx}, got {h}x{w}"
-        )
-    widths = mu_partition(c, cfg.mu)
-    if min(widths) < 1:
-        raise ConfigurationError(f"mu split {widths} leaves an empty branch (c={c})")
+    tokens = multiscale_tokens(m, cfg.grid, cfg.mu, cfg.kernels, weights.conv_kernels)
     with T.no_recording():
-        projected_coarse = []
-        lo = 0
-        for b, (fy, fx) in enumerate(((1, 1), (2, 1))):
-            branch = T.conv2d_local(
-                T.slice_last(m, lo, lo + widths[b]), cfg.kernels[b], weights.conv_kernels[b]
-            )
-            tokens = _pool_tokens(branch, gy, gx, fy, fx)
-            projected_coarse.append(T.matmul(tokens, weights.branch_projs[b]))
-            lo += widths[b]
-    branch3 = T.conv2d_local(
-        T.slice_last(m, lo, lo + widths[2]), cfg.kernels[2], weights.conv_kernels[2]
-    )
-    tokens3 = _pool_tokens(branch3, gy, gx, 2, 2)
-    projected = (
-        projected_coarse[0],
-        projected_coarse[1],
-        T.matmul(tokens3, weights.branch_projs[2]),
-    )
+        p1 = T.matmul(tokens[0], weights.branch_projs[0])
+        p2 = T.matmul(tokens[1], weights.branch_projs[1])
+    p3 = T.matmul(tokens[2], weights.branch_projs[2])
     txt_sets = text_pyramid(t_tokens)
     hier = build_level_masks(
-        tuple(p for p in projected),
+        (p1, p2, p3),
         tuple(ts.tokens for ts in txt_sets),
         cfg,
         trace,
@@ -434,15 +339,7 @@ def build_hierarchy(
         density_rule,
         max_level,
     )
-    return hier, projected[2], txt_sets[2].tokens
-
-
-def _pool_grid_raw(arr: np.ndarray, gy: int, gx: int, fy: int, fx: int) -> np.ndarray:
-    """Raw-array parent-major pooling (mask-side levels live off the tape)."""
-    h, w, d = arr.shape
-    sy, sx = h // (fy * gy), w // (fx * gx)
-    cells = arr.reshape(fy * gy, sy, fx * gx, sx, d).mean(axis=(1, 3))
-    return cells.reshape(gy, fy, gx, fx, d).transpose(0, 2, 1, 3, 4).reshape(-1, d)
+    return hier, p3, txt_sets[2].tokens
 
 
 def build_hierarchy_from_tokens(
@@ -456,9 +353,9 @@ def build_hierarchy_from_tokens(
 ):
     """Fine-alignment mask build over an (N, d) token grid (detail path).
 
-    Token spans here are uniform by construction, so the mask-side levels
-    (1 and 2, both modalities) pool as raw arrays; only the finest level
-    rides the tape as the masked update's queries and keys/values.
+    Levels 1 and 2 (both modalities) feed only mask construction and pool
+    off-tape; only the finest level rides the tape as the masked update's
+    queries and keys/values.
     """
     gy_t, gx_t = grid
     n, d = tokens.shape
@@ -467,27 +364,23 @@ def build_hierarchy_from_tokens(
     if gy_t % 4 or gx_t % 4:
         raise DimensionError(f"token grid {grid} must be divisible by 4")
     gy, gx = gy_t // 4, gx_t // 4
-    raw = tokens.a.reshape(gy_t, gx_t, d)
-    img_l1 = _pool_grid_raw(raw, gy, gx, 1, 1)
-    img_l2 = _pool_grid_raw(raw, gy, gx, 2, 1)
-    q3 = _pool_tokens(T.reshape(tokens, (gy_t, gx_t, d)), gy, gx, 2, 2)
-
-    seq = t_tokens.source.a if t_tokens.source is not None else t_tokens.tokens.a
-    j1 = t_tokens.n
-    txt_l1 = t_tokens.tokens.a
-    txt_l2 = seq.reshape(2 * j1, seq.shape[0] // (2 * j1), seq.shape[1]).mean(axis=1)
-    txt3 = refine_text(t_tokens, 4)
+    as_map = T.reshape(tokens, (gy_t, gx_t, d))
+    with T.no_recording():
+        img_l1 = _pool_tokens(as_map, gy, gx, 1, 1)
+        img_l2 = _pool_tokens(as_map, gy, gx, 2, 1)
+    q3 = _pool_tokens(as_map, gy, gx, 2, 2)
+    txt_sets = text_pyramid(t_tokens)
 
     hier = build_level_masks(
         (img_l1, img_l2, q3),
-        (txt_l1, txt_l2, txt3.tokens),
+        tuple(ts.tokens for ts in txt_sets),
         cfg,
         trace,
         replay,
         None,
         max_level,
     )
-    return hier, q3, txt3.tokens
+    return hier, q3, txt_sets[2].tokens
 
 
 def nfa_attention(

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .coarse import ProjectionSet, TokenSet, masked_cross_attention, tokenize_text
-from .costs import relabel
+from .coarse import ProjectionSet, masked_cross_attention, tokenize_text
+from .costs import cost_scope
 from .errors import ConfigurationError, ContractError, IndexRangeError
 from .nfa import build_hierarchy_from_tokens, nfa_attention, parent_major_perm
 from .tensor import Tensor
@@ -35,7 +35,6 @@ class LearnableTokens:
     """Slot parameters padded onto the image tokens at injection layers."""
 
     tokens: Tensor                      # (P, d)
-    positions: np.ndarray | None = None  # set by the latest pad
 
 
 @dataclass
@@ -46,19 +45,6 @@ class PhiWeights:
     learnable: LearnableTokens
     q_ps: ProjectionSet                 # slot queries
     kv_ps: ProjectionSet                # detail keys/values
-
-
-def pad_with_learnable(tokens: TokenSet, lt: LearnableTokens) -> TokenSet:
-    """Append the learnable tokens after the real ones; provenance marks
-    them synthetic and `lt.positions` records where they sit."""
-    p = lt.tokens.shape[0]
-    n = tokens.n
-    lt.positions = np.arange(n, n + p)
-    if p == 0:
-        return tokens
-    stacked = T.concat_rows([tokens.tokens, lt.tokens])
-    prov = list(tokens.provenance) + [("slot", i) for i in range(p)]
-    return TokenSet(stacked, prov, tokens.modality, grid=tokens.grid)
 
 
 def extract_slots(m1_plus: Tensor, positions) -> Tensor:
@@ -134,7 +120,9 @@ def phi_inject(
             f"text stream length {n_txt} must be divisible by 4 for injection"
         )
     txt_base = tokenize_text(t_prev, n_txt // 4)
-    with relabel("nfa"):
+    # the nested fine-alignment build bills to its own module, whichever
+    # counter the caller installed
+    with cost_scope(T._COST_SINK, "nfa"):
         hier, q3, txt3 = build_hierarchy_from_tokens(
             det_tokens, det_grid, txt_base, cfg, trace, replay,
             max_level=3 if cfg.enable_nfa else 1,

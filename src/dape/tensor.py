@@ -613,21 +613,6 @@ def _highpass_keep(h: int, w: int, cutoff_frac: float) -> Array:
     return radius >= cutoff_frac * max_radius
 
 
-def _highpass_apply(arr: Array, keep: Array) -> Array:
-    h, w = arr.shape
-    f_h = _dft_matrix(h)
-    f_w = _dft_matrix(w)
-    spectrum = f_h @ arr @ f_w.T
-    filtered = spectrum * keep
-    back = (np.conj(f_h) / h) @ filtered @ (np.conj(f_w).T / w)
-    return back.real
-
-
-@lru_cache(maxsize=32)
-def _idft_pair(h: int, w: int) -> tuple[Array, Array]:
-    return np.conj(_dft_matrix(h)) / h, np.ascontiguousarray(np.conj(_dft_matrix(w)).T / w)
-
-
 @lru_cache(maxsize=8)
 def _highpass_operator(h: int, w: int, cutoff_frac: float) -> Array:
     """The filter as one real (h*w, h*w) matrix acting on flattened maps.
@@ -646,13 +631,6 @@ def _highpass_operator(h: int, w: int, cutoff_frac: float) -> Array:
     col = np.einsum("uv,zv,vq->uzq", keep.astype(complex), inv_w, f_w)
     op = np.einsum("yu,up,uzq->yzpq", inv_h, f_h, col).real
     return np.ascontiguousarray(op.reshape(h * w, h * w))
-
-
-def _highpass_apply_channels(arr: Array, keep_unused, h: int, w: int,
-                             cutoff_frac: float) -> Array:
-    c = arr.shape[2]
-    op = _highpass_operator(h, w, cutoff_frac)
-    return (op @ arr.reshape(h * w, c)).reshape(h, w, c)
 
 
 @lru_cache(maxsize=8)
@@ -686,46 +664,21 @@ def pooled_highpass_cells(arr: Array, cutoff_frac: float, pool: int) -> Array:
 
 
 def highpass_fourier(x: Tensor, cutoff_frac: float) -> Tensor:
-    """Remove low radial frequencies of a 2-D map via a naive separable DFT.
+    """Remove low radial frequencies of a 2-D map (the detail filter).
 
     Bins with radius < cutoff_frac * max_radius are zeroed (DC always goes).
-    The frequency mask is symmetric under negation, so the filter is
-    self-adjoint: the backward pass applies the same filter.
+    The frequency mask is symmetric under negation, so the filter operator
+    is symmetric: the backward pass applies the same matrix.
     """
-    if not (0.0 < cutoff_frac < 1.0):
-        raise ConfigurationError(
-            f"cutoff_frac must be in (0, 1), got {cutoff_frac}"
-        )
     if x.a.ndim != 2:
         raise DimensionError(f"highpass_fourier expects 2-D, got {x.shape}")
     h, w = x.shape
-    keep = _highpass_keep(h, w, cutoff_frac)
-    _count("mac", 4 * (h * h * w + h * w * w))
-    out = _out(_highpass_apply(x.a, keep), "highpass_fourier")
+    y = pooled_highpass_cells(x.a[:, :, None], cutoff_frac, 1).reshape(h, w)
+    out = _out(y, "highpass_fourier", check=False)
 
     def backward(g, acc):
-        _acc(acc, x, _highpass_apply(g, keep))
-
-    _rec(out, backward)
-    return out
-
-
-def highpass_channels(x: Tensor, cutoff_frac: float) -> Tensor:
-    """Per-channel high-pass of an (h, w, c) map; one op on the tape."""
-    if not (0.0 < cutoff_frac < 1.0):
-        raise ConfigurationError(
-            f"cutoff_frac must be in (0, 1), got {cutoff_frac}"
-        )
-    if x.a.ndim != 3:
-        raise DimensionError(f"highpass_channels expects 3-D, got {x.shape}")
-    h, w, c = x.shape
-    _count("mac", h * w * h * w * c)
-    out = _out(
-        _highpass_apply_channels(x.a, None, h, w, cutoff_frac), "highpass_channels"
-    )
-
-    def backward(g, acc):
-        _acc(acc, x, _highpass_apply_channels(g, None, h, w, cutoff_frac))
+        op = _highpass_operator(h, w, cutoff_frac)
+        _acc(acc, x, (op @ g.reshape(-1)).reshape(h, w))
 
     _rec(out, backward)
     return out

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import dape.coarse
+import dape.cwa
 import dape.nfa
+import dape.tensor
 from dape.check import run_checks
 from dape.cli import main
 from dape.config import DapeConfig
@@ -128,6 +130,18 @@ def test_mutation_flipped_binarize_comparison_caught(monkeypatch):
         c["name"] for c in report["suites"]["coarse-align"]["checks"] if not c["ok"]
     ]
     assert "strict threshold tie rule" in failing
+
+
+def test_mutation_noncommutative_fuse_caught(monkeypatch):
+    """Fault: the fusion doubles its second operand."""
+    def lopsided(t1, t2):
+        return dape.tensor.add(t1, dape.tensor.scale(t2, 2.0))
+
+    monkeypatch.setattr(dape.cwa, "fuse_text", lopsided)
+    report = run_checks("cwa")
+    assert not report["passed"]
+    failing = [c["name"] for c in report["suites"]["cwa"]["checks"] if not c["ok"]]
+    assert "fuse commutative" in failing
 
 
 def test_mutation_flipped_density_rule_caught(monkeypatch):

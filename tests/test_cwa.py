@@ -45,8 +45,8 @@ def test_channelize_single_cell():
 def test_channelize_round_trip_bit_exact():
     x = rng(2).standard_normal((3, 4, 6))
     c = W.channelize(Tensor(x))
-    back = W.dechannelize(c, (3, 4, 6))
-    assert np.array_equal(back.a, x)
+    back = c.a.T.reshape(3, 4, 6)
+    assert np.array_equal(back, x)
 
 
 def test_channelize_index_arithmetic():
@@ -102,16 +102,21 @@ def test_gate_weights_sum_to_one(seed):
 
 
 # ---------------------------------------------------------------------------
-# select_topk_segments
+# select_topk_segments_indices / aggregate_segments
+
+
+def select_and_aggregate(c, a, big_l, k1):
+    segments = W.select_topk_segments_indices(a, big_l, k1)
+    return segments, W.aggregate_segments(Tensor(c), segments, "mean")
 
 
 def test_select_all_equals_segment_mean():
     d, big_l = 4, 2
     c = rng(6).standard_normal((d, 5))
     a = rng(7).uniform(size=d)
-    ts = W.select_topk_segments(Tensor(c), a, big_l, k1=2)
-    assert np.allclose(ts.b.a[0], c[0:2].mean(axis=0), atol=1e-12)
-    assert np.allclose(ts.b.a[1], c[2:4].mean(axis=0), atol=1e-12)
+    _, b = select_and_aggregate(c, a, big_l, k1=2)
+    assert np.allclose(b.a[0], c[0:2].mean(axis=0), atol=1e-12)
+    assert np.allclose(b.a[1], c[2:4].mean(axis=0), atol=1e-12)
 
 
 def test_topk_picks_argmax_against_exhaustive_oracle():
@@ -119,28 +124,26 @@ def test_topk_picks_argmax_against_exhaustive_oracle():
     g = rng(8)
     c = g.standard_normal((d, 3))
     a = np.array([0.1, 0.4, 0.3, 0.2])
-    ts = W.select_topk_segments(Tensor(c), a, big_l, k1)
+    segments, b = select_and_aggregate(c, a, big_l, k1)
     # oracle: enumerate all choices, keep the max-gate-weight subset
-    for l, chosen in enumerate(ts.segments):
+    for l, chosen in enumerate(segments):
         seg_idx = list(range(l * 2, l * 2 + 2))
         best = max(
             itertools.combinations(seg_idx, k1), key=lambda comb: sum(a[list(comb)])
         )
         assert tuple(chosen) == best
-    assert np.allclose(ts.b.a[0], c[1], atol=1e-15)
-    assert np.allclose(ts.b.a[1], c[2], atol=1e-15)
+    assert np.allclose(b.a[0], c[1], atol=1e-15)
+    assert np.allclose(b.a[1], c[2], atol=1e-15)
 
 
 def test_topk_tie_goes_to_lowest_index():
-    c = Tensor(rng(9).standard_normal((4, 3)))
     a = np.array([0.5, 0.5, 0.25, 0.25])
-    ts = W.select_topk_segments(c, a, 2, 1)
-    assert ts.segments == [[0], [2]]
+    assert W.select_topk_segments_indices(a, 2, 1) == [[0], [2]]
 
 
 def test_topk_divisibility_error():
     with pytest.raises(ConfigurationError):
-        W.select_topk_segments(Tensor(np.zeros((5, 2))), np.zeros(5), 2, 1)
+        W.select_topk_segments_indices(np.zeros(5), 2, 1)
 
 
 @settings(max_examples=20, deadline=None)
@@ -168,10 +171,10 @@ def test_topk_permutation_stability_within_segment(seed):
     a = g.uniform(size=d)
     # permute channels inside segment 0 together with their weights
     perm = np.concatenate([g.permutation(3), np.arange(3, 6)])
-    base = W.select_topk_segments(Tensor(c), a, big_l, k1)
-    permuted = W.select_topk_segments(Tensor(c[perm]), a[perm], big_l, k1)
+    _, base = select_and_aggregate(c, a, big_l, k1)
+    _, permuted = select_and_aggregate(c[perm], a[perm], big_l, k1)
     # ties may reorder, but the aggregated rows must carry the same values
-    assert np.max(np.abs(np.sort(base.b.a, axis=0) - np.sort(permuted.b.a, axis=0))) < 1e-12
+    assert np.max(np.abs(np.sort(base.a, axis=0) - np.sort(permuted.a, axis=0))) < 1e-12
 
 
 # ---------------------------------------------------------------------------

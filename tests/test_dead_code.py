@@ -1,0 +1,49 @@
+"""Guard against dead code: every top-level function or class in
+`src/dape` must be referenced somewhere in `src/dape` other than its own
+definition. Names read only from outside the package are allowlisted."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "dape"
+
+# name -> why it may have no reference inside the package
+ALLOWED = {
+    "cost_report": "read by the benchmark (perfbench/bench.py) and the tests",
+}
+
+
+def referenced_names(tree: ast.AST) -> Counter:
+    """Names, attributes, imports and string constants used in `tree`."""
+    out: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out[node.name] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out[node.value] += 1  # __all__ entries, getattr by name
+    return out
+
+
+def test_every_top_level_definition_has_a_reference():
+    trees = {p.name: ast.parse(p.read_text(), p.name) for p in sorted(SRC.glob("*.py"))}
+    total = sum((referenced_names(t) for t in trees.values()), Counter())
+    defs = [
+        (fname, node)
+        for fname, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ]
+    # uses inside a definition's own body (recursion) do not count
+    unreferenced = [
+        f"{fname}:{node.name}"
+        for fname, node in defs
+        if node.name not in ALLOWED
+        and total[node.name] <= referenced_names(node)[node.name]
+    ]
+    assert not unreferenced, f"defined but never referenced in src/dape: {unreferenced}"
+    assert set(ALLOWED) <= {node.name for _, node in defs}, "stale allowlist entry"

@@ -8,7 +8,7 @@ import monolithic
 import oracles
 from dape import tensor as T
 from dape.config import DapeConfig
-from dape.errors import ConfigurationError
+from dape.errors import ConfigurationError, ContractError
 from dape.model import (
     Batch,
     contrastive_loss,
@@ -198,6 +198,20 @@ def test_gradient_norm_matches_finite_differences_d8():
 
     err = T.grad_check(f, model.param_tensors(), max_coords=6, seed=0)
     assert err < 1e-3
+
+
+def test_replay_leaving_decisions_unconsumed_is_rejected():
+    """Replaying a 3-sample trace over 2 samples leaves the third sample's
+    decisions unused; the structure diverged, so forward must refuse."""
+    from dape.costs import Replay
+
+    cfg = oracle_cfg()
+    model = init_model(cfg)
+    batch = corpus_batch(cfg, n=3)
+    _, _, trace = forward(model, batch, cfg)
+    short = Batch(batch.images[:2], batch.texts[:2], batch.labels[:2])
+    with pytest.raises(ContractError, match="unconsumed"):
+        forward(model, short, cfg, replay=Replay(trace))
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,26 @@ def seeded_weights(g, c, d, kernels=(3, 5, 7), mu=MU):
 
 
 # ---------------------------------------------------------------------------
-# split_channels
+# multiscale_tokens: channel split, depthwise conv, parent-major pooling
+
+LEVEL_FACTORS = ((1, 1), (2, 1), (2, 2))  # cell, vertical halves, quadrants
+
+
+def region_means(branch, grid, fy, fx):
+    """Mean of each (fy, fx) sub-region of every grid cell, parent-major."""
+    gy, gx = grid
+    h, w = branch.shape[0], branch.shape[1]
+    cy, cx = h // (fy * gy), w // (fx * gx)
+    rows = []
+    for a in range(gy):
+        for b in range(gx):
+            for dy in range(fy):
+                for dx in range(fx):
+                    y0, x0 = (fy * a + dy) * cy, (fx * b + dx) * cx
+                    rows.append(
+                        branch[y0 : y0 + cy, x0 : x0 + cx].reshape(-1, branch.shape[2]).mean(axis=0)
+                    )
+    return np.stack(rows)
 
 
 def test_split_widths_c7():
@@ -67,83 +86,74 @@ def test_split_identity_kernels_copy_channels():
     m = g.standard_normal((4, 4, 3))
     mu = (1 / 3, 1 / 3, 1 / 3)
     widths = mu_partition(3, mu)
-    split = N.split_channels(Tensor(m), mu, (3, 5, 7), identity_kernels(widths, (3, 5, 7)))
-    assert split.widths == (1, 1, 1)
-    for i, branch in enumerate(split.branches):
-        assert np.max(np.abs(branch.a[..., 0] - m[..., i])) < 1e-15
+    levels = N.multiscale_tokens(
+        Tensor(m), (1, 1), mu, (3, 5, 7), identity_kernels(widths, (3, 5, 7))
+    )
+    assert [t.shape[1] for t in levels] == [1, 1, 1]
+    for i, (tokens, (fy, fx)) in enumerate(zip(levels, LEVEL_FACTORS)):
+        copied = N._pool_tokens(Tensor(m[..., i : i + 1]), 1, 1, fy, fx)
+        assert np.max(np.abs(tokens.a - copied.a)) < 1e-15
 
 
 def test_split_empty_branch_rejected():
     with pytest.raises(ConfigurationError):
-        N.split_channels(
-            Tensor(np.zeros((4, 4, 2))), MU, (3, 5, 7),
+        N.multiscale_tokens(
+            Tensor(np.zeros((4, 4, 2))), (1, 1), MU, (3, 5, 7),
             identity_kernels((1, 1, 0), (3, 5, 7)),
         )
 
 
-# ---------------------------------------------------------------------------
-# tokenize_multiscale
-
-
-def make_split(g, h=8, w=8, c=7, identity=True):
+def make_levels(g, h=8, w=8, c=7):
+    """Multiscale tokens of a random map under identity kernels, plus the
+    branches those kernels copy out of the map."""
     widths = mu_partition(c, MU)
-    kernels = (3, 5, 7)
-    convs = (
-        identity_kernels(widths, kernels)
-        if identity
-        else tuple(Tensor(g.standard_normal((wd, k, k))) for wd, k in zip(widths, kernels))
-    )
     m = Tensor(g.standard_normal((h, w, c)))
-    return m, N.split_channels(m, MU, kernels, convs)
+    levels = N.multiscale_tokens(m, (2, 2), MU, (3, 5, 7), identity_kernels(widths, (3, 5, 7)))
+    bounds = np.cumsum((0,) + widths)
+    return levels, [m.a[..., lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def test_multiscale_counts():
-    _, split = make_split(rng(2))
-    l1, l2, l3 = N.tokenize_multiscale(split, (2, 2))
-    assert (l1.n, l2.n, l3.n) == (4, 8, 16)          # 1 : 2 : 4 tokens
-    assert l1.grid == (2, 2)
-    assert l2.grid == (4, 4) and 4 * 4 == 16          # level-2 cell lattice
-    assert l3.grid == (8, 8) and 8 * 8 == 64          # level-3 cell lattice
+    levels, _ = make_levels(rng(2))
+    assert [t.shape[0] for t in levels] == [4, 8, 16]  # 1 : 2 : 4 tokens
+    assert [t.shape[1] for t in levels] == [1, 2, 4]   # mu widths at c=7
 
 
 def test_multiscale_constant_map_tokens_identical_within_level():
     c = 7
     m = Tensor(np.ones((8, 8, c)) * 2.5)
     widths = mu_partition(c, MU)
-    split = N.split_channels(m, MU, (3, 5, 7), identity_kernels(widths, (3, 5, 7)))
-    for ts in N.tokenize_multiscale(split, (2, 2)):
+    levels = N.multiscale_tokens(m, (2, 2), MU, (3, 5, 7), identity_kernels(widths, (3, 5, 7)))
+    for tokens in levels:
         # interior cells match exactly; padding-affected border cells of a
         # constant map still agree within each level for identity kernels
-        assert np.max(np.abs(ts.tokens.a - ts.tokens.a[0])) < 1e-12
+        assert np.max(np.abs(tokens.a - tokens.a[0])) < 1e-12
 
 
 def test_multiscale_tokens_match_region_means():
-    g = rng(3)
-    _, split = make_split(g)
-    for ts in N.tokenize_multiscale(split, (2, 2)):
-        src = ts.source.a
-        for row, (kind, (y0, y1, x0, x1)) in zip(ts.tokens.a, ts.provenance):
-            region = src[y0:y1, x0:x1].reshape(-1, src.shape[2]).mean(axis=0)
-            assert np.max(np.abs(row - region)) < 1e-12
+    levels, branches = make_levels(rng(3))
+    for tokens, branch, (fy, fx) in zip(levels, branches, LEVEL_FACTORS):
+        assert np.max(np.abs(tokens.a - region_means(branch, (2, 2), fy, fx))) < 1e-12
 
 
 def test_multiscale_divisibility_error():
-    _, split = make_split(rng(4), h=6, w=8)
     with pytest.raises(DimensionError):
-        N.tokenize_multiscale(split, (2, 2))
+        make_levels(rng(4), h=6, w=8)
 
 
 def test_parent_major_order_alternates_halves():
-    g = rng(5)
-    _, split = make_split(g)
-    _, l2, l3 = N.tokenize_multiscale(split, (2, 2))
+    (_, l2, l3), (_, b2, b3) = make_levels(rng(5))
+
+    def mean(branch, y0, y1, x0, x1):
+        return branch[y0:y1, x0:x1].reshape(-1, branch.shape[2]).mean(axis=0)
+
     # rows 0, 1 are the top and bottom halves of parent cell 0 ([0:4, 0:4])
-    assert l2.provenance[0][1] == (0, 2, 0, 4)
-    assert l2.provenance[1][1] == (2, 4, 0, 4)
+    assert np.max(np.abs(l2.a[0] - mean(b2, 0, 2, 0, 4))) < 1e-12
+    assert np.max(np.abs(l2.a[1] - mean(b2, 2, 4, 0, 4))) < 1e-12
     # rows 0..3 are the four quadrants of parent cell 0
-    assert [p[1] for p in l3.provenance[:4]] == [
-        (0, 2, 0, 2), (0, 2, 2, 4), (2, 4, 0, 2), (2, 4, 2, 4)
-    ]
+    quadrants = [(0, 2, 0, 2), (0, 2, 2, 4), (2, 4, 0, 2), (2, 4, 2, 4)]
+    for row, region in enumerate(quadrants):
+        assert np.max(np.abs(l3.a[row] - mean(b3, *region))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -276,30 +286,13 @@ def build_case(seed, k_thr=None, tau_d=None, c=7):
 def full_materialization_oracle(cfg, m, t_tokens, weights):
     """Materialize every level everywhere, then zero inactive rows."""
     widths = oracles.largest_remainder_widths(m.shape[2], cfg.mu)
-    gy, gx = cfg.grid
     branches, lo = [], 0
     for wd, k, kw in zip(widths, cfg.kernels, weights.conv_kernels):
         branches.append(oracles.conv2d_sliding(m.a[..., lo : lo + wd], kw.a))
         lo += wd
-    h, w = m.shape[0], m.shape[1]
-
-    def region_tokens(branch, fy, fx):
-        cy, cx = h // (fy * gy), w // (fx * gx)
-        rows = []
-        for a in range(gy):
-            for b in range(gx):
-                for dy in range(fy):
-                    for dx in range(fx):
-                        y0, x0 = (fy * a + dy) * cy, (fx * b + dx) * cx
-                        rows.append(
-                            branch[y0 : y0 + cy, x0 : x0 + cx].reshape(-1, branch.shape[2]).mean(axis=0)
-                        )
-        return np.stack(rows)
-
     img = [
-        region_tokens(branches[0], 1, 1) @ weights.branch_projs[0].a,
-        region_tokens(branches[1], 2, 1) @ weights.branch_projs[1].a,
-        region_tokens(branches[2], 2, 2) @ weights.branch_projs[2].a,
+        region_means(branches[lvl], cfg.grid, fy, fx) @ weights.branch_projs[lvl].a
+        for lvl, (fy, fx) in enumerate(LEVEL_FACTORS)
     ]
     seq = t_tokens.source.a
     spans1 = [p[1] for p in t_tokens.provenance]

@@ -7,7 +7,7 @@ import pytest
 import oracles
 from dape import phi as P
 from dape import tensor as T
-from dape.coarse import ProjectionSet, tokenize_image
+from dape.coarse import ProjectionSet, coarse_align_block, tokenize_image
 from dape.config import DapeConfig
 from dape.costs import Trace
 from dape.errors import ContractError, IndexRangeError
@@ -45,35 +45,41 @@ def make_weights(g, c, d, p):
 
 
 # ---------------------------------------------------------------------------
-# pad / extract
+# pad (inside the coarse block) / extract
+
+
+def pad_case(seed, pad_tokens):
+    """Coarse pass over a (4, 4, 3) map on a 2x2 grid; returns the image
+    tokens, the slot rows and the map."""
+    g = rng(seed)
+    m = Tensor(g.standard_normal((4, 4, 3)))
+    t = Tensor(g.standard_normal((2, 3)))
+    _, _, _, img_tokens, _, slots = coarse_align_block(
+        m, t, eye_ps(3), eye_ps(3), DapeConfig(d=3, j_text=2),
+        s=1, grid=(2, 2), pad_tokens=pad_tokens,
+    )
+    return img_tokens, slots, m
 
 
 def test_pad_zero_slots_identity():
-    ts = tokenize_image(Tensor(rng(1).standard_normal((4, 4, 3))), (2, 2))
-    lt = P.LearnableTokens(Tensor(np.zeros((0, 3))))
-    out = P.pad_with_learnable(ts, lt)
-    assert out is ts
-    assert lt.positions.size == 0
+    img_tokens, slots, m = pad_case(1, None)
+    assert np.array_equal(img_tokens.tokens.a, tokenize_image(m, (2, 2)).tokens.a)
+    assert slots.size == 0
 
 
 def test_pad_counts_and_slot_positions():
-    ts = tokenize_image(Tensor(rng(2).standard_normal((4, 4, 3))), (2, 2))
-    lt = P.LearnableTokens(Tensor(rng(3).standard_normal((2, 3))))
-    out = P.pad_with_learnable(ts, lt)
-    assert out.n == 6
-    assert list(lt.positions) == [4, 5]
-    assert out.provenance[4] == ("slot", 0)
+    img_tokens, slots, _ = pad_case(2, Tensor(rng(3).standard_normal((2, 3))))
+    assert img_tokens.n == 6
+    assert list(slots) == [4, 5]
+    assert img_tokens.provenance[4] == ("slot", 0)
     # slot provenance disjoint from real-token provenance
-    assert all(p[0] == "cell" for p in out.provenance[:4])
+    assert all(p[0] == "cell" for p in img_tokens.provenance[:4])
 
 
 def test_pad_extract_round_trip_bit_identical():
-    g = rng(4)
-    ts = tokenize_image(Tensor(g.standard_normal((4, 4, 3))), (2, 2))
-    m_in = g.standard_normal((3, 3))
-    lt = P.LearnableTokens(Tensor(m_in))
-    out = P.pad_with_learnable(ts, lt)
-    back = P.extract_slots(out.tokens, lt.positions)
+    m_in = rng(4).standard_normal((3, 3))
+    img_tokens, slots, _ = pad_case(4, Tensor(m_in))
+    back = P.extract_slots(img_tokens.tokens, slots)
     assert np.array_equal(back.a, m_in)
 
 
