@@ -89,8 +89,7 @@ def check_coarse_align() -> list[CheckResult]:
     eye = coarse.ProjectionSet(Tensor(np.eye(d)), Tensor(np.eye(d)), Tensor(np.eye(d)))
     mask = coarse.AffinityMask(np.zeros((2, 4)), (0.0, 1.0))
     z = coarse.masked_cross_attention(
-        coarse.identity_tokens(Tensor(g.standard_normal((2, d))), "text"),
-        coarse.identity_tokens(Tensor(g.standard_normal((4, d))), "image"),
+        Tensor(g.standard_normal((2, d))), Tensor(g.standard_normal((4, d))),
         mask, (eye, eye),
     )
     out.append(_result("zero mask annihilates", np.array_equal(z.a, np.zeros((2, d)))))
@@ -177,7 +176,7 @@ def check_phi() -> list[CheckResult]:
     slot_tokens = Tensor(g.standard_normal((2, d)))
     _, _, _, padded, _, slots = coarse.coarse_align_block(
         Tensor(g.standard_normal((4, 4, d))), Tensor(g.standard_normal((2, d))),
-        eye, eye, DapeConfig(d=d, j_text=2), s=1, grid=(2, 2), pad_tokens=slot_tokens,
+        eye, eye, DapeConfig(d=d, s=1, grid=(2, 2), j_text=2), pad_tokens=slot_tokens,
     )
     out.append(_result("pad appends slots", padded.n == 6 and list(slots) == [4, 5]))
     back = phi.extract_slots(padded.tokens, slots)

@@ -2,8 +2,7 @@
 two masked cross-attentions producing the updated text and image streams.
 
 The mask multiplies the softmaxed score matrix entrywise before the value
-sum (the only composition whose shapes close for I != J); a `pre-softmax`
-mode that scales raw scores before the softmax is kept for ablation.
+sum (the only composition whose shapes close for I != J).
 """
 
 from __future__ import annotations
@@ -186,24 +185,17 @@ def binarize(a: np.ndarray, threshold: float, hi: float = 1.0,
 
 
 def masked_cross_attention(
-    q_side: TokenSet | Tensor,
-    kv_side: TokenSet | Tensor,
+    q_tokens: Tensor,
+    kv_tokens: Tensor,
     mask: AffinityMask | None,
     projections: tuple[ProjectionSet, ProjectionSet],
-    mask_mode: str = "matmul",
-    score_from_values: bool = False,
 ) -> Tensor:
-    """softmax(Q K^T / sqrt(d)) combined with the mask, times V.
+    """softmax(Q K^T / sqrt(d)) scaled entrywise by the mask, times V.
 
     The caller passes the mask oriented (N_q, N_kv). `mask=None` runs
-    unmasked attention. `score_from_values` builds the score matrix from
-    the value projection instead of the key projection (literal-equation
-    ablation). With `mask_mode="pre-softmax"` the mask scales the raw
-    scores before normalization instead of the softmaxed scores.
+    unmasked attention.
     """
     q_proj, kv_proj = projections
-    q_tokens = q_side.tokens if isinstance(q_side, TokenSet) else q_side
-    kv_tokens = kv_side.tokens if isinstance(kv_side, TokenSet) else kv_side
     d = q_tokens.shape[1]
     if kv_tokens.shape[1] != d:
         raise DimensionError(
@@ -215,15 +207,11 @@ def masked_cross_attention(
             f"mask oriented {mask.shape}, attention needs ({n_q}, {n_kv})"
         )
     q = T.matmul(q_tokens, q_proj.wq)
-    k = T.matmul(kv_tokens, kv_proj.wv if score_from_values else kv_proj.wk)
+    k = T.matmul(kv_tokens, kv_proj.wk)
     v = T.matmul(kv_tokens, kv_proj.wv)
-    scores = T.scale(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(d))
-    if mask is None:
-        weights = T.row_softmax(scores)
-    elif mask_mode == "pre-softmax":
-        weights = T.row_softmax(T.mul(scores, Tensor(mask.weights)))
-    else:
-        weights = T.mul(T.row_softmax(scores), Tensor(mask.weights))
+    weights = T.row_softmax(T.scale(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(d)))
+    if mask is not None:
+        weights = T.mul(weights, Tensor(mask.weights))
     return T.matmul(weights, v)
 
 
@@ -238,8 +226,6 @@ def coarse_align_block(
     txt_proj: ProjectionSet,
     cfg,
     *,
-    s: int | None = None,
-    grid: tuple[int, int] | None = None,
     pad_tokens: Tensor | None = None,
     trace=None,
     replay=None,
@@ -247,18 +233,16 @@ def coarse_align_block(
     """Downsample -> tokenize -> affinity -> binarize -> the two masked
     attentions. Returns (t1, m1, a0_mask, img_tokens, txt_tokens, slots).
 
-    `m_map` is either an (h, w, d) map (first layer) or an (N, d) token
-    stream (identity tokenization). `pad_tokens` appends learnable slots
-    to the image side before alignment; `slots` gives their row indices.
+    `m_map` is either the (h, w, d) input map (first layer: downsampled by
+    `cfg.s`, tokenized on `cfg.grid`) or an (N, d) token stream (identity
+    tokenization). `pad_tokens` appends learnable slots to the image side
+    before alignment; `slots` gives their row indices.
     """
     from .costs import decide  # local import to keep module deps one-way
 
-    s = cfg.s if s is None else s
-    grid = cfg.grid if grid is None else grid
-
     if m_map.a.ndim == 3:
-        m0 = T.downsample_avg(m_map, s) if s > 1 else m_map
-        img_tokens = tokenize_image(m0, grid)
+        m0 = T.downsample_avg(m_map, cfg.s) if cfg.s > 1 else m_map
+        img_tokens = tokenize_image(m0, cfg.grid)
     else:
         img_tokens = identity_tokens(m_map, "image")
 
@@ -292,9 +276,9 @@ def coarse_align_block(
     # Text update: text queries over image keys/values, mask transposed to
     # (J, I). Image update: image queries over text, mask as stored (I, J).
     t1 = masked_cross_attention(
-        txt_tokens, img_tokens, a0.transposed(), (txt_proj, img_proj), cfg.mask_mode
+        txt_tokens.tokens, img_tokens.tokens, a0.transposed(), (txt_proj, img_proj)
     )
     m1 = masked_cross_attention(
-        img_tokens, txt_tokens, a0, (img_proj, txt_proj), cfg.mask_mode
+        img_tokens.tokens, txt_tokens.tokens, a0, (img_proj, txt_proj)
     )
     return t1, m1, a0, img_tokens, txt_tokens, slots

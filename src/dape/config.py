@@ -43,13 +43,7 @@ class DapeConfig:
                                      # (high-pass runs at full resolution first)
 
     # behavior flags
-    mask_mode: str = "matmul"        # matmul: mask scales softmaxed scores;
-                                     # pre-softmax: mask scales raw scores
-    score_from_values: bool = False        # score matrix built from the value
-                                     # projection instead of the key projection
-    residual_source: str = "m3"      # m3 | m2
     nfa_merge: str = "slots_only"    # slots_only | pool_add
-    cwa_agg: str = "mean"            # mean | sum over selected channels
     enable_cwa: bool = True
     enable_nfa: bool = True
     enable_phi: bool = True
@@ -122,14 +116,8 @@ class DapeConfig:
                 )
             if (h // self.detail_pool) % 4:
                 raise err("detail grid must be divisible by 4 when injection is on")
-        if self.mask_mode not in ("matmul", "pre-softmax"):
-            raise err(f"mask_mode={self.mask_mode!r} not in {{matmul, pre-softmax}}")
-        if self.residual_source not in ("m3", "m2"):
-            raise err(f"residual_source={self.residual_source!r} not in {{m3, m2}}")
         if self.nfa_merge not in ("slots_only", "pool_add"):
             raise err(f"nfa_merge={self.nfa_merge!r} not in {{slots_only, pool_add}}")
-        if self.cwa_agg not in ("mean", "sum"):
-            raise err(f"cwa_agg={self.cwa_agg!r} not in {{mean, sum}}")
         if self.temperature_init <= 0:
             raise err("temperature_init must be positive")
         if self.batch_size < 2:

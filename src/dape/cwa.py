@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .coarse import AffinityMask, ProjectionSet, TokenSet, binarize, masked_cross_attention
+from .coarse import AffinityMask, ProjectionSet, binarize, masked_cross_attention
 from .costs import cosine_matrix, decide
 from .errors import ConfigurationError, DimensionError
 from .tensor import Tensor
@@ -31,16 +31,11 @@ class ChannelGate:
     b2: Tensor
 
 
-def channelize(m_spatial: Tensor) -> Tensor:
-    """(h, w, d) or (N, d) -> (d, P) channel-first view; lossless."""
-    if m_spatial.a.ndim == 3:
-        h, w, d = m_spatial.shape
-        flat = T.reshape(m_spatial, (h * w, d))
-    elif m_spatial.a.ndim == 2:
-        flat = m_spatial
-    else:
-        raise DimensionError(f"channelize expects 2-D or 3-D, got {m_spatial.shape}")
-    return T.transpose(flat)
+def channelize(m_tokens: Tensor) -> Tensor:
+    """(N, d) token stream -> (d, N) channel-first view; lossless."""
+    if m_tokens.a.ndim != 2:
+        raise DimensionError(f"channelize expects an (N, d) stream, got {m_tokens.shape}")
+    return T.transpose(m_tokens)
 
 
 def gate_channels(c: Tensor, gate: ChannelGate) -> Tensor:
@@ -76,19 +71,15 @@ def select_topk_segments_indices(a_weights: np.ndarray, big_l: int, k1: int) -> 
     return out
 
 
-def aggregate_segments(c: Tensor, segments: list[list[int]], agg: str) -> Tensor:
-    """One (L, P) row per segment: the mean (or sum) of its selected
-    channels' position maps."""
-    rows = []
-    for chosen in segments:
-        picked = T.gather_rows(c, chosen)
-        rows.append(T.tmean(picked, axis=0) if agg == "mean" else T.tsum(picked, axis=0))
-    return T.stack_rows(rows)
+def aggregate_segments(c: Tensor, segments: list[list[int]]) -> Tensor:
+    """One (L, P) row per segment: the mean of its selected channels'
+    position maps."""
+    return T.stack_rows([T.tmean(T.gather_rows(c, chosen), axis=0) for chosen in segments])
 
 
 def cwa_block(
     m_spatial: Tensor,
-    t1_tokens: TokenSet | Tensor,
+    t1: Tensor,
     gate: ChannelGate,
     chan_proj: Tensor,
     projections: tuple[ProjectionSet, ProjectionSet],
@@ -98,7 +89,6 @@ def cwa_block(
 ) -> tuple[Tensor, AffinityMask]:
     """Channelize -> gate -> top-k per segment -> project to d -> binarized
     affinity against the text tokens -> masked attention giving t2."""
-    t1 = t1_tokens.tokens if isinstance(t1_tokens, TokenSet) else t1_tokens
     c = channelize(m_spatial)
     if chan_proj.shape[0] != c.shape[1]:
         raise DimensionError(
@@ -111,7 +101,7 @@ def cwa_block(
         return select_topk_segments_indices(a_weights, cfg.L, cfg.k1)
 
     segments = decide(trace, replay, "cwa_topk", compute_selection)
-    b = aggregate_segments(c, segments, cfg.cwa_agg)
+    b = aggregate_segments(c, segments)
     b_proj = T.matmul(b, chan_proj)
 
     counter = trace.counter if trace is not None else None
@@ -124,9 +114,7 @@ def cwa_block(
         ),
     )
     txt_proj, img_proj = projections
-    t2 = masked_cross_attention(
-        t1, b_proj, a_c.transposed(), (txt_proj, img_proj), cfg.mask_mode
-    )
+    t2 = masked_cross_attention(t1, b_proj, a_c.transposed(), (txt_proj, img_proj))
     return t2, a_c
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import tensor as T
 from .config import DapeConfig
 from .costs import Trace
-from .errors import ConfigurationError, FileFormatError
+from .errors import ConfigurationError
 from .model import (
     embed_corpus,
     init_model,
@@ -80,6 +80,25 @@ def run_dir_for(cfg: DapeConfig) -> Path:
     d = run_root() / cfg.hash()
     d.mkdir(parents=True, exist_ok=True)
     return d
+
+
+def open_corpus(cfg: DapeConfig, generate: bool = False) -> Corpus | None:
+    """Load `cfg.corpus` and check its geometry against the config, before
+    any run directory exists. An empty path is a usage error unless the
+    caller `generate`s its own corpus (then None); a missing or malformed
+    file is an I/O error."""
+    if not cfg.corpus:
+        if generate:
+            return None
+        raise ConfigurationError("config.corpus must point to a generated corpus")
+    corpus = load_corpus(cfg.corpus)
+    for key in ("d", "image_size", "text_len"):
+        if corpus.meta.get(key) != getattr(cfg, key):
+            raise ConfigurationError(
+                f"corpus {cfg.corpus} has {key}={corpus.meta.get(key)}, "
+                f"config has {key}={getattr(cfg, key)}"
+            )
+    return corpus
 
 
 # ---------------------------------------------------------------------------
@@ -144,11 +163,7 @@ def train_model(cfg: DapeConfig, corpus: Corpus, run_id: str = "train"):
 
 
 def cmd_train(cfg: DapeConfig) -> dict:
-    if not cfg.corpus:
-        raise ConfigurationError("config.corpus must point to a generated corpus")
-    if not Path(cfg.corpus).exists():
-        raise FileFormatError(f"corpus not found: {cfg.corpus}")
-    corpus = load_corpus(cfg.corpus)
+    corpus = open_corpus(cfg)
     out = run_dir_for(cfg)
     model, rows, sps, _ = train_model(cfg, corpus)
     write_csv(out / "metrics.csv", MetricsRow.csv_header(), [r.csv_values() for r in rows])
@@ -194,9 +209,7 @@ class AblationRow:
 
 
 def cmd_ablate(cfg: DapeConfig) -> list[AblationRow]:
-    if not cfg.corpus or not Path(cfg.corpus).exists():
-        raise FileFormatError(f"corpus not found: {cfg.corpus!r}")
-    corpus = load_corpus(cfg.corpus)
+    corpus = open_corpus(cfg)
     rows = []
     for name, over in ABLATION_VARIANTS:
         variant_cfg = DapeConfig(**{**asdict(cfg), **over})
@@ -291,10 +304,7 @@ def bench_densities(cfg: DapeConfig, densities, corpus: Corpus | None = None) ->
 
 
 def cmd_bench(cfg: DapeConfig, densities) -> list[BenchRow]:
-    corpus = None
-    if cfg.corpus and Path(cfg.corpus).exists():
-        corpus = load_corpus(cfg.corpus)
-    rows = bench_densities(cfg, densities, corpus)
+    rows = bench_densities(cfg, densities, open_corpus(cfg, generate=True))
     out = run_dir_for(cfg)
     write_csv(
         out / "bench.csv",

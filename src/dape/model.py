@@ -189,8 +189,6 @@ def forward(
                 with cost_scope(counter, "coarse"):
                     t1, m1, a0, img_tok, txt_tok, slots = coarse_align_block(
                         m_stream, t_stream, lp.img, lp.txt, cfg,
-                        s=cfg.s if layer == 0 else 1,
-                        grid=cfg.grid,
                         pad_tokens=pad,
                         trace=trace if replay is None else None,
                         replay=replay,

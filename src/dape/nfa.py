@@ -400,10 +400,7 @@ def nfa_attention(
     lattice = mask_lattice(*cfg.mu)
     mask = AffinityMask(a_prime, tuple(lattice), "combined")
     img_ps, txt_ps = projections
-    return masked_cross_attention(
-        m_tokens, t_tokens, mask, (img_ps, txt_ps), cfg.mask_mode,
-        score_from_values=cfg.score_from_values,
-    )
+    return masked_cross_attention(m_tokens, t_tokens, mask, (img_ps, txt_ps))
 
 
 def pool_children_to_parents(update: Tensor) -> Tensor:

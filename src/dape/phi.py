@@ -130,10 +130,7 @@ def phi_inject(
         m2 = nfa_attention(q3, txt3, hier.a_prime, nfa_projections, cfg)
 
     m_in = extract_slots(m1_plus, slots)
-    m3 = masked_cross_attention(m_in, m2, None, (weights.q_ps, weights.kv_ps), cfg.mask_mode)
-    if cfg.residual_source == "m2":
-        pooled = T.tmean(m2, axis=0)
-        m3 = T.stack_rows([pooled] * m_in.shape[0])
+    m3 = masked_cross_attention(m_in, m2, None, (weights.q_ps, weights.kv_ps))
     m_in_new = T.add(m_in, m3)
     m_out = T.replace_rows(m1_plus, slots, m_in_new)
 

@@ -237,7 +237,14 @@ def load_corpus(path: str) -> Corpus:
     meta, tensors = load_tensors(path)
     if meta.get("kind") != "corpus":
         raise FileFormatError(f"{path} is not a corpus container")
-    n = meta["n"]
-    images = np.stack([tensors[f"img/{i:04d}"] for i in range(n)])
-    texts = np.stack([tensors[f"txt/{i:04d}"] for i in range(n)])
+    n = meta.get("n")
+    if not isinstance(n, int) or n < 1:
+        raise FileFormatError(f"{path}: corpus meta has no positive scene count")
+    try:
+        images = np.stack([tensors[f"img/{i:04d}"] for i in range(n)])
+        texts = np.stack([tensors[f"txt/{i:04d}"] for i in range(n)])
+    except KeyError as e:
+        raise FileFormatError(f"{path}: corpus has no entry {e}") from e
+    except ValueError as e:
+        raise FileFormatError(f"{path}: corpus entries differ in shape: {e}") from e
     return Corpus(meta, images, texts)

@@ -30,16 +30,12 @@ def _cos_matrix(a, b):
     return np.clip(out, -1.0, 1.0)
 
 
-def _masked_attention(q_tok, kv_tok, mask, wq, wk, wv, mask_mode="matmul"):
+def _masked_attention(q_tok, kv_tok, mask, wq, wk, wv):
     d = q_tok.shape[1]
     q, k, v = q_tok @ wq, kv_tok @ wk, kv_tok @ wv
-    scores = (q @ k.T) / np.sqrt(d)
-    if mask is None:
-        weights = _softmax_rows(scores)
-    elif mask_mode == "pre-softmax":
-        weights = _softmax_rows(scores * mask)
-    else:
-        weights = _softmax_rows(scores) * mask
+    weights = _softmax_rows((q @ k.T) / np.sqrt(d))
+    if mask is not None:
+        weights = weights * mask
     return weights @ v
 
 
@@ -201,8 +197,8 @@ def straight_line_forward(params, images, texts, cfg):
                 txt_tok = _span_means(t_stream, txt_spans)
 
             a0 = np.where(_cos_matrix(img_tok, txt_tok) > cfg.k0, 1.0, 0.0)
-            t1 = _masked_attention(txt_tok, img_tok, a0.T, wq_t, wk_i, wv_i, cfg.mask_mode)
-            m1 = _masked_attention(img_tok, txt_tok, a0, wq_i, wk_t, wv_t, cfg.mask_mode)
+            t1 = _masked_attention(txt_tok, img_tok, a0.T, wq_t, wk_i, wv_i)
+            m1 = _masked_attention(img_tok, txt_tok, a0, wq_i, wk_t, wv_t)
 
             # --- channel-wise alignment on the real-token region
             if cfg.enable_cwa:
@@ -220,11 +216,11 @@ def straight_line_forward(params, images, texts, cfg):
                     order = np.argsort(-gate[lo : lo + seg], kind="stable")[: cfg.k1]
                     chosen = sorted(int(lo + i) for i in order)
                     picked = c_view[chosen]
-                    rows.append(picked.mean(axis=0) if cfg.cwa_agg == "mean" else picked.sum(axis=0))
+                    rows.append(picked.mean(axis=0))
                 b_mat = np.stack(rows)
                 b_proj = b_mat @ params["cwa.proj"]
                 a_c = np.where(_cos_matrix(b_proj, t1) > cfg.k_c, 1.0, 0.0)
-                t2 = _masked_attention(t1, b_proj, a_c.T, wq_t, wk_i, wv_i, cfg.mask_mode)
+                t2 = _masked_attention(t1, b_proj, a_c.T, wq_t, wk_i, wv_i)
                 t_next = t1 + t2
             else:
                 t_next = t1
@@ -258,10 +254,7 @@ def straight_line_forward(params, images, texts, cfg):
                 a_prime = _hierarchy(lvl, txt_lvl, cfg.mu, cfg.k_thr, cfg.tau_d)
                 m2 = _masked_attention(
                     lvl[2], txt_lvl[2], a_prime,
-                    params["nfa.img.wq"],
-                    params["nfa.txt.wv" if cfg.score_from_values else "nfa.txt.wk"],
-                    params["nfa.txt.wv"],
-                    cfg.mask_mode,
+                    params["nfa.img.wq"], params["nfa.txt.wk"], params["nfa.txt.wv"],
                 )
                 update = m2.reshape(n_tok, 4, d).mean(axis=1)
                 m_next = m_next.copy()
@@ -291,16 +284,12 @@ def straight_line_forward(params, images, texts, cfg):
                 a_prime = _hierarchy(det_lvl, txt_lvl, cfg.mu, cfg.k_thr, cfg.tau_d, max_level)
                 m2 = _masked_attention(
                     det_lvl[2], txt_lvl[2], a_prime,
-                    params["nfa.img.wq"],
-                    params["nfa.txt.wv" if cfg.score_from_values else "nfa.txt.wk"],
-                    params["nfa.txt.wv"],
-                    cfg.mask_mode,
+                    params["nfa.img.wq"], params["nfa.txt.wk"], params["nfa.txt.wv"],
                 )
                 m_in = m_next[slots]
                 m3 = _masked_attention(
                     m_in, m2, None,
                     params["phi.q.wq"], params["phi.kv.wk"], params["phi.kv.wv"],
-                    cfg.mask_mode,
                 )
                 m_next = m_next.copy()
                 m_next[slots] = m_in + m3

@@ -77,6 +77,7 @@ def test_cli_bad_config_is_usage_error(tmp_path, run_root, capsys):
 def test_cli_missing_corpus_is_io_error(tmp_path, run_root):
     cfg = tiny_cfg(tmp_path, corpus=str(tmp_path / "nope.dape"))
     assert main(["train", "--config", write_cfg(tmp_path, cfg)]) == 3
+    assert not run_root.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -277,3 +278,50 @@ def test_cli_end_to_end_train(tmp_path, run_root, capsys):
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert "final_loss" in out and "steps_per_sec" in out
+
+
+# ---------------------------------------------------------------------------
+# corpus gate: one check for train, ablate and bench, before any run dir
+
+COMMANDS = [["train"], ["ablate"], ["bench", "--densities", "0,100"]]
+
+
+def run_cmd(tmp_path, cfg, command):
+    return main([command[0], "--config", write_cfg(tmp_path, cfg), *command[1:]])
+
+
+def test_train_on_truncated_corpus_is_io_error(tmp_path, run_root, capsys):
+    cfg = tiny_cfg(tmp_path)
+    prepared_corpus(tmp_path, cfg)
+    path = tmp_path / "corpus.dape"
+    path.write_bytes(path.read_bytes()[:-100])
+    assert run_cmd(tmp_path, cfg, ["train"]) == 3
+    assert "payload" in capsys.readouterr().err
+    assert not run_root.exists()
+
+
+@pytest.mark.parametrize("command", COMMANDS[:2], ids=["train", "ablate"])
+def test_empty_corpus_path_is_usage_error(tmp_path, run_root, command):
+    assert run_cmd(tmp_path, tiny_cfg(tmp_path, corpus=""), command) == 2
+    assert not run_root.exists()
+
+
+def test_bench_without_corpus_generates_its_own(tmp_path, run_root, capsys):
+    assert run_cmd(tmp_path, tiny_cfg(tmp_path, corpus=""), COMMANDS[2]) == 0
+
+
+@pytest.mark.parametrize("command", COMMANDS[1:], ids=["ablate", "bench"])
+def test_missing_corpus_is_io_error(tmp_path, run_root, command):
+    cfg = tiny_cfg(tmp_path, corpus=str(tmp_path / "nope.dape"))
+    assert run_cmd(tmp_path, cfg, command) == 3
+    assert not run_root.exists()
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=["train", "ablate", "bench"])
+@pytest.mark.parametrize("key,value", [("d", 32), ("image_size", 32), ("text_len", 32)])
+def test_corpus_geometry_mismatch_is_usage_error(tmp_path, run_root, capsys, command, key, value):
+    cfg = tiny_cfg(tmp_path)
+    prepared_corpus(tmp_path, tiny_cfg(tmp_path, **{key: value}))
+    assert run_cmd(tmp_path, cfg, command) == 2
+    assert f"{key}={value}" in capsys.readouterr().err
+    assert not run_root.exists()

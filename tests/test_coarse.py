@@ -188,18 +188,18 @@ def test_alphabet_violation_rejected():
 def test_attention_single_token_all_one_mask_returns_value_row():
     d = 3
     g = rng(10)
-    q = C.identity_tokens(Tensor(g.standard_normal((1, d))), "text")
-    kv = C.identity_tokens(Tensor(g.standard_normal((1, d))), "image")
+    q = Tensor(g.standard_normal((1, d)))
+    kv = Tensor(g.standard_normal((1, d)))
     mask = C.AffinityMask(np.ones((1, 1)), (0.0, 1.0))
     out = C.masked_cross_attention(q, kv, mask, (eye_proj(d), eye_proj(d)))
-    assert np.max(np.abs(out.a - kv.tokens.a)) < 1e-12
+    assert np.max(np.abs(out.a - kv.a)) < 1e-12
 
 
 def test_attention_zero_mask_zero_output():
     d = 3
     g = rng(11)
-    q = C.identity_tokens(Tensor(g.standard_normal((2, d))), "text")
-    kv = C.identity_tokens(Tensor(g.standard_normal((4, d))), "image")
+    q = Tensor(g.standard_normal((2, d)))
+    kv = Tensor(g.standard_normal((4, d)))
     mask = C.AffinityMask(np.zeros((2, 4)), (0.0, 1.0))
     out = C.masked_cross_attention(q, kv, mask, (eye_proj(d), eye_proj(d)))
     assert np.array_equal(out.a, np.zeros((2, d)))
@@ -212,8 +212,7 @@ def test_attention_matches_explicit_loop_oracle():
     kv = g.standard_normal((3, d))
     mask = (g.uniform(size=(2, 3)) > 0.5).astype(float)
     got = C.masked_cross_attention(
-        C.identity_tokens(Tensor(q), "text"),
-        C.identity_tokens(Tensor(kv), "image"),
+        Tensor(q), Tensor(kv),
         C.AffinityMask(mask, (0.0, 1.0)),
         (eye_proj(d), eye_proj(d)),
     )
@@ -232,8 +231,7 @@ def test_attention_all_ones_mask_equals_unmasked_oracle():
         C.ProjectionSet(Tensor(wq), Tensor(wk), Tensor(wv)),
     )
     got = C.masked_cross_attention(
-        C.identity_tokens(Tensor(q), "text"),
-        C.identity_tokens(Tensor(kv), "image"),
+        Tensor(q), Tensor(kv),
         C.AffinityMask(np.ones((3, 5)), (0.0, 1.0)),
         projs,
     )
@@ -243,8 +241,8 @@ def test_attention_all_ones_mask_equals_unmasked_oracle():
 
 def test_attention_orientation_mismatch():
     d = 3
-    q = C.identity_tokens(Tensor(np.zeros((2, d))), "text")
-    kv = C.identity_tokens(Tensor(np.zeros((4, d))), "image")
+    q = Tensor(np.zeros((2, d)))
+    kv = Tensor(np.zeros((4, d)))
     with pytest.raises(DimensionError):
         C.masked_cross_attention(
             q, kv, C.AffinityMask(np.zeros((4, 2)), (0.0,  1.0)), (eye_proj(d), eye_proj(d))
@@ -350,8 +348,7 @@ def test_zero_mask_column_gives_exactly_zero_text_row():
     mask = np.ones((3, 5))
     mask[1, :] = 0.0  # text token 1 sees nothing
     out = C.masked_cross_attention(
-        C.identity_tokens(Tensor(q), "text"),
-        C.identity_tokens(Tensor(kv), "image"),
+        Tensor(q), Tensor(kv),
         C.AffinityMask(mask, (0.0, 1.0)),
         (eye_proj(d), eye_proj(d)),
     )

@@ -36,27 +36,26 @@ def zero_gate(d):
 
 
 def test_channelize_single_cell():
-    x = rng(1).standard_normal((1, 1, 5))
+    x = rng(1).standard_normal((1, 5))
     c = W.channelize(Tensor(x))
     assert c.shape == (5, 1)
-    assert np.array_equal(c.a[:, 0], x[0, 0])
+    assert np.array_equal(c.a[:, 0], x[0])
 
 
 def test_channelize_round_trip_bit_exact():
-    x = rng(2).standard_normal((3, 4, 6))
+    x = rng(2).standard_normal((12, 6))
     c = W.channelize(Tensor(x))
-    back = c.a.T.reshape(3, 4, 6)
+    back = c.a.T
     assert np.array_equal(back, x)
 
 
 def test_channelize_index_arithmetic():
-    x = rng(3).standard_normal((2, 2, 3))
+    x = rng(3).standard_normal((4, 3))
     c = W.channelize(Tensor(x)).a
-    # channel ch, position p=(y*w+x) must map to x[y, x, ch]
+    # channel ch, position p must map to x[p, ch]
     for ch in range(3):
-        for y in range(2):
-            for xx in range(2):
-                assert c[ch, y * 2 + xx] == x[y, xx, ch]
+        for p in range(4):
+            assert c[ch, p] == x[p, ch]
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +106,7 @@ def test_gate_weights_sum_to_one(seed):
 
 def select_and_aggregate(c, a, big_l, k1):
     segments = W.select_topk_segments_indices(a, big_l, k1)
-    return segments, W.aggregate_segments(Tensor(c), segments, "mean")
+    return segments, W.aggregate_segments(Tensor(c), segments)
 
 
 def test_select_all_equals_segment_mean():
@@ -193,8 +192,8 @@ def small_cfg(**over):
 def test_cwa_block_orthogonal_gives_zero_t2():
     cfg = small_cfg()
     d = cfg.d
-    m = np.zeros((2, 2, d))
-    m[..., 0] = 1.0
+    m = np.zeros((4, d))
+    m[:, 0] = 1.0
     t1 = np.zeros((2, d))
     t1[:, 1] = 1.0
     proj = Tensor(np.eye(4, d))
@@ -209,14 +208,14 @@ def test_cwa_block_single_segment_matches_composed_oracle():
     cfg = small_cfg(L=1, k1=1, j_text=1, text_len=4)
     d = cfg.d
     g = rng(10)
-    m = g.standard_normal((2, 2, d))
+    m = g.standard_normal((4, d))
     t1 = g.standard_normal((1, d))
     proj = g.standard_normal((4, d))
     gate = zero_gate(d)  # uniform weights -> tie -> channel 0 selected
     t2, a_c = W.cwa_block(
         Tensor(m), Tensor(t1), gate, Tensor(proj), (eye_proj(d), eye_proj(d)), cfg
     )
-    c = m.reshape(4, d).T
+    c = m.T
     b = c[0]  # k1=1, tie -> lowest index
     bp = b @ proj
     cos = oracles.cosine_direct(bp, t1[0])
@@ -229,7 +228,7 @@ def test_cwa_block_single_segment_matches_composed_oracle():
 def test_cwa_mask_alphabet_binary():
     cfg = small_cfg()
     g = rng(11)
-    m = Tensor(g.standard_normal((2, 2, cfg.d)))
+    m = Tensor(g.standard_normal((4, cfg.d)))
     t1 = Tensor(g.standard_normal((2, cfg.d)))
     proj = Tensor(g.standard_normal((4, cfg.d)))
     _, a_c = W.cwa_block(m, t1, zero_gate(cfg.d), proj, (eye_proj(cfg.d), eye_proj(cfg.d)), cfg)
@@ -265,7 +264,7 @@ def test_gradients_through_gate_and_projection():
     cfg = small_cfg()
     d = cfg.d
     g = rng(14)
-    m = Tensor(g.standard_normal((2, 2, d)))
+    m = Tensor(g.standard_normal((4, d)))
     t1 = Tensor(g.standard_normal((2, d)))
     proj = Tensor(g.standard_normal((4, d)))
     gate = W.ChannelGate(

@@ -462,23 +462,6 @@ def test_nfa_attention_matches_explicit_loop_oracle():
     assert np.max(np.abs(got.a - want)) < 1e-10
 
 
-def test_score_from_values_flag_uses_value_projection_in_scores():
-    cfg = nfa_cfg()
-    cfg.score_from_values = True
-    d = cfg.d
-    g = rng(33)
-    m_tok = g.standard_normal((2, d))
-    t_tok = g.standard_normal((3, d))
-    wq, wk, wv = (g.standard_normal((d, d)) for _ in range(3))
-    img = ProjectionSet(Tensor(wq), Tensor(np.eye(d)), Tensor(np.eye(d)))
-    txt = ProjectionSet(Tensor(np.eye(d)), Tensor(wk), Tensor(wv))
-    mask = np.ones((2, 3))
-    got = N.nfa_attention(Tensor(m_tok), Tensor(t_tok), mask, (img, txt), cfg)
-    # oracle with the score matrix built from the value projection
-    want = oracles.masked_attention_loops(m_tok, t_tok, mask, wq, wv, wv)
-    assert np.max(np.abs(got.a - want)) < 1e-10
-
-
 def test_pool_children_to_parents():
     g = rng(34)
     x = g.standard_normal((8, 3))

@@ -55,8 +55,8 @@ def pad_case(seed, pad_tokens):
     m = Tensor(g.standard_normal((4, 4, 3)))
     t = Tensor(g.standard_normal((2, 3)))
     _, _, _, img_tokens, _, slots = coarse_align_block(
-        m, t, eye_ps(3), eye_ps(3), DapeConfig(d=3, j_text=2),
-        s=1, grid=(2, 2), pad_tokens=pad_tokens,
+        m, t, eye_ps(3), eye_ps(3), DapeConfig(d=3, s=1, grid=(2, 2), j_text=2),
+        pad_tokens=pad_tokens,
     )
     return img_tokens, slots, m
 
@@ -203,9 +203,7 @@ def test_inject_matches_composed_pipeline_oracle():
     hier, q3, txt3 = build_hierarchy_from_tokens(det, grid, txt_base, cfg)
     m2 = nfa_attention(q3, txt3, hier.a_prime, (eye_ps(cfg.d), eye_ps(cfg.d)), cfg)
     m_in = m1p.a[slots]
-    m3 = masked_cross_attention(
-        Tensor(m_in), m2, None, (weights.q_ps, weights.kv_ps), cfg.mask_mode
-    )
+    m3 = masked_cross_attention(Tensor(m_in), m2, None, (weights.q_ps, weights.kv_ps))
     assert np.max(np.abs(m_out.a[slots] - (m_in + m3.a))) < 1e-12
 
 

@@ -1,10 +1,15 @@
 """Corpus generation: determinism, grammar, split, container format."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dape.config import DapeConfig
-from dape.container import load_tensors, save_tensors
+from dape.container import MAGIC, load_tensors, save_tensors
 from dape.errors import ConfigurationError, FileFormatError
 from dape.synth import (
     DENSITY_SHAPES,
@@ -149,3 +154,101 @@ def test_corpus_loader_rejects_checkpoint(tmp_path):
     save_tensors(p, {"kind": "checkpoint"}, {"w": np.zeros(2)})
     with pytest.raises(FileFormatError):
         load_corpus(str(p))
+
+
+# ---------------------------------------------------------------------------
+# malformed containers: every defect is a FileFormatError
+
+
+def write_raw(path, header, payload=b"", length=None):
+    body = json.dumps(header).encode()
+    n = len(body) if length is None else length
+    path.write_bytes(MAGIC + struct.pack("<Q", n) + body + payload)
+
+
+@pytest.mark.parametrize("tail", [b"", b"\x01\x02\x03"])
+def test_container_ending_inside_header_length_rejected(tmp_path, tail):
+    p = tmp_path / "short.dape"
+    p.write_bytes(MAGIC + tail)
+    with pytest.raises(FileFormatError, match="header length"):
+        load_tensors(p)
+
+
+def test_container_header_length_past_eof_rejected(tmp_path):
+    p = tmp_path / "long.dape"
+    header = {"meta": {}, "manifest": []}
+    write_raw(p, header, length=len(json.dumps(header)) + 100)
+    with pytest.raises(FileFormatError, match="past the end"):
+        load_tensors(p)
+
+
+@pytest.mark.parametrize("missing", ["meta", "manifest"])
+def test_container_header_missing_section_rejected(tmp_path, missing):
+    p = tmp_path / "nohead.dape"
+    header = {"meta": {"kind": "test"}, "manifest": []}
+    del header[missing]
+    write_raw(p, header)
+    with pytest.raises(FileFormatError, match="meta object and a manifest"):
+        load_tensors(p)
+
+
+def test_container_truncated_payload_rejected(tmp_path):
+    p = tmp_path / "t.dape"
+    save_tensors(p, {"kind": "test"}, {"a": np.ones((3, 4)), "b": np.ones(5)})
+    p.write_bytes(p.read_bytes()[:-8])
+    with pytest.raises(FileFormatError, match="'b'.*payload"):
+        load_tensors(p)
+
+
+def test_container_offset_past_payload_rejected(tmp_path):
+    p = tmp_path / "t.dape"
+    write_raw(p, {"meta": {}, "manifest": [{"name": "a", "shape": [2], "offset": 8}]},
+              payload=bytes(16))
+    with pytest.raises(FileFormatError, match="'a'.*payload"):
+        load_tensors(p)
+
+
+@pytest.mark.parametrize("entry", ["img/0001", "txt/0003"])
+def test_corpus_missing_entry_rejected(tmp_path, entry):
+    p = tmp_path / "c.dape"
+    gen_corpus(4, 2, (1, 0, 0), str(p), DapeConfig())
+    meta, tensors = load_tensors(p)
+    del tensors[entry]
+    save_tensors(p, meta, tensors)
+    with pytest.raises(FileFormatError, match=entry):
+        load_corpus(str(p))
+
+
+@pytest.mark.parametrize("defect", ["no scene count", "entry shapes differ"])
+def test_corpus_bad_meta_or_entry_shape_rejected(tmp_path, defect):
+    p = tmp_path / "c.dape"
+    gen_corpus(4, 2, (1, 0, 0), str(p), DapeConfig())
+    meta, tensors = load_tensors(p)
+    if defect == "no scene count":
+        del meta["n"]
+    else:
+        tensors["img/0002"] = tensors["img/0002"][:-1]
+    save_tensors(p, meta, tensors)
+    with pytest.raises(FileFormatError):
+        load_corpus(str(p))
+
+
+@pytest.fixture(scope="module")
+def saved_container(tmp_path_factory):
+    """Bytes of a saved container, and a path to write cut copies to."""
+    d = tmp_path_factory.mktemp("prefix")
+    g = np.random.default_rng(6)
+    save_tensors(
+        d / "full.dape", {"kind": "test", "note": "prefix"},
+        {"s": np.float64(2.5), "m": g.standard_normal((3, 4)), "v": g.standard_normal(5)},
+    )
+    return (d / "full.dape").read_bytes(), d / "cut.dape"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_any_strict_prefix_is_a_file_format_error(saved_container, data):
+    full, p = saved_container
+    p.write_bytes(full[: data.draw(st.integers(0, len(full) - 1))])
+    with pytest.raises(FileFormatError):
+        load_tensors(p)
