@@ -3,11 +3,15 @@ two masked cross-attentions producing the updated text and image streams.
 
 The mask multiplies the softmaxed score matrix entrywise before the value
 sum (the only composition whose shapes close for I != J).
+
+Token tensors are (..., N, d) and masks (..., N_q, N_kv): the leading axes
+(none for one sample, (b,) for a batch) are carried through.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 
 import numpy as np
 
@@ -22,7 +26,8 @@ from .tensor import Tensor
 
 @dataclass
 class TokenSet:
-    """N tokens of width d plus provenance of what each token covers.
+    """N tokens of width d (per sample of the leading axes) plus provenance
+    of what each token covers.
 
     Provenance entries: ("cell", (y0, y1, x0, x1)) for image tokens,
     ("span", (s, e)) for text tokens, ("slot", i) for synthetic slots,
@@ -37,16 +42,27 @@ class TokenSet:
 
     @property
     def n(self) -> int:
-        return self.tokens.shape[0]
+        return self.tokens.shape[-2]
 
     @property
     def d(self) -> int:
-        return self.tokens.shape[1]
+        return self.tokens.shape[-1]
+
+
+def on_alphabet(values: np.ndarray, alphabet) -> bool:
+    """Whether every entry of `values` is one of the sorted `alphabet`."""
+    alphabet = np.asarray(alphabet)
+    if alphabet.size == 2:
+        lo, hi = alphabet
+        return bool(((values == lo) | (values == hi)).all())
+    at = np.minimum(np.searchsorted(alphabet, values), alphabet.size - 1)
+    return bool((alphabet[at] == values).all())
 
 
 @dataclass
 class AffinityMask:
-    """Non-negative mask whose entries come from a declared value alphabet."""
+    """Non-negative (..., n, m) mask whose entries come from a declared value
+    alphabet."""
 
     weights: np.ndarray
     alphabet: tuple[float, ...]
@@ -57,18 +73,13 @@ class AffinityMask:
         self.alphabet = tuple(sorted(set(float(v) for v in self.alphabet)))
         if any(v < 0 for v in self.alphabet):
             raise ConfigurationError("mask alphabet must be non-negative")
-        if len(self.alphabet) == 2:
-            lo, hi = self.alphabet
-            ok = ((self.weights == lo) | (self.weights == hi)).all()
-        else:
-            ok = np.isin(self.weights, self.alphabet).all()
-        if not ok:
+        if not on_alphabet(self.weights, self.alphabet):
             raise ConfigurationError(
                 f"mask contains values outside alphabet {self.alphabet}"
             )
 
     @property
-    def shape(self) -> tuple[int, int]:
+    def shape(self) -> tuple[int, ...]:
         return self.weights.shape
 
     @classmethod
@@ -81,7 +92,15 @@ class AffinityMask:
         return m
 
     def transposed(self) -> "AffinityMask":
-        return AffinityMask._unchecked(self.weights.T, self.alphabet, self.level)
+        """Each sample's mask transposed: (..., m, n)."""
+        return AffinityMask._unchecked(
+            np.swapaxes(self.weights, -1, -2), self.alphabet, self.level
+        )
+
+    def split(self, lead: tuple[int, ...]) -> list["AffinityMask"]:
+        """One (n, m) mask per sample of the leading axes `lead`."""
+        w = self.weights.reshape((prod(lead),) + self.weights.shape[len(lead):])
+        return [AffinityMask._unchecked(x, self.alphabet, self.level) for x in w]
 
 
 @dataclass
@@ -103,16 +122,16 @@ class ProjectionSet:
 
 
 def tokenize_image(m0: Tensor, grid: tuple[int, int]) -> TokenSet:
-    """Mean-pool an (h, w, d) map into gy*gx cell tokens, row-major."""
-    if m0.a.ndim != 3:
-        raise DimensionError(f"expected (h, w, d) map, got {m0.shape}")
-    h, w, d = m0.shape
+    """Mean-pool an (..., h, w, d) map into gy*gx cell tokens, row-major."""
+    if m0.a.ndim < 3:
+        raise DimensionError(f"expected (..., h, w, d) map, got {m0.shape}")
+    h, w, d = m0.shape[-3:]
     gy, gx = grid
     if gy < 1 or gx < 1 or h % gy or w % gx:
         raise DimensionError(f"grid {grid} does not divide map {h}x{w}")
     cy, cx = h // gy, w // gx
     pooled = T.block_mean_2d(m0, cy, cx)
-    tokens = T.reshape(pooled, (gy * gx, d))
+    tokens = T.reshape(pooled, m0.shape[:-3] + (gy * gx, d))
     prov = [
         ("cell", (y * cy, (y + 1) * cy, x * cx, (x + 1) * cx))
         for y in range(gy)
@@ -134,9 +153,9 @@ def even_spans(length: int, parts: int) -> list[tuple[int, int]]:
 
 def tokenize_text(t: Tensor, j: int) -> TokenSet:
     """Split l positions into j contiguous spans; token = span mean."""
-    if t.a.ndim != 2:
-        raise DimensionError(f"expected (l, d) sequence, got {t.shape}")
-    l = t.shape[0]
+    if t.a.ndim < 2:
+        raise DimensionError(f"expected (..., l, d) sequence, got {t.shape}")
+    l = t.shape[-2]
     if j < 1 or j > l:
         raise ConfigurationError(f"j={j} must be in [1, {l}]")
     spans = even_spans(l, j)
@@ -146,7 +165,7 @@ def tokenize_text(t: Tensor, j: int) -> TokenSet:
 
 def identity_tokens(stream: Tensor, modality: str) -> TokenSet:
     """Each row of an existing token stream is its own token."""
-    prov = [("row", i) for i in range(stream.shape[0])]
+    prov = [("row", i) for i in range(stream.shape[-2])]
     return TokenSet(stream, prov, modality, source=stream)
 
 
@@ -156,7 +175,8 @@ def identity_tokens(stream: Tensor, modality: str) -> TokenSet:
 
 def affinity(imgs: TokenSet, txts: TokenSet, counter: CostCounter | None = None,
              module: str = "coarse") -> np.ndarray:
-    """Pairwise cosine matrix between image tokens (rows) and text tokens.
+    """Pairwise cosine matrix between image tokens (rows) and text tokens,
+    per sample.
 
     Affinities only ever feed thresholding, so this runs off-tape on raw
     arrays (stop-gradient by construction).
@@ -192,17 +212,17 @@ def masked_cross_attention(
 ) -> Tensor:
     """softmax(Q K^T / sqrt(d)) scaled entrywise by the mask, times V.
 
-    The caller passes the mask oriented (N_q, N_kv). `mask=None` runs
+    The caller passes the mask oriented (..., N_q, N_kv). `mask=None` runs
     unmasked attention.
     """
     q_proj, kv_proj = projections
-    d = q_tokens.shape[1]
-    if kv_tokens.shape[1] != d:
+    d = q_tokens.shape[-1]
+    if kv_tokens.shape[-1] != d:
         raise DimensionError(
-            f"query width {d} differs from key/value width {kv_tokens.shape[1]}"
+            f"query width {d} differs from key/value width {kv_tokens.shape[-1]}"
         )
-    n_q, n_kv = q_tokens.shape[0], kv_tokens.shape[0]
-    if mask is not None and mask.shape != (n_q, n_kv):
+    n_q, n_kv = q_tokens.shape[-2], kv_tokens.shape[-2]
+    if mask is not None and mask.shape[-2:] != (n_q, n_kv):
         raise DimensionError(
             f"mask oriented {mask.shape}, attention needs ({n_q}, {n_kv})"
         )
@@ -233,18 +253,27 @@ def coarse_align_block(
     """Downsample -> tokenize -> affinity -> binarize -> the two masked
     attentions. Returns (t1, m1, a0_mask, img_tokens, txt_tokens, slots).
 
-    `m_map` is either the (h, w, d) input map (first layer: downsampled by
-    `cfg.s`, tokenized on `cfg.grid`) or an (N, d) token stream (identity
-    tokenization). `pad_tokens` appends learnable slots to the image side
-    before alignment; `slots` gives their row indices.
+    The text input `t_seq` is (..., l, d); its leading axes are the batch's.
+    `m_map` is either the (..., h, w, d) input map (first layer: downsampled
+    by `cfg.s`, tokenized on `cfg.grid`) or an (..., N, d) token stream
+    (identity tokenization). `pad_tokens` appends learnable slots, shared by
+    every sample, to the image side before alignment; `slots` gives their
+    row indices. The mask is decided once per sample.
     """
     from .costs import decide  # local import to keep module deps one-way
 
-    if m_map.a.ndim == 3:
+    if t_seq.a.ndim < 2:
+        raise DimensionError(f"text input must be (..., l, d), got {t_seq.shape}")
+    lead = t_seq.shape[:-2]
+    if m_map.a.ndim == len(lead) + 3 and m_map.shape[:-3] == lead:
         m0 = T.downsample_avg(m_map, cfg.s) if cfg.s > 1 else m_map
         img_tokens = tokenize_image(m0, cfg.grid)
-    else:
+    elif m_map.a.ndim == len(lead) + 2 and m_map.shape[:-2] == lead:
         img_tokens = identity_tokens(m_map, "image")
+    else:
+        raise DimensionError(
+            f"image input {m_map.shape} does not match text input {t_seq.shape}"
+        )
 
     slots = np.arange(0)
     if pad_tokens is not None:
@@ -256,9 +285,7 @@ def coarse_align_block(
         img_tokens = TokenSet(stacked, prov, "image")
         slots = np.arange(n_real, n_real + pad_tokens.shape[0])
 
-    if t_seq.a.ndim != 2:
-        raise DimensionError(f"text input must be 2-D, got {t_seq.shape}")
-    if t_seq.shape[0] == cfg.j_text:
+    if t_seq.shape[-2] == cfg.j_text:
         txt_tokens = identity_tokens(t_seq, "text")
     else:
         txt_tokens = tokenize_text(t_seq, cfg.j_text)
@@ -268,13 +295,15 @@ def coarse_align_block(
         trace,
         replay,
         "coarse_mask",
+        lead,
         lambda: binarize(
             affinity(img_tokens, txt_tokens, counter, "coarse"), cfg.k0, 1.0, "coarse"
         ),
     )
 
     # Text update: text queries over image keys/values, mask transposed to
-    # (J, I). Image update: image queries over text, mask as stored (I, J).
+    # (..., J, I). Image update: image queries over text, mask as stored
+    # (..., I, J).
     t1 = masked_cross_attention(
         txt_tokens.tokens, img_tokens.tokens, a0.transposed(), (txt_proj, img_proj)
     )

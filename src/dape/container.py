@@ -65,19 +65,29 @@ def load_tensors(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     if not isinstance(meta, dict) or not isinstance(manifest, list):
         raise FileFormatError(f"{p}: header needs a meta object and a manifest list")
     body = raw[start + n :]
-    tensors = {}
+    extents = []
     for rec in manifest:
         try:
-            name, lo = str(rec["name"]), int(rec["offset"])
+            lo, name = int(rec["offset"]), str(rec["name"])
             shape = tuple(int(v) for v in rec["shape"])
         except (KeyError, TypeError, ValueError) as e:
             raise FileFormatError(f"{p}: bad manifest record {rec!r}") from e
+        extents.append((lo, name, shape))
+    tensors = {}
+    end = 0  # save_tensors writes the extents back to back; anything else is corrupt
+    for lo, name, shape in sorted(extents):
         count = math.prod(shape)
         if lo < 0 or min(shape, default=0) < 0 or lo + 8 * count > len(body):
             raise FileFormatError(
                 f"{p}: tensor {name!r} at offset {lo} with shape {shape} runs past "
                 f"the {len(body)}-byte payload"
             )
-        arr = np.frombuffer(body[lo : lo + 8 * count], dtype="<f8").reshape(shape)
+        if lo != end:
+            what = "overlaps the tensor before it" if lo < end else f"leaves a gap after byte {end}"
+            raise FileFormatError(f"{p}: tensor {name!r} at offset {lo} {what}")
+        end = lo + 8 * count
+        arr = np.frombuffer(body[lo:end], dtype="<f8").reshape(shape)
         tensors[name] = arr.astype(np.float64)
+    if end != len(body):
+        raise FileFormatError(f"{p}: {len(body) - end} payload bytes after the last tensor")
     return meta, tensors

@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from math import prod
 
 import numpy as np
 
@@ -96,33 +97,71 @@ class HierarchyCost:
 @dataclass
 class Trace:
     """Everything a forward pass records: decisions (masks, selections,
-    density flags) in execution order, cost counters, token counts and
-    per-invocation fine-alignment geometry."""
+    density flags), cost counters, token counts and per-invocation
+    fine-alignment geometry.
+
+    `points` keeps each decision point once, as the batch's value with its
+    leading shape, in execution order (layer-major); `decisions` lists the
+    same as one (kind, value) entry per sample per point: a batch's entries
+    for one point sit together, sample by sample, before the next point's.
+    `samples` is the batch size they were recorded at. `hierarchy` holds
+    one record per sample per mask build and `injections` counts injections
+    per sample; `injection_macs` holds one MAC total per injection layer,
+    summed over the batch.
+    """
 
     counter: CostCounter = field(default_factory=CostCounter)
-    decisions: list = field(default_factory=list)
+    points: list = field(default_factory=list)
+    samples: int | None = None
     token_counts: dict = field(default_factory=dict)
     hierarchy: list[HierarchyCost] = field(default_factory=list)
     injections: int = 0
     injection_macs: list[int] = field(default_factory=list)
     fine_macs: int = 0
 
-    def record_decision(self, kind: str, value) -> None:
-        self.decisions.append((kind, value))
+    def record(self, kind: str, value, lead: tuple[int, ...]) -> None:
+        """One decision point's value for a batch of leading shape `lead`."""
+        n = prod(lead)
+        if self.samples is None:
+            self.samples = n
+        elif n != self.samples:
+            raise ContractError(
+                f"{kind} decided for {n} samples in a trace of {self.samples}"
+            )
+        self.points.append((kind, value, lead))
+
+    @property
+    def decisions(self) -> list:
+        """(kind, value) per sample per decision point, layer-major."""
+        return [
+            (kind, v) for kind, value, lead in self.points for v in _split(value, lead)
+        ]
 
 
 class Replay:
     """Consumes a previous trace's decisions in order, freezing every mask,
-    top-k selection and density flag while the continuous path recomputes."""
+    top-k selection and density flag while the continuous path recomputes.
+
+    Each decision point takes the recorded batch value whole. A replay over
+    a batch shape other than the recorded one is refused before anything is
+    consumed, and a replayed forward must use every recorded decision."""
 
     def __init__(self, trace: Trace):
-        self._decisions = trace.decisions
+        self._points = trace.points
+        self._samples = trace.samples
         self._pos = 0
 
-    def next(self, kind: str):
-        if self._pos >= len(self._decisions):
+    def take(self, kind: str, lead: tuple[int, ...]):
+        """The next point's recorded value, which must be of `kind`."""
+        if self._pos >= len(self._points):
             raise IndexError("replay exhausted; structure diverged")
-        got_kind, value = self._decisions[self._pos]
+        got_kind, value, got_lead = self._points[self._pos]
+        if got_lead != lead:
+            raise ContractError(
+                f"replay of a trace recorded over {self._samples} samples {got_lead} over "
+                f"{prod(lead)} samples {lead} would leave decisions unconsumed or run out; "
+                "structure diverged"
+            )
         if got_kind != kind:
             raise ValueError(f"replay expected {kind!r}, trace has {got_kind!r}")
         self._pos += 1
@@ -130,26 +169,45 @@ class Replay:
 
     def check_consumed(self) -> None:
         """A replayed forward must use every recorded decision."""
-        left = len(self._decisions) - self._pos
+        left = len(self._points) - self._pos
         if left:
+            n = self._samples
             raise ContractError(
-                f"replay left {left} of {len(self._decisions)} decisions unconsumed; "
+                f"replay left {left * n} of {len(self._points) * n} decisions unconsumed; "
                 "structure diverged"
             )
 
 
-def decide(trace: Trace | None, replay: Replay | None, kind: str, compute):
-    """Compute a discrete decision, or replay the recorded one."""
+def _split(value, lead: tuple[int, ...]) -> list:
+    """A batched decision as its per-sample values (leading axes flattened)."""
+    if isinstance(value, np.ndarray):
+        return list(value.reshape((prod(lead),) + value.shape[len(lead):]))
+    return value.split(lead)
+
+
+def decide(trace: Trace | None, replay: Replay | None, kind: str,
+           lead: tuple[int, ...], compute):
+    """Compute a batch's discrete decision, or replay the recorded one.
+
+    `lead` is the batch's leading shape. Values are arrays whose leading
+    axes are `lead`, or objects with a `split(lead)` method giving the
+    per-sample values `Trace.decisions` lists.
+    """
     if replay is not None:
-        return replay.next(kind)
+        return replay.take(kind, lead)
     value = compute()
     if trace is not None:
-        trace.record_decision(kind, value)
+        trace.record(kind, value, lead)
     return value
 
 
 @dataclass
 class CostReport:
+    """A trace's costs in one place. Per-module and total counts are
+    batch totals; `injections` counts injections per sample, while
+    `injection_macs` has one batch total per injection layer, so
+    len(injection_macs) * batch size == injections."""
+
     per_module_macs: dict[str, int]
     per_module_cosines: dict[str, int]
     total_macs: int
@@ -191,21 +249,21 @@ def cost_report(trace: Trace) -> CostReport:
 
 
 def cosine_matrix(a: np.ndarray, b: np.ndarray, counter: CostCounter | None, module: str) -> np.ndarray:
-    """Vectorized pairwise cosine similarity with zero rows mapping to 0.
+    """Pairwise cosine similarity of the rows of (..., n, d) and (..., m, d)
+    per sample, giving (..., n, m); zero rows map to 0.
 
     Used for mask construction only (constant w.r.t. gradients), so it
     works on raw arrays and bills its cost explicitly.
     """
-    na = np.sqrt(np.sum(a * a, axis=1))
-    nb = np.sqrt(np.sum(b * b, axis=1))
-    sa = np.where(na == 0.0, 1.0, na)
-    sb = np.where(nb == 0.0, 1.0, nb)
-    sims = (a / sa[:, None]) @ (b / sb[:, None]).T
-    sims[na == 0.0, :] = 0.0
-    sims[:, nb == 0.0] = 0.0
+    na = np.sqrt(np.sum(a * a, axis=-1, keepdims=True))
+    nb = np.sqrt(np.sum(b * b, axis=-1, keepdims=True))
+    # a zero row divided by 1 stays zero, so its cosines come out exactly 0
+    unit_a = a / np.where(na == 0.0, 1.0, na)
+    unit_b = b / np.where(nb == 0.0, 1.0, nb)
+    sims = unit_a @ np.swapaxes(unit_b, -1, -2)
     np.clip(sims, -1.0, 1.0, out=sims)
     if counter is not None:
         with cost_scope(counter, module):
-            T._count("mac", 3 * a.shape[1] * a.shape[0] * b.shape[0])
-            T._count("cosine", a.shape[0] * b.shape[0])
+            T._count("mac", 3 * a.shape[-1] * sims.size)
+            T._count("cosine", sims.size)
     return sims

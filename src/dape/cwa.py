@@ -6,6 +6,8 @@ Channel tokens have length P (spatial positions); a learned linear map
 bridges them to width d before the cosine, since the similarity needs
 equal-length vectors. Gate weights only rank channels for selection, so
 they sit outside the continuous gradient path by construction.
+
+Streams are (..., N, d); each sample gets its own selection and mask.
 """
 
 from __future__ import annotations
@@ -32,49 +34,49 @@ class ChannelGate:
 
 
 def channelize(m_tokens: Tensor) -> Tensor:
-    """(N, d) token stream -> (d, N) channel-first view; lossless."""
-    if m_tokens.a.ndim != 2:
-        raise DimensionError(f"channelize expects an (N, d) stream, got {m_tokens.shape}")
+    """(..., N, d) token stream -> (..., d, N) channel-first view; lossless."""
+    if m_tokens.a.ndim < 2:
+        raise DimensionError(f"channelize expects an (..., N, d) stream, got {m_tokens.shape}")
     return T.transpose(m_tokens)
 
 
 def gate_channels(c: Tensor, gate: ChannelGate) -> Tensor:
-    """Per-channel weights a = softmax(MLP(mean over positions)); sums to 1."""
-    if c.a.ndim != 2:
-        raise DimensionError(f"expected (d, P) channel view, got {c.shape}")
-    d = c.shape[0]
+    """Per-channel weights a = softmax(MLP(mean over positions)); (..., d),
+    each sample's sums to 1."""
+    if c.a.ndim < 2:
+        raise DimensionError(f"expected (..., d, P) channel view, got {c.shape}")
+    d = c.shape[-2]
     if gate.w1.shape[1] != d or gate.w2.shape[0] != d:
         raise DimensionError(
             f"gate dims {gate.w1.shape}/{gate.w2.shape} incompatible with d={d}"
         )
-    pooled = T.reshape(T.tmean(c, axis=1), (d, 1))
+    lead = c.shape[:-2]
+    pooled = T.reshape(T.tmean(c, axis=-1), lead + (d, 1))
     h = T.relu(T.add(T.matmul(gate.w1, pooled), T.reshape(gate.b1, (d, 1))))
     logits = T.add(T.matmul(gate.w2, h), T.reshape(gate.b2, (d, 1)))
-    return T.reshape(T.row_softmax(T.transpose(logits)), (d,))
+    return T.reshape(T.row_softmax(T.transpose(logits)), lead + (d,))
 
 
-def select_topk_segments_indices(a_weights: np.ndarray, big_l: int, k1: int) -> list[list[int]]:
+def select_topk_segments_indices(a_weights: np.ndarray, big_l: int, k1: int) -> np.ndarray:
     """Within each of L equal channel segments, the k1 channels with the
-    largest gate weight (ties -> lowest channel index), sorted."""
-    a_weights = np.asarray(a_weights, dtype=np.float64).reshape(-1)
-    d = a_weights.shape[0]
+    largest gate weight (ties -> lowest channel index), sorted: (..., d)
+    weights give (..., L, k1) channel indices."""
+    a_weights = np.asarray(a_weights, dtype=np.float64)
+    d = a_weights.shape[-1]
     if big_l < 1 or d % big_l:
         raise ConfigurationError(f"L={big_l} must divide d={d}")
     seg = d // big_l
     if not 1 <= k1 <= seg:
         raise ConfigurationError(f"k1={k1} outside [1, {seg}]")
-    out = []
-    for l in range(big_l):
-        lo = l * seg
-        order = np.argsort(-a_weights[lo : lo + seg], kind="stable")[:k1]
-        out.append(sorted(int(lo + i) for i in order))
-    return out
+    segs = a_weights.reshape(a_weights.shape[:-1] + (big_l, seg))
+    order = np.argsort(-segs, axis=-1, kind="stable")[..., :k1]
+    return np.sort(order, axis=-1) + seg * np.arange(big_l)[:, None]
 
 
-def aggregate_segments(c: Tensor, segments: list[list[int]]) -> Tensor:
-    """One (L, P) row per segment: the mean of its selected channels'
+def aggregate_segments(c: Tensor, segments) -> Tensor:
+    """One (..., L, P) row per segment: the mean of its selected channels'
     position maps."""
-    return T.stack_rows([T.tmean(T.gather_rows(c, chosen), axis=0) for chosen in segments])
+    return T.gather_mean(c, segments)
 
 
 def cwa_block(
@@ -90,9 +92,10 @@ def cwa_block(
     """Channelize -> gate -> top-k per segment -> project to d -> binarized
     affinity against the text tokens -> masked attention giving t2."""
     c = channelize(m_spatial)
-    if chan_proj.shape[0] != c.shape[1]:
+    lead = c.shape[:-2]
+    if chan_proj.shape[0] != c.shape[-1]:
         raise DimensionError(
-            f"channel projector {chan_proj.shape} vs {c.shape[1]} positions"
+            f"channel projector {chan_proj.shape} vs {c.shape[-1]} positions"
         )
 
     def compute_selection():
@@ -100,7 +103,7 @@ def cwa_block(
             a_weights = gate_channels(c, gate).a
         return select_topk_segments_indices(a_weights, cfg.L, cfg.k1)
 
-    segments = decide(trace, replay, "cwa_topk", compute_selection)
+    segments = decide(trace, replay, "cwa_topk", lead, compute_selection)
     b = aggregate_segments(c, segments)
     b_proj = T.matmul(b, chan_proj)
 
@@ -109,6 +112,7 @@ def cwa_block(
         trace,
         replay,
         "cwa_mask",
+        lead,
         lambda: binarize(
             cosine_matrix(b_proj.a, t1.a, counter, "cwa"), cfg.k_c, 1.0, "channel"
         ),

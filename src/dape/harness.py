@@ -244,17 +244,18 @@ def cmd_ablate(cfg: DapeConfig) -> list[AblationRow]:
 
 
 def forced_density_rule(fraction: float):
-    """Dense-row override for the sweep: exactly ceil(fraction * active)
-    rows flagged dense, ranked by measured fill, ties to low index."""
+    """Dense-row override for the sweep: in each sample exactly
+    ceil(fraction * active) of its active rows flagged dense, ranked by
+    measured fill, ties to low index."""
 
-    def rule(mask, level, active_rows):
-        active_rows = np.asarray(active_rows, dtype=np.intp)
-        k = math.ceil(fraction * active_rows.size) if fraction > 0 else 0
-        if k == 0:
-            return np.arange(0)
-        fill = np.count_nonzero(mask.weights, axis=1)
-        order = np.lexsort((active_rows, -fill[active_rows]))
-        return np.sort(active_rows[order[:k]])
+    def rule(mask, level, active):
+        active = np.asarray(active, dtype=bool)
+        k = np.ceil(fraction * np.count_nonzero(active, axis=-1))
+        fill = np.where(active, np.count_nonzero(mask.weights, axis=-1), -1)
+        order = np.argsort(-fill, axis=-1, kind="stable")
+        flags = np.zeros_like(active)
+        np.put_along_axis(flags, order, np.arange(active.shape[-1]) < k[..., None], axis=-1)
+        return flags
 
     return rule
 

@@ -162,97 +162,87 @@ def forward(
     trace: Trace | None = None,
     replay: Replay | None = None,
 ) -> tuple[Tensor, Tensor, Trace]:
-    """Encode a batch into unit-norm image and text embeddings.
+    """Encode a batch into unit-norm image and text embeddings, (b, d) each.
 
-    The trace records masks, selections, density flags, token counts and
-    every cost counter; passing `replay` freezes all of those decisions
-    (the continuous path still recomputes, which is what the gradient
-    checks need).
+    The whole batch runs through every op at once: maps are (b, h, w, d),
+    streams (b, n, d), masks (b, n, m). The trace records masks,
+    selections, density flags, token counts and every cost counter, one
+    decision entry per sample per decision point in layer-major order;
+    passing `replay` freezes all of those decisions (the continuous path
+    still recomputes, which is what the gradient checks need). A replay
+    must come from a trace of the same batch size and use all of it.
     """
     if trace is None:
         trace = Trace()
     counter = trace.counter if replay is None else Trace().counter
-    img_embs, txt_embs = [], []
-    n_tokens = cfg.n_img_tokens
+    record = trace if replay is None else None
+    image_rows = np.arange(cfg.n_img_tokens)  # the stream rows that are not slots
+    raw_map = Tensor(batch.images)
+    m_stream: Tensor = raw_map
+    t_stream = Tensor(batch.texts)
+    detail: DetailState | Tensor | None = raw_map
+    layer = 0
+    try:
+        for layer in range(cfg.n_layers):
+            lp = model.layers[layer]
+            inject_here = cfg.enable_phi and (layer % cfg.phi_period == cfg.phi_period - 1)
+            pad = model.phi.learnable.tokens if inject_here else None
+            with cost_scope(counter, "coarse"):
+                t1, m1, a0, img_tok, txt_tok, slots = coarse_align_block(
+                    m_stream, t_stream, lp.img, lp.txt, cfg,
+                    pad_tokens=pad, trace=record, replay=replay,
+                )
+            if record is not None:
+                trace.token_counts[f"layer{layer}"] = {"image": img_tok.n, "text": txt_tok.n}
 
-    for i in range(batch.size):
-        raw_map = Tensor(batch.images[i])
-        m_stream: Tensor = raw_map
-        t_stream = Tensor(batch.texts[i])
-        detail: DetailState | Tensor = raw_map
-        layer = 0
-        try:
-            for layer in range(cfg.n_layers):
-                lp = model.layers[layer]
-                inject_here = cfg.enable_phi and (layer % cfg.phi_period == cfg.phi_period - 1)
-                pad = model.phi.learnable.tokens if inject_here else None
-                with cost_scope(counter, "coarse"):
-                    t1, m1, a0, img_tok, txt_tok, slots = coarse_align_block(
-                        m_stream, t_stream, lp.img, lp.txt, cfg,
-                        pad_tokens=pad,
-                        trace=trace if replay is None else None,
-                        replay=replay,
+            if cfg.enable_cwa:
+                with cost_scope(counter, "cwa"):
+                    spatial = T.gather_rows(m1, image_rows)
+                    t2, _ac = cwa_block(
+                        spatial, t1, model.gate, model.cwa_proj,
+                        (lp.txt, lp.img), cfg, trace=record, replay=replay,
                     )
-                if i == 0 and replay is None:
-                    trace.token_counts[f"layer{layer}"] = {
-                        "image": img_tok.n, "text": txt_tok.n
-                    }
+                    t_next = fuse_text(t1, t2)
+            else:
+                t_next = t1
 
-                if cfg.enable_cwa:
-                    with cost_scope(counter, "cwa"):
-                        spatial = T.gather_rows(m1, np.arange(n_tokens))
-                        t2, _ac = cwa_block(
-                            spatial, t1, model.gate, model.cwa_proj,
-                            (lp.txt, lp.img), cfg,
-                            trace=trace if replay is None else None,
-                            replay=replay,
-                        )
-                        t_next = fuse_text(t1, t2)
-                else:
-                    t_next = t1
-
-                m_next = m1
-                if _nfa_per_layer(cfg):
-                    with cost_scope(counter, "nfa"):
-                        rows = t_stream.shape[0]
+            m_next = m1
+            if _nfa_per_layer(cfg):
+                with cost_scope(counter, "nfa"):
+                    rows = t_stream.shape[-2]
+                    with T.no_recording():  # base text tokens feed only the masks
                         txt_base = tokenize_text(t_stream, rows // 4)
-                        hier, q3, txt3 = build_hierarchy(
-                            raw_map, txt_base, cfg, model.nfa,
-                            trace=trace if replay is None else None,
-                            replay=replay,
-                        )
-                        m2 = nfa_attention(
-                            q3, txt3, hier.a_prime,
-                            (model.nfa.img_ps, model.nfa.txt_ps), cfg,
-                        )
-                        update = pool_children_to_parents(m2)
-                        top = T.add(T.gather_rows(m_next, np.arange(n_tokens)), update)
-                        m_next = T.replace_rows(m_next, np.arange(n_tokens), top)
+                    hier, q3, txt3 = build_hierarchy(
+                        raw_map, txt_base, cfg, model.nfa, trace=record, replay=replay,
+                    )
+                    m2 = nfa_attention(
+                        q3, txt3, hier.a_prime,
+                        (model.nfa.img_ps, model.nfa.txt_ps), cfg,
+                    )
+                    update = pool_children_to_parents(m2)
+                    m_next = T.add_rows(m_next, image_rows, update)
 
-                if inject_here:
-                    with cost_scope(counter, "phi"):
-                        before = counter.total_macs()
-                        m_next, detail = phi_inject(
-                            m_next, slots, detail, t_stream, model.phi,
-                            (model.nfa.img_ps, model.nfa.txt_ps), cfg, layer,
-                            trace=trace if replay is None else None,
-                            replay=replay,
-                        )
-                        if replay is None:
-                            trace.injection_macs.append(counter.total_macs() - before)
+            if inject_here:
+                with cost_scope(counter, "phi"):
+                    before = counter.total_macs()
+                    m_next, detail = phi_inject(
+                        m_next, slots, detail, t_stream, model.phi,
+                        (model.nfa.img_ps, model.nfa.txt_ps), cfg, layer,
+                        trace=record, replay=replay,
+                        carry=layer + cfg.phi_period < cfg.n_layers,
+                    )
+                    if record is not None:
+                        trace.injection_macs.append(counter.total_macs() - before)
 
-                m_stream, t_stream = m_next, t_next
-        except NumericError as e:
-            raise NumericError(f"layer {layer}: {e}") from e
-
-        img_embs.append(T.tmean(m_stream, axis=0))
-        txt_embs.append(T.tmean(t_stream, axis=0))
+            m_stream, t_stream = m_next, t_next
+    except NumericError as e:
+        raise NumericError(f"layer {layer}: {e}") from e
 
     if replay is not None:
         replay.check_consumed()
-    img_emb = T.l2_normalize_rows(T.stack_rows(img_embs))
-    txt_emb = T.l2_normalize_rows(T.stack_rows(txt_embs))
-    if replay is None:
+    img_emb = T.l2_normalize_rows(T.tmean(m_stream, axis=-2))
+    txt_emb = T.l2_normalize_rows(T.tmean(t_stream, axis=-2))
+    if record is not None:
         trace.fine_macs = counter.macs.get("nfa", 0)
     return img_emb, txt_emb, trace
 
@@ -315,6 +305,8 @@ def load_checkpoint(path: str) -> tuple[DapeConfig, "DapeModel"]:
     meta, tensors = load_tensors(path)
     if meta.get("kind") != "checkpoint":
         raise FileFormatError(f"{path} is not a checkpoint container")
+    if not isinstance(meta.get("config"), dict):
+        raise FileFormatError(f"{path} holds no config object")
     cfg = DapeConfig.from_dict(meta["config"])
     model = init_model(cfg)
     for name, t in model.params():

@@ -10,6 +10,11 @@ whose entries live on the subset-sum lattice of mu.
 Token rows are ordered parent-major (the 2 halves, then the 4 quadrants of
 parent p occupy rows 2p+dy and 4p+2dy+dx), which makes block-replication
 upscaling coincide exactly with the refinement tree.
+
+Maps are (..., h, w, c), tokens (..., N, d), masks (..., N, M) and
+dense-row flags (..., N). Refinement is exact per sample: each sample
+descends under its own dense rows, and cosines run only for the active
+(sample, row) pairs.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from itertools import combinations
 import numpy as np
 
 from . import tensor as T
-from .coarse import AffinityMask, ProjectionSet, TokenSet, masked_cross_attention
+from .coarse import AffinityMask, ProjectionSet, TokenSet, masked_cross_attention, on_alphabet
 from .config import mu_partition
 from .costs import HierarchyCost, cosine_matrix, decide
 from .errors import ConfigurationError, DimensionError
@@ -40,7 +45,8 @@ class NfaWeights:
 
 @dataclass
 class HierarchicalMask:
-    """The three upscaled level masks, their sum, and the dense-row sets."""
+    """The three upscaled level masks, their sum, and the dense-row flags
+    ((..., I) at level 1, (..., 2I) at level 2)."""
 
     a1: AffinityMask
     a2: AffinityMask
@@ -56,28 +62,26 @@ class HierarchicalMask:
         lattice = mask_lattice(
             self.a1.alphabet[-1], self.a2.alphabet[-1], self.a3.alphabet[-1]
         )
-        if not np.isin(self.a_prime, lattice).all():
+        if not on_alphabet(self.a_prime, lattice):
             raise ConfigurationError("combined mask leaves the mu lattice")
-        n = self.a_prime.shape[0]
-        allowed2 = np.zeros(n, dtype=bool)
-        if self.dense_l1.size:
-            allowed2[(4 * self.dense_l1[:, None] + np.arange(4)).reshape(-1)] = True
-        if np.any(self.a2.weights[~allowed2] != 0.0):
+        # a level-1 row covers 4 rows of the upscaled (4I) grid, a level-2 row 2
+        if (self.a2.weights.any(axis=-1) & ~np.repeat(self.dense_l1, 4, axis=-1)).any():
             raise ConfigurationError("level-2 weight outside a dense level-1 row")
-        allowed3 = np.zeros(n, dtype=bool)
-        if self.dense_l2.size:
-            allowed3[(2 * self.dense_l2[:, None] + np.arange(2)).reshape(-1)] = True
-        if np.any(self.a3.weights[~allowed3] != 0.0):
+        if (self.a3.weights.any(axis=-1) & ~np.repeat(self.dense_l2, 2, axis=-1)).any():
             raise ConfigurationError("level-3 weight outside a dense level-2 row")
 
 
+@lru_cache(maxsize=16)
 def mask_lattice(mu1: float, mu2: float, mu3: float) -> np.ndarray:
-    """All subset sums of the three level weights (8 values incl. 0)."""
+    """All subset sums of the three level weights (8 values incl. 0),
+    sorted; read-only, since it is cached."""
     vals = {0.0}
     for r in range(1, 4):
         for comb in combinations((mu1, mu2, mu3), r):
             vals.add(float(sum(comb)))
-    return np.array(sorted(vals))
+    lattice = np.array(sorted(vals))
+    lattice.flags.writeable = False
+    return lattice
 
 
 # ---------------------------------------------------------------------------
@@ -99,16 +103,6 @@ def parent_major_perm(gy: int, gx: int, fy: int, fx: int) -> np.ndarray:
     return perm
 
 
-def _pool_tokens(m: Tensor, gy: int, gx: int, fy: int, fx: int) -> Tensor:
-    """Pool a map on the (fy*gy, fx*gx) grid, rows in parent-major order."""
-    h, w, c = m.shape
-    pooled = T.block_mean_2d(m, h // (fy * gy), w // (fx * gx))
-    flat = T.reshape(pooled, (fy * gy * fx * gx, c))
-    if fy == 1 and fx == 1:
-        return flat
-    return T.gather_rows(flat, parent_major_perm(gy, gx, fy, fx))
-
-
 def multiscale_tokens(
     m: Tensor,
     grid: tuple[int, int],
@@ -126,7 +120,7 @@ def multiscale_tokens(
     run off-tape; gradient reaches the branch-3 kernel through level 3.
     """
     gy, gx = grid
-    h, w, c = m.shape
+    h, w, c = m.shape[-3:]
     if h % (4 * gy) or w % (4 * gx):
         raise DimensionError(
             f"grid {grid} needs map sides divisible by {4 * gy}x{4 * gx}, got {h}x{w}"
@@ -139,7 +133,7 @@ def multiscale_tokens(
         lo = sum(widths[:b])
         part = T.slice_last(m, lo, lo + widths[b])
         branch = T.conv2d_local(part, kernels[b], conv_kernels[b])
-        return _pool_tokens(branch, gy, gx, fy, fx)
+        return T.pool_parent_major(branch, gy, gx, fy, fx)
 
     with T.no_recording():
         l1 = level(0, 1, 1)
@@ -188,46 +182,54 @@ def level_mask(
     tk: Tensor,
     k_thr: float,
     mu_k: float,
-    active_rows: np.ndarray | None = None,
+    active: np.ndarray | None = None,
     counter=None,
     level: str = "fine-1",
 ) -> AffinityMask:
-    """Binarized {0, mu_k} affinity, evaluated only on active rows."""
+    """Binarized {0, mu_k} affinity of each sample's (..., n, d) image rows
+    against its (..., m, d) text tokens, evaluated only on active rows.
+
+    `active` flags rows per sample, (..., n); None means every row. Cosines
+    run for the active (sample, row) pairs alone, so the counter bills
+    exactly what ran.
+    """
     xa, ta = xk.a, tk.a
-    n, m = xa.shape[0], ta.shape[0]
-    weights = np.zeros((n, m))
-    if active_rows is None:
-        active_rows = np.arange(n)
-    active_rows = np.asarray(active_rows, dtype=np.intp)
-    if active_rows.size:
-        sims = cosine_matrix(xa[active_rows], ta, counter, "nfa")
-        weights[active_rows] = np.where(sims > k_thr, mu_k, 0.0)
-    return AffinityMask(weights, (0.0, mu_k), level)
+    n, m = xa.shape[-2], ta.shape[-2]
+    if active is None:
+        sims = cosine_matrix(xa, ta, counter, "nfa")
+        return AffinityMask._unchecked(np.where(sims > k_thr, mu_k, 0.0), (0.0, mu_k), level)
+    weights = np.zeros(xa.shape[:-1] + (m,))
+    sample, row = np.nonzero(active.reshape(-1, n))
+    if sample.size:
+        x = xa.reshape(-1, n, xa.shape[-1])[sample, row][:, None, :]
+        t = ta.reshape((-1,) + ta.shape[-2:])[sample]
+        sims = cosine_matrix(x, t, counter, "nfa")[:, 0, :]
+        weights.reshape(-1, n, m)[sample, row] = np.where(sims > k_thr, mu_k, 0.0)
+    return AffinityMask._unchecked(weights, (0.0, mu_k), level)
 
 
 def density_flag(mask: AffinityMask, tau_d: float) -> np.ndarray:
-    """Rows whose nonzero fill fraction strictly exceeds tau_d."""
+    """Flags (..., n) of the rows whose nonzero fill fraction strictly
+    exceeds tau_d."""
     if not 0.0 <= tau_d <= 1.0:
         raise ConfigurationError(f"tau_d={tau_d} outside [0, 1]")
-    fill = np.count_nonzero(mask.weights, axis=1) / mask.weights.shape[1]
-    return np.flatnonzero(fill > tau_d)
+    fill = (mask.weights != 0.0).sum(axis=-1) / mask.weights.shape[-1]
+    return fill > tau_d
 
 
 def upscale_mask(mask: AffinityMask, target: tuple[int, int]) -> AffinityMask:
-    """Nearest-neighbor block replication to the target shape."""
-    rows, cols = mask.shape
+    """Nearest-neighbor block replication of each sample to the target shape."""
+    rows, cols = mask.shape[-2:]
     tr, tc = target
     if tr % rows or tc % cols:
         raise DimensionError(f"target {target} not a multiple of {mask.shape}")
-    w = np.repeat(np.repeat(mask.weights, tr // rows, axis=0), tc // cols, axis=1)
+    w = np.repeat(np.repeat(mask.weights, tr // rows, axis=-2), tc // cols, axis=-1)
     return AffinityMask._unchecked(w, mask.alphabet, mask.level)
 
 
-def _children(rows: np.ndarray) -> np.ndarray:
-    """Rows at the next level descended from the given rows (2 each)."""
-    if rows.size == 0:
-        return rows.astype(np.intp)
-    return np.sort(np.concatenate([2 * rows, 2 * rows + 1])).astype(np.intp)
+def _children(flags: np.ndarray) -> np.ndarray:
+    """Flags of the next level's rows descended from flagged rows (2 each)."""
+    return np.repeat(flags, 2, axis=-1)
 
 
 def build_level_masks(
@@ -241,37 +243,43 @@ def build_level_masks(
 ) -> HierarchicalMask:
     """Density-triggered three-level mask build over prepared level tokens.
 
-    `img_levels` and `txt_levels` hold the (I,)/(2I,)/(4I,) image tokens
-    and (J,)/(2J,)/(4J,) text tokens already in similarity space.
-    `density_rule(mask, level, active_rows)` overrides the tau_d fill rule
-    (used by the density sweep in the bench command). `max_level=1`
-    collapses the hierarchy to its coarsest level (fine-alignment toggle
-    off).
+    `img_levels` and `txt_levels` hold the (..., I)/(2I)/(4I) image tokens
+    and (..., J)/(2J)/(4J) text tokens already in similarity space; each
+    sample refines under its own dense rows. `density_rule(mask, level,
+    active)` overrides the tau_d fill rule with flags from the level mask
+    and the (..., n) active-row flags (used by the density sweep in the
+    bench command). `max_level=1` collapses the hierarchy to its coarsest
+    level (fine-alignment toggle off).
     """
     mu1, mu2, mu3 = cfg.mu
     counter = trace.counter if trace is not None else None
     rule = density_rule or (lambda mask, level, active: density_flag(mask, cfg.tau_d))
-    n1, m1 = img_levels[0].shape[0], txt_levels[0].shape[0]
+    lead = img_levels[0].shape[:-2]
+    n1, m1 = img_levels[0].shape[-2], txt_levels[0].shape[-2]
     target = (4 * n1, 4 * m1)
 
     a1 = decide(
-        trace, replay, "nfa_mask_l1",
+        trace, replay, "nfa_mask_l1", lead,
         lambda: level_mask(img_levels[0], txt_levels[0], cfg.k_thr, mu1, None, counter, "fine-1"),
     )
-    dense1 = decide(trace, replay, "nfa_dense_l1", lambda: rule(a1, 1, np.arange(n1)))
-    dense1 = np.asarray(dense1, dtype=np.intp)
+    dense1 = decide(
+        trace, replay, "nfa_dense_l1", lead, lambda: rule(a1, 1, np.ones(lead + (n1,), bool))
+    )
 
-    active2 = _children(dense1) if max_level >= 2 else np.arange(0)
+    active2 = (
+        _children(dense1) if max_level >= 2 else np.zeros(lead + (2 * n1,), bool)
+    )
     a2 = decide(
-        trace, replay, "nfa_mask_l2",
+        trace, replay, "nfa_mask_l2", lead,
         lambda: level_mask(img_levels[1], txt_levels[1], cfg.k_thr, mu2, active2, counter, "fine-2"),
     )
-    dense2 = decide(trace, replay, "nfa_dense_l2", lambda: rule(a2, 2, active2))
-    dense2 = np.asarray(dense2, dtype=np.intp)
+    dense2 = decide(trace, replay, "nfa_dense_l2", lead, lambda: rule(a2, 2, active2))
 
-    active3 = _children(dense2) if max_level >= 3 else np.arange(0)
+    active3 = (
+        _children(dense2) if max_level >= 3 else np.zeros(lead + (4 * n1,), bool)
+    )
     a3 = decide(
-        trace, replay, "nfa_mask_l3",
+        trace, replay, "nfa_mask_l3", lead,
         lambda: level_mask(img_levels[2], txt_levels[2], cfg.k_thr, mu3, active3, counter, "fine-3"),
     )
 
@@ -282,14 +290,19 @@ def build_level_masks(
     hier = HierarchicalMask(a1u, a2u, a3u, a_prime, dense1, dense2)
     hier.check_structure()
     if trace is not None and replay is None:
-        trace.hierarchy.append(
+        per_sample = zip(
+            active2.reshape(-1, 2 * n1).sum(axis=1).tolist(),
+            active3.reshape(-1, 4 * n1).sum(axis=1).tolist(),
+        )
+        trace.hierarchy.extend(
             HierarchyCost(
                 n_rows_l1=n1,
                 n_cols_l1=m1,
-                active_l2=int(active2.size),
-                active_l3=int(active3.size),
-                cosines=n1 * m1 + active2.size * 2 * m1 + active3.size * 4 * m1,
+                active_l2=n2,
+                active_l3=n3,
+                cosines=n1 * m1 + n2 * 2 * m1 + n3 * 4 * m1,
             )
+            for n2, n3 in per_sample
         )
     return hier
 
@@ -351,24 +364,27 @@ def build_hierarchy_from_tokens(
     replay=None,
     max_level: int = 3,
 ):
-    """Fine-alignment mask build over an (N, d) token grid (detail path).
+    """Fine-alignment mask build over an (..., N, d) token grid (detail path).
 
-    Levels 1 and 2 (both modalities) feed only mask construction and pool
-    off-tape; only the finest level rides the tape as the masked update's
+    Levels 1 and 2 (both modalities) feed only mask construction and stay
+    off the tape; only the finest level rides it as the masked update's
     queries and keys/values.
     """
     gy_t, gx_t = grid
-    n, d = tokens.shape
+    n, d = tokens.shape[-2:]
     if n != gy_t * gx_t:
         raise DimensionError(f"{n} tokens do not fill grid {grid}")
     if gy_t % 4 or gx_t % 4:
         raise DimensionError(f"token grid {grid} must be divisible by 4")
     gy, gx = gy_t // 4, gx_t // 4
-    as_map = T.reshape(tokens, (gy_t, gx_t, d))
-    with T.no_recording():
-        img_l1 = _pool_tokens(as_map, gy, gx, 1, 1)
-        img_l2 = _pool_tokens(as_map, gy, gx, 2, 1)
-    q3 = _pool_tokens(as_map, gy, gx, 2, 2)
+    as_map = T.reshape(tokens, tokens.shape[:-2] + (gy_t, gx_t, d))
+    q3 = T.pool_parent_major(as_map, gy, gx, 2, 2)
+    # A half (row 2p+dy) is the mean of quadrant rows 4p+2dy+{0,1}, a whole
+    # cell (row p) the mean of its two halves: every block pools equally
+    # many tokens, so one pool of the map serves all three levels.
+    lead = q3.shape[:-2]
+    img_l2 = Tensor(q3.a.reshape(lead + (2 * gy * gx, 2, d)).mean(axis=-2), check=False)
+    img_l1 = Tensor(img_l2.a.reshape(lead + (gy * gx, 2, d)).mean(axis=-2), check=False)
     txt_sets = text_pyramid(t_tokens)
 
     hier = build_level_masks(
@@ -392,10 +408,10 @@ def nfa_attention(
 ) -> Tensor:
     """Masked update over the finest tokens: softmaxed scores scaled by the
     combined lattice mask, then the text value sum."""
-    if a_prime.shape != (m_tokens.shape[0], t_tokens.shape[0]):
+    if a_prime.shape[-2:] != (m_tokens.shape[-2], t_tokens.shape[-2]):
         raise DimensionError(
             f"combined mask {a_prime.shape} vs tokens "
-            f"({m_tokens.shape[0]}, {t_tokens.shape[0]})"
+            f"({m_tokens.shape[-2]}, {t_tokens.shape[-2]})"
         )
     lattice = mask_lattice(*cfg.mu)
     mask = AffinityMask(a_prime, tuple(lattice), "combined")
@@ -404,8 +420,8 @@ def nfa_attention(
 
 
 def pool_children_to_parents(update: Tensor) -> Tensor:
-    """Average each parent's four quadrant rows: (4I, d) -> (I, d)."""
-    n, d = update.shape
+    """Average each parent's four quadrant rows: (..., 4I, d) -> (..., I, d)."""
+    n, d = update.shape[-2:]
     if n % 4:
         raise DimensionError(f"row count {n} not a multiple of 4")
-    return T.tmean(T.reshape(update, (n // 4, 4, d)), axis=1)
+    return T.tmean(T.reshape(update, update.shape[:-2] + (n // 4, 4, d)), axis=-2)

@@ -5,11 +5,15 @@ then query a pool of high-pass detail tokens. The pool starts as the
 high-pass filtered full-resolution feature map (projected to token space)
 and thereafter carries the previous injection's fine-alignment output, so
 detail evolves across the depth of the stack.
+
+Streams are (..., N, d) and maps (..., h, w, c); every sample shares the
+slot parameters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
@@ -23,7 +27,8 @@ from .tensor import Tensor
 
 @dataclass
 class DetailState:
-    """Carried detail tokens (row-major on `grid`) and injection count."""
+    """Carried (..., N, d) detail tokens (row-major on `grid`) and injection
+    count."""
 
     detail_tokens: Tensor
     grid: tuple[int, int]
@@ -50,9 +55,9 @@ class PhiWeights:
 def extract_slots(m1_plus: Tensor, positions) -> Tensor:
     """Rows of the aligned stream at the learnable slot positions."""
     positions = np.asarray(positions, dtype=np.intp)
-    if positions.size and (positions.min() < 0 or positions.max() >= m1_plus.shape[0]):
+    if positions.size and (positions.min() < 0 or positions.max() >= m1_plus.shape[-2]):
         raise IndexRangeError(
-            f"slot positions {positions} out of range for {m1_plus.shape[0]} rows"
+            f"slot positions {positions} out of range for {m1_plus.shape[-2]} rows"
         )
     return T.gather_rows(m1_plus, positions)
 
@@ -63,7 +68,7 @@ def make_detail_tokens(
 ) -> tuple[Tensor, tuple[int, int], bool]:
     """Detail tokens, their grid, and whether this was a first build.
 
-    First injection: per-channel high-pass of the (h, w, c) map at full
+    First injection: per-channel high-pass of the (..., h, w, c) map at full
     resolution, then pool*pool cells aggregate and project to token width
     (pooling followed by a projection is still one linear map of the
     enhanced image). Later injections pass the carried tokens through
@@ -71,11 +76,11 @@ def make_detail_tokens(
     """
     if isinstance(source, DetailState):
         return source.detail_tokens, source.grid, False
-    if source.a.ndim != 3:
+    if source.a.ndim < 3:
         raise ConfigurationError(
-            f"first detail source must be an (h, w, c) map, got {source.shape}"
+            f"first detail source must be an (..., h, w, c) map, got {source.shape}"
         )
-    h, w, c = source.shape
+    h, w, c = source.shape[-3:]
     if proj.shape[0] != c:
         raise ConfigurationError(
             f"detail projector {proj.shape} incompatible with {c} channels"
@@ -98,14 +103,16 @@ def phi_inject(
     layer_index: int,
     trace=None,
     replay=None,
-) -> tuple[Tensor, DetailState]:
+    carry: bool = True,
+) -> tuple[Tensor, DetailState | None]:
     """One detail injection.
 
     Builds (or carries) the detail pool, runs the fine-alignment
     interaction against the incoming text tokens to get the refreshed pool
     m2, lets the slot tokens query m2 through cross-attention, applies the
     residual, and writes the slots back. Returns the updated stream and
-    the carried state.
+    the carried state, or None with `carry=False` (no later injection
+    reads it).
     """
     if layer_index % cfg.phi_period != cfg.phi_period - 1:
         raise ContractError(
@@ -114,12 +121,13 @@ def phi_inject(
     det_tokens, det_grid, _first = make_detail_tokens(
         detail, weights.detail_proj, cfg.cutoff_frac, cfg.detail_pool
     )
-    n_txt = t_prev.shape[0]
+    n_txt = t_prev.shape[-2]
     if n_txt % 4:
         raise ConfigurationError(
             f"text stream length {n_txt} must be divisible by 4 for injection"
         )
-    txt_base = tokenize_text(t_prev, n_txt // 4)
+    with T.no_recording():  # base text tokens feed only the masks
+        txt_base = tokenize_text(t_prev, n_txt // 4)
     # the nested fine-alignment build bills to its own module, whichever
     # counter the caller installed
     with cost_scope(T._COST_SINK, "nfa"):
@@ -131,8 +139,11 @@ def phi_inject(
 
     m_in = extract_slots(m1_plus, slots)
     m3 = masked_cross_attention(m_in, m2, None, (weights.q_ps, weights.kv_ps))
-    m_in_new = T.add(m_in, m3)
-    m_out = T.replace_rows(m1_plus, slots, m_in_new)
+    m_out = T.add_rows(m1_plus, slots, m3)  # the residual, on the slot rows only
+    if trace is not None and replay is None:
+        trace.injections += prod(t_prev.shape[:-2])
+    if not carry:
+        return m_out, None
 
     # Carry m2 forward, reordered from parent-major quadrants to row-major
     # on the halved grid so the next injection can re-tile it.
@@ -143,6 +154,4 @@ def phi_inject(
     carried = T.gather_rows(m2, inv)
     prev_gen = detail.generation if isinstance(detail, DetailState) else 0
     state = DetailState(carried, (det_grid[0] // 2, det_grid[1] // 2), prev_gen + 1)
-    if trace is not None and replay is None:
-        trace.injections += 1
     return m_out, state

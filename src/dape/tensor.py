@@ -7,6 +7,11 @@ during backprop.
 
 All arrays are C-contiguous float64; `Tensor.data` exposes the row-major
 flat view required by the storage contract.
+
+Ops are batch-major: they act on the trailing axes (rows and columns,
+spatial maps, channels) and carry any leading axes through, so one call
+covers a whole batch. A 2-D weight broadcasts over the leading axes and
+its gradient sums over them.
 """
 
 from __future__ import annotations
@@ -103,9 +108,10 @@ class GradTape:
     """Ordered record of primitive ops, replayed in reverse for gradients."""
 
     def __init__(self):
-        # (output tensor, backward closure). The closure receives the
-        # output gradient and an id-keyed accumulator dict.
-        self.entries: list[tuple[Tensor, Callable[[Array, dict], None]]] = []
+        # (output tensor, backward closure, ids of the op's tensor inputs).
+        # The closure receives the output gradient and an id-keyed
+        # accumulator dict; it keeps its inputs alive, so their ids hold.
+        self.entries: list[tuple[Tensor, Callable[[Array, dict], None], tuple[int, ...]]] = []
 
     def __enter__(self) -> "GradTape":
         _TAPE_STACK.append(self)
@@ -126,8 +132,16 @@ class GradTape:
             raise DimensionError(
                 f"gradient target must be scalar, got shape {target.shape}"
             )
-        acc: dict[int, Array] = {id(target): np.ones_like(target.a)}
-        for out, backward in reversed(self.entries):
+        # A tensor needs a gradient when it is a source or an op computed it
+        # from one; anything else (the batch's data, masks, what is derived
+        # from them alone) is constant, and backward skips its gradient.
+        needs = {id(s) for s in sources}
+        for out, _, inputs in self.entries:
+            if not needs.isdisjoint(inputs):
+                needs.add(id(out))
+        acc = _Grads(needs)
+        acc[id(target)] = np.ones_like(target.a)
+        for out, backward, _ in reversed(self.entries):
             g = acc.pop(id(out), None)
             if g is None:
                 continue
@@ -141,20 +155,36 @@ class GradTape:
         return grads
 
 
+class _Grads(dict):
+    """Gradients accumulated by tensor id. `needs` holds the ids whose
+    gradient is wanted; `_acc` drops any other, and ops whose input
+    gradient costs real work check `_wants` before computing it."""
+
+    def __init__(self, needs: set[int]):
+        super().__init__()
+        self.needs = needs
+
+
+def _wants(acc: _Grads, t: Tensor) -> bool:
+    return id(t) in acc.needs
+
+
 def _tape() -> GradTape | None:
     if _RECORDING_PAUSED or not _TAPE_STACK:
         return None
     return _TAPE_STACK[-1]
 
 
-def _rec(out: Tensor, backward: Callable[[Array, dict], None]) -> None:
+def _rec(out: Tensor, backward: Callable[[Array, dict], None], *inputs: Tensor) -> None:
     t = _tape()
     if t is not None:
-        t.entries.append((out, backward))
+        t.entries.append((out, backward, tuple(map(id, inputs))))
 
 
-def _acc(acc: dict, t: Tensor, g: Array) -> None:
+def _acc(acc: _Grads, t: Tensor, g: Array) -> None:
     k = id(t)
+    if k not in acc.needs:
+        return
     prev = acc.get(k)
     acc[k] = g if prev is None else prev + g
 
@@ -180,30 +210,50 @@ def _count(kind: str, amount: int) -> None:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.a.ndim != 2 or b.a.ndim != 2 or a.shape[1] != b.shape[0]:
+    """Product over the last two axes; a 2-D operand applies to every
+    sample of the other's leading axes, otherwise those must agree."""
+    x, w = a.a, b.a
+    if (
+        x.ndim < 2 or w.ndim < 2 or x.shape[-1] != w.shape[-2]
+        or (x.ndim > 2 and w.ndim > 2 and x.shape[:-2] != w.shape[:-2])
+    ):
         raise DimensionError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    m, k = a.shape
-    n = b.shape[1]
-    _count("mac", m * k * n)
-    out = _out(a.a @ b.a, "matmul")
+    y = x @ w
+    _count("mac", y.size * x.shape[-1])
+    out = _out(y, "matmul")
 
     def backward(g, acc):
-        _acc(acc, a, g @ b.a.T)
-        _acc(acc, b, a.a.T @ g)
+        if _wants(acc, a):
+            # a contiguous transpose runs the faster non-transposed kernel
+            ga = g @ np.ascontiguousarray(np.swapaxes(w, -1, -2))
+            if ga.ndim > x.ndim:
+                ga = ga.reshape(-1, *x.shape).sum(axis=0)
+            _acc(acc, a, ga)
+        if _wants(acc, b):
+            if w.ndim < x.ndim:
+                gw = x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            else:
+                gw = np.swapaxes(x, -1, -2) @ g
+            _acc(acc, b, gw)
 
-    _rec(out, backward)
+    _rec(out, backward, a, b)
     return out
 
 
 def _binary_shapes(a: Tensor, b: Tensor, op: str) -> None:
-    if a.shape != b.shape and a.size != 1 and b.size != 1:
+    # equal shapes, a scalar, or one shape a suffix of the other (broadcast
+    # over the leading axes)
+    lo, hi = sorted((a.shape, b.shape), key=len)
+    if hi[len(hi) - len(lo):] != lo and a.size != 1 and b.size != 1:
         raise DimensionError(f"{op} shape mismatch: {a.shape} vs {b.shape}")
 
 
 def _unbroadcast(g: Array, t: Tensor) -> Array:
     if g.shape == t.a.shape:
         return g
-    return np.sum(g).reshape(t.a.shape)
+    if t.size == 1:
+        return np.sum(g).reshape(t.a.shape)
+    return g.reshape(-1, *t.a.shape).sum(axis=0)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -214,7 +264,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         _acc(acc, a, _unbroadcast(g, a))
         _acc(acc, b, _unbroadcast(g, b))
 
-    _rec(out, backward)
+    _rec(out, backward, a, b)
     return out
 
 
@@ -226,7 +276,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         _acc(acc, a, _unbroadcast(g, a))
         _acc(acc, b, -_unbroadcast(g, b))
 
-    _rec(out, backward)
+    _rec(out, backward, a, b)
     return out
 
 
@@ -237,10 +287,12 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = _out(a.a * b.a, "mul")
 
     def backward(g, acc):
-        _acc(acc, a, _unbroadcast(g * b.a, a))
-        _acc(acc, b, _unbroadcast(g * a.a, b))
+        if _wants(acc, a):
+            _acc(acc, a, _unbroadcast(g * b.a, a))
+        if _wants(acc, b):
+            _acc(acc, b, _unbroadcast(g * a.a, b))
 
-    _rec(out, backward)
+    _rec(out, backward, a, b)
     return out
 
 
@@ -251,7 +303,7 @@ def scale(a: Tensor, c: float) -> Tensor:
     def backward(g, acc):
         _acc(acc, a, g * c)
 
-    _rec(out, backward)
+    _rec(out, backward, a)
     return out
 
 
@@ -263,19 +315,20 @@ def reciprocal(a: Tensor) -> Tensor:
     def backward(g, acc):
         _acc(acc, a, -g / (a.a * a.a))
 
-    _rec(out, backward)
+    _rec(out, backward, a)
     return out
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.a.ndim != 2:
-        raise DimensionError(f"transpose expects 2-D, got {a.shape}")
-    out = _out(a.a.T, "transpose", check=False)
+    """Swap the last two axes."""
+    if a.a.ndim < 2:
+        raise DimensionError(f"transpose expects at least 2-D, got {a.shape}")
+    out = _out(np.swapaxes(a.a, -1, -2), "transpose", check=False)
 
     def backward(g, acc):
-        _acc(acc, a, g.T)
+        _acc(acc, a, np.swapaxes(g, -1, -2))
 
-    _rec(out, backward)
+    _rec(out, backward, a)
     return out
 
 
@@ -285,7 +338,7 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     def backward(g, acc):
         _acc(acc, a, g.reshape(a.a.shape))
 
-    _rec(out, backward)
+    _rec(out, backward, a)
     return out
 
 
@@ -295,7 +348,7 @@ def relu(a: Tensor) -> Tensor:
     def backward(g, acc):
         _acc(acc, a, g * (a.a > 0.0))
 
-    _rec(out, backward)
+    _rec(out, backward, a)
     return out
 
 
@@ -308,7 +361,7 @@ def tsum(a: Tensor, axis: int | None = None) -> Tensor:
         else:
             _acc(acc, a, np.broadcast_to(np.expand_dims(g, axis), a.a.shape).copy())
 
-    _rec(out, backward)
+    _rec(out, backward, a)
     return out
 
 
@@ -322,24 +375,24 @@ def tmean(a: Tensor, axis: int | None = None) -> Tensor:
         else:
             _acc(acc, a, np.broadcast_to(np.expand_dims(g / n, axis), a.a.shape).copy())
 
-    _rec(out, backward)
+    _rec(out, backward, a)
     return out
 
 
 def row_softmax(a: Tensor) -> Tensor:
-    """Numerically stable softmax over the last axis of a 2-D tensor."""
-    if a.a.ndim != 2:
-        raise DimensionError(f"row_softmax expects 2-D, got {a.shape}")
-    shifted = a.a - np.max(a.a, axis=1, keepdims=True)
+    """Numerically stable softmax over the last axis of an (..., m, n) tensor."""
+    if a.a.ndim < 2:
+        raise DimensionError(f"row_softmax expects at least 2-D, got {a.shape}")
+    shifted = a.a - np.max(a.a, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    y = e / np.sum(e, axis=1, keepdims=True)
+    y = e / np.sum(e, axis=-1, keepdims=True)
     out = _out(y, "row_softmax")
 
     def backward(g, acc):
-        dot = np.sum(g * y, axis=1, keepdims=True)
+        dot = np.sum(g * y, axis=-1, keepdims=True)
         _acc(acc, a, y * (g - dot))
 
-    _rec(out, backward)
+    _rec(out, backward, a)
     return out
 
 
@@ -355,7 +408,7 @@ def row_logsumexp(a: Tensor) -> Tensor:
         sm = np.exp(a.a - lse[:, None])
         _acc(acc, a, sm * g[:, None])
 
-    _rec(out, backward)
+    _rec(out, backward, a)
     return out
 
 
@@ -384,7 +437,7 @@ def cosine(u: Tensor, v: Tensor) -> Tensor:
         _acc(acc, u, gs * (v.a / (nu * nv) - c * u.a / (nu * nu)))
         _acc(acc, v, gs * (u.a / (nu * nv) - c * v.a / (nv * nv)))
 
-    _rec(out, backward)
+    _rec(out, backward, u, v)
     return out
 
 
@@ -403,67 +456,89 @@ def l2_normalize_rows(a: Tensor) -> Tensor:
         ga[norms.reshape(-1) == 0.0] = 0.0
         _acc(acc, a, ga)
 
-    _rec(out, backward)
+    _rec(out, backward, a)
     return out
 
 
-# --- structural ops (gather/scatter/stack/slice) ---------------------------
+# --- structural ops (gather/scatter/concat/slice) --------------------------
 
 
 def gather_rows(a: Tensor, idx) -> Tensor:
+    """Distinct rows `idx` along axis -2 of every sample: a[..., idx, :]."""
     idx = np.asarray(idx, dtype=np.intp)
-    out = _out(a.a[idx], "gather_rows", check=False)
+    if np.unique(idx).size != idx.size:
+        raise DimensionError("gather_rows takes distinct rows")
+    out = _out(a.a[..., idx, :], "gather_rows", check=False)
 
     def backward(g, acc):
-        ga = np.zeros_like(a.a)
-        np.add.at(ga, idx, g)
-        _acc(acc, a, ga)
+        if _wants(acc, a):
+            ga = np.zeros_like(a.a)
+            ga[..., idx, :] = g
+            _acc(acc, a, ga)
 
-    _rec(out, backward)
+    _rec(out, backward, a)
     return out
 
 
-def replace_rows(base: Tensor, idx, rows: Tensor) -> Tensor:
-    """Copy of `base` with rows at `idx` replaced by `rows`."""
+def gather_mean(a: Tensor, idx) -> Tensor:
+    """Per-sample gather-mean: an (..., L, k) index picks k rows of the
+    sample's (..., n, p) tensor for each of L outputs, which average them
+    into (..., L, p)."""
     idx = np.asarray(idx, dtype=np.intp)
-    if idx.size and (idx.min() < 0 or idx.max() >= base.shape[0]):
-        raise DimensionError(
-            f"replace_rows index out of range for {base.shape[0]} rows"
-        )
+    n, p = a.shape[-2:]
+    if idx.ndim != a.a.ndim or idx.shape[:-2] != a.shape[:-2]:
+        raise DimensionError(f"gather_mean index {idx.shape} vs tensor {a.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise DimensionError(f"gather_mean index out of range for {n} rows")
+    big_l, k = idx.shape[-2:]
+    flat = idx.reshape(-1, big_l * k)
+    rows = (flat + n * np.arange(flat.shape[0])[:, None]).reshape(-1)
+    picked = a.a.reshape(-1, p)[rows].reshape(idx.shape + (p,))
+    out = _out(picked.mean(axis=-2), "gather_mean", check=False)
+
+    def backward(g, acc):
+        if _wants(acc, a):
+            ga = np.zeros((a.size // p, p))
+            np.add.at(ga, rows, np.repeat(g.reshape(-1, p) / k, k, axis=0))
+            _acc(acc, a, ga.reshape(a.shape))
+
+    _rec(out, backward, a)
+    return out
+
+
+def add_rows(base: Tensor, idx, delta: Tensor) -> Tensor:
+    """Copy of `base` with `delta` added to its distinct rows `idx` along
+    axis -2: base[..., idx, :] + delta in place of those rows."""
+    idx = np.asarray(idx, dtype=np.intp)
+    if np.unique(idx).size != idx.size:
+        raise DimensionError("add_rows takes distinct rows")
+    if idx.size and (idx.min() < 0 or idx.max() >= base.shape[-2]):
+        raise DimensionError(f"add_rows index out of range for {base.shape[-2]} rows")
     arr = base.a.copy()
-    arr[idx] = rows.a
-    out = _out(arr, "replace_rows", check=False)
+    arr[..., idx, :] += delta.a
+    out = _out(arr, "add_rows")
 
     def backward(g, acc):
-        gb = g.copy()
-        gb[idx] = 0.0
-        _acc(acc, base, gb)
-        _acc(acc, rows, g[idx])
+        _acc(acc, base, g)
+        _acc(acc, delta, g[..., idx, :])
 
-    _rec(out, backward)
-    return out
-
-
-def stack_rows(vectors: Sequence[Tensor]) -> Tensor:
-    out = _out(np.stack([v.a for v in vectors]), "stack_rows", check=False)
-
-    def backward(g, acc):
-        for i, v in enumerate(vectors):
-            _acc(acc, v, g[i])
-
-    _rec(out, backward)
+    _rec(out, backward, base, delta)
     return out
 
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    out = _out(np.concatenate([p.a for p in parts], axis=0), "concat_rows", check=False)
-    offsets = np.cumsum([0] + [p.shape[0] for p in parts])
+    """Concatenate along axis -2; a part without the leading axes (a
+    parameter) is broadcast over them."""
+    lead = max((p.shape[:-2] for p in parts), key=len)
+    arrs = [np.broadcast_to(p.a, lead + p.shape[-2:]) for p in parts]
+    out = _out(np.concatenate(arrs, axis=-2), "concat_rows", check=False)
+    offsets = np.cumsum([0] + [p.shape[-2] for p in parts])
 
     def backward(g, acc):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _acc(acc, p, g[lo:hi])
+            _acc(acc, p, _unbroadcast(g[..., lo:hi, :], p))
 
-    _rec(out, backward)
+    _rec(out, backward, *parts)
     return out
 
 
@@ -477,7 +552,7 @@ def take_diag(a: Tensor) -> Tensor:
         np.fill_diagonal(ga, g)
         _acc(acc, a, ga)
 
-    _rec(out, backward)
+    _rec(out, backward, a)
     return out
 
 
@@ -486,42 +561,47 @@ def slice_last(a: Tensor, c0: int, c1: int) -> Tensor:
     out = _out(a.a[..., c0:c1], "slice_last", check=False)
 
     def backward(g, acc):
-        ga = np.zeros_like(a.a)
-        ga[..., c0:c1] = g
-        _acc(acc, a, ga)
+        if _wants(acc, a):
+            ga = np.zeros_like(a.a)
+            ga[..., c0:c1] = g
+            _acc(acc, a, ga)
 
-    _rec(out, backward)
+    _rec(out, backward, a)
     return out
 
 
 def span_means(a: Tensor, spans: Sequence[tuple[int, int]]) -> Tensor:
-    """Mean of rows a[s:e] for each span; output (len(spans), d)."""
-    if a.a.ndim != 2:
-        raise DimensionError(f"span_means expects 2-D, got {a.shape}")
-    n, d = a.shape
+    """Mean of rows a[..., s:e, :] for each span; output (..., len(spans), d)."""
+    if a.a.ndim < 2:
+        raise DimensionError(f"span_means expects at least 2-D, got {a.shape}")
+    n, d = a.shape[-2:]
     j = len(spans)
     # contiguous equal-length spans covering [0, n) pool in one reshape
     uniform = (
         n % j == 0
         and all(s == i * (n // j) and e == (i + 1) * (n // j) for i, (s, e) in enumerate(spans))
     )
+    if uniform and j == n:
+        return a  # one row per span: the rows themselves
     if uniform:
         width = n // j
-        rows = a.a.reshape(j, width, d).mean(axis=1)
+        rows = a.a.reshape(a.shape[:-2] + (j, width, d)).mean(axis=-2)
     else:
-        rows = np.stack([a.a[s:e].mean(axis=0) for s, e in spans])
+        rows = np.stack([a.a[..., s:e, :].mean(axis=-2) for s, e in spans], axis=-2)
     out = _out(rows, "span_means")
 
     def backward(g, acc):
+        if not _wants(acc, a):
+            return
         if uniform:
-            ga = np.repeat(g / (n // j), n // j, axis=0)
+            ga = np.repeat(g / (n // j), n // j, axis=-2)
         else:
             ga = np.zeros_like(a.a)
             for i, (s, e) in enumerate(spans):
-                ga[s:e] += g[i] / (e - s)
+                ga[..., s:e, :] += g[..., i : i + 1, :] / (e - s)
         _acc(acc, a, ga)
 
-    _rec(out, backward)
+    _rec(out, backward, a)
     return out
 
 
@@ -529,20 +609,52 @@ def span_means(a: Tensor, spans: Sequence[tuple[int, int]]) -> Tensor:
 
 
 def block_mean_2d(x: Tensor, sy: int, sx: int) -> Tensor:
-    """Mean over non-overlapping sy*sx blocks of an (h, w, c) tensor."""
-    if x.a.ndim != 3:
-        raise DimensionError(f"block_mean_2d expects 3-D, got {x.shape}")
-    h, w, c = x.shape
+    """Mean over non-overlapping sy*sx blocks of an (..., h, w, c) tensor."""
+    if x.a.ndim < 3:
+        raise DimensionError(f"block_mean_2d expects (..., h, w, c), got {x.shape}")
+    h, w, c = x.shape[-3:]
     if h % sy or w % sx:
         raise DimensionError(f"block {sy}x{sx} does not divide {h}x{w}")
-    y = x.a.reshape(h // sy, sy, w // sx, sx, c).mean(axis=(1, 3))
+    y = x.a.reshape(x.shape[:-3] + (h // sy, sy, w // sx, sx, c)).mean(axis=(-4, -2))
     out = _out(y, "block_mean_2d")
 
     def backward(g, acc):
-        ga = np.repeat(np.repeat(g, sy, axis=0), sx, axis=1) / (sy * sx)
-        _acc(acc, x, ga)
+        if _wants(acc, x):
+            _acc(acc, x, np.repeat(np.repeat(g, sy, axis=-3), sx, axis=-2) / (sy * sx))
 
-    _rec(out, backward)
+    _rec(out, backward, x)
+    return out
+
+
+def pool_parent_major(x: Tensor, gy: int, gx: int, fy: int, fx: int) -> Tensor:
+    """Mean-pool an (..., h, w, c) map on the (fy*gy, fx*gx) cell grid into
+    (..., gy*gx*fy*fx, c) tokens, rows parent-major: the fy*fx children of
+    parent (a, b) are consecutive, child (dy, dx) at row (a*gx+b)*fy*fx +
+    dy*fx + dx."""
+    if x.a.ndim < 3:
+        raise DimensionError(f"pool_parent_major expects (..., h, w, c), got {x.shape}")
+    h, w, c = x.shape[-3:]
+    if h % (fy * gy) or w % (fx * gx):
+        raise DimensionError(f"cell grid {fy * gy}x{fx * gx} does not divide {h}x{w}")
+    cy, cx = h // (fy * gy), w // (fx * gx)
+    lead = x.shape[:-3]
+    k = len(lead)
+    # axes after the leading ones: (gy, fy, cy, gx, fx, cx, c); pooling
+    # drops cy and cx, and swapping fy with gx puts children last
+    cells = x.a.reshape(lead + (gy, fy, cy, gx, fx, cx, c)).mean(axis=(k + 2, k + 5))
+    order = tuple(range(k)) + (k, k + 2, k + 1, k + 3, k + 4)
+    out = _out(cells.transpose(order).reshape(lead + (gy * gx * fy * fx, c)), "pool_parent_major")
+
+    def backward(g, acc):
+        if not _wants(acc, x):
+            return
+        gc = g.reshape(lead + (gy, gx, fy, fx, c)).transpose(order) / (cy * cx)
+        spread = np.broadcast_to(
+            gc[..., :, :, None, :, :, None, :], lead + (gy, fy, cy, gx, fx, cx, c)
+        )
+        _acc(acc, x, spread.reshape(x.shape))
+
+    _rec(out, backward, x)
     return out
 
 
@@ -557,9 +669,11 @@ _ALLOWED_KERNELS = (3, 5, 7)
 
 
 def conv2d_local(x: Tensor, kernel_size: int, weights: Tensor) -> Tensor:
-    """Depthwise 2-D cross-correlation with zero padding, shape-preserving.
+    """Depthwise 2-D cross-correlation with zero padding, shape-preserving,
+    over an (..., h, w, c) tensor.
 
-    weights has shape (c, k, k): one k*k filter per channel.
+    weights has shape (c, k, k): one k*k filter per channel, shared by
+    every sample of the leading axes.
     """
     if kernel_size % 2 == 0:
         raise ConfigurationError(f"kernel size must be odd, got {kernel_size}")
@@ -567,34 +681,44 @@ def conv2d_local(x: Tensor, kernel_size: int, weights: Tensor) -> Tensor:
         raise ConfigurationError(
             f"kernel size must be one of {_ALLOWED_KERNELS}, got {kernel_size}"
         )
-    if x.a.ndim != 3:
-        raise DimensionError(f"conv2d_local expects (h, w, c), got {x.shape}")
-    h, w, c = x.shape
+    if x.a.ndim < 3:
+        raise DimensionError(f"conv2d_local expects (..., h, w, c), got {x.shape}")
+    h, w, c = x.shape[-3:]
     k = kernel_size
     if weights.shape != (c, k, k):
         raise DimensionError(
             f"conv weights shape {weights.shape} incompatible with input {x.shape}"
         )
     p = k // 2
-    xp = np.pad(x.a, ((p, p), (p, p), (0, 0)))
-    y = np.zeros((h, w, c))
+    pad = ((0, 0),) * (x.a.ndim - 3) + ((p, p), (p, p), (0, 0))
+    xp = np.pad(x.a, pad)
+    y = np.zeros(x.shape)
     for di in range(k):
         for dj in range(k):
-            y += xp[di : di + h, dj : dj + w, :] * weights.a[:, di, dj]
-    _count("mac", h * w * c * k * k)
+            y += xp[..., di : di + h, dj : dj + w, :] * weights.a[:, di, dj]
+    _count("mac", x.size * k * k)
     out = _out(y, "conv2d_local")
+    spatial = tuple(range(x.a.ndim - 1))
+
+    xp_shape = xp.shape
+    del xp  # backward re-pads x rather than keep the larger padded copy alive
 
     def backward(g, acc):
-        gxp = np.zeros_like(xp)
-        gw = np.zeros_like(weights.a)
-        for di in range(k):
-            for dj in range(k):
-                gxp[di : di + h, dj : dj + w, :] += g * weights.a[:, di, dj]
-                gw[:, di, dj] = np.sum(g * xp[di : di + h, dj : dj + w, :], axis=(0, 1))
-        _acc(acc, x, gxp[p : p + h, p : p + w, :])
-        _acc(acc, weights, gw)
+        if _wants(acc, x):
+            gxp = np.zeros(xp_shape)
+            for di in range(k):
+                for dj in range(k):
+                    gxp[..., di : di + h, dj : dj + w, :] += g * weights.a[:, di, dj]
+            _acc(acc, x, gxp[..., p : p + h, p : p + w, :])
+        if _wants(acc, weights):
+            xp = np.pad(x.a, pad)
+            gw = np.empty_like(weights.a)
+            for di in range(k):
+                for dj in range(k):
+                    gw[:, di, dj] = np.sum(g * xp[..., di : di + h, dj : dj + w, :], axis=spatial)
+            _acc(acc, weights, gw)
 
-    _rec(out, backward)
+    _rec(out, backward, x, weights)
     return out
 
 
@@ -649,16 +773,16 @@ def _pooled_highpass_operator(h: int, w: int, cutoff_frac: float, pool: int) -> 
 
 
 def pooled_highpass_cells(arr: Array, cutoff_frac: float, pool: int) -> Array:
-    """Raw-array fused filter+pool: (h, w, c) -> (h*w/pool^2, c) cells."""
-    h, w, c = arr.shape
+    """Raw-array fused filter+pool: (..., h, w, c) -> (..., h*w/pool^2, c) cells."""
+    h, w, c = arr.shape[-3:]
     if not (0.0 < cutoff_frac < 1.0):
         raise ConfigurationError(f"cutoff_frac must be in (0, 1), got {cutoff_frac}")
     if pool == 1:
         op = _highpass_operator(h, w, cutoff_frac)
     else:
         op = _pooled_highpass_operator(h, w, cutoff_frac, pool)
-    _count("mac", op.shape[0] * op.shape[1] * c)
-    out = op @ arr.reshape(h * w, c)
+    _count("mac", op.shape[0] * arr.size)
+    out = op @ arr.reshape(arr.shape[:-3] + (h * w, c))
     _check_finite(out, "pooled_highpass_cells")
     return out
 
@@ -677,10 +801,11 @@ def highpass_fourier(x: Tensor, cutoff_frac: float) -> Tensor:
     out = _out(y, "highpass_fourier", check=False)
 
     def backward(g, acc):
-        op = _highpass_operator(h, w, cutoff_frac)
-        _acc(acc, x, (op @ g.reshape(-1)).reshape(h, w))
+        if _wants(acc, x):
+            op = _highpass_operator(h, w, cutoff_frac)
+            _acc(acc, x, (op @ g.reshape(-1)).reshape(h, w))
 
-    _rec(out, backward)
+    _rec(out, backward, x)
     return out
 
 

@@ -148,8 +148,8 @@ def test_mutation_noncommutative_fuse_caught(monkeypatch):
 def test_mutation_flipped_density_rule_caught(monkeypatch):
     """Fault: dense iff fill >= tau_d instead of strictly greater."""
     def flipped(mask, tau_d):
-        fill = np.count_nonzero(mask.weights, axis=1) / mask.weights.shape[1]
-        return np.flatnonzero(fill >= tau_d)
+        fill = np.count_nonzero(mask.weights, axis=-1) / mask.weights.shape[-1]
+        return fill >= tau_d
 
     monkeypatch.setattr(dape.nfa, "density_flag", flipped)
     report = run_checks("nfa")

@@ -137,7 +137,7 @@ def test_topk_picks_argmax_against_exhaustive_oracle():
 
 def test_topk_tie_goes_to_lowest_index():
     a = np.array([0.5, 0.5, 0.25, 0.25])
-    assert W.select_topk_segments_indices(a, 2, 1) == [[0], [2]]
+    assert W.select_topk_segments_indices(a, 2, 1).tolist() == [[0], [2]]
 
 
 def test_topk_divisibility_error():
@@ -158,7 +158,7 @@ def test_topk_exact_against_enumeration(seed):
             itertools.combinations(seg_idx, k1),
             key=lambda comb: (sum(a[list(comb)]), [-i for i in comb]),
         )
-        assert sorted(best) == got[l]
+        assert sorted(best) == got[l].tolist()
 
 
 @settings(max_examples=20, deadline=None)

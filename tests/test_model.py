@@ -214,6 +214,92 @@ def test_replay_leaving_decisions_unconsumed_is_rejected():
         forward(model, short, cfg, replay=Replay(trace))
 
 
+@pytest.mark.parametrize("replay_n", [2, 4])
+def test_replay_over_another_batch_size_is_rejected_before_consuming(replay_n):
+    """A 3-sample trace replayed over 2 or 4 samples is refused at the first
+    decision, whose per-sample entries would otherwise cross into the next
+    decision point's; the same replay then serves the 3-sample batch."""
+    from dape.costs import Replay
+
+    cfg = oracle_cfg()
+    model = init_model(cfg)
+    batch = corpus_batch(cfg, n=4)
+    three = Batch(batch.images[:3], batch.texts[:3], batch.labels[:3])
+    ie, te, trace = forward(model, three, cfg)
+    other = Batch(batch.images[:replay_n], batch.texts[:replay_n], batch.labels[:replay_n])
+    replay = Replay(trace)
+    with pytest.raises(ContractError, match="unconsumed"):
+        forward(model, other, cfg, replay=replay)
+    ie2, te2, _ = forward(model, three, cfg, replay=replay)
+    assert np.array_equal(ie.a, ie2.a) and np.array_equal(te.a, te2.a)
+
+
+def per_sample_counts(trace):
+    return (dict(trace.counter.macs), dict(trace.counter.cosines), len(trace.decisions),
+            trace.injections, len(trace.hierarchy))
+
+
+@pytest.mark.parametrize(
+    "over, density_mix",
+    [({}, (1, 1, 1)), ({"nfa_merge": "pool_add", "k_thr": 0.1}, (0, 0, 1))],
+    ids=["default", "pool_add_dense"],
+)
+def test_batched_forward_equals_forward_per_sample(tmp_path, over, density_mix):
+    """One forward over b samples gives each sample's b=1 embedding, and
+    its counts are the sum of the per-sample runs'; on dense scenes with
+    refinement live, samples refine different rows."""
+    cfg = DapeConfig(**over)
+    path = tmp_path / "c.dape"
+    gen_corpus(4, 5, density_mix, str(path), cfg)
+    batch = load_corpus(str(path)).batch(range(4))
+    model = init_model(cfg)
+    ie, te, trace = forward(model, batch, cfg)
+    sums = None
+    injection_macs = []
+    for i in range(batch.size):
+        one = Batch(batch.images[i : i + 1], batch.texts[i : i + 1], batch.labels[i : i + 1])
+        ie1, te1, tr1 = forward(model, one, cfg)
+        injection_macs.append(tr1.injection_macs)
+        assert np.max(np.abs(ie1.a[0] - ie.a[i])) < 1e-12
+        assert np.max(np.abs(te1.a[0] - te.a[i])) < 1e-12
+        counts = per_sample_counts(tr1)
+        if sums is None:
+            sums = counts
+        else:
+            macs, cos, dec, inj, hier = sums
+            sums = (
+                {k: macs.get(k, 0) + v for k, v in counts[0].items()},
+                {k: cos.get(k, 0) + v for k, v in counts[1].items()},
+                dec + counts[2], inj + counts[3], hier + counts[4],
+            )
+    assert per_sample_counts(trace) == sums
+    # injection_macs: one batch total per injection layer, while
+    # injections counts per sample
+    assert trace.injection_macs == [sum(layer) for layer in zip(*injection_macs)]
+    assert len(trace.injection_macs) * batch.size == trace.injections
+    if over:
+        active = {(h.active_l2, h.active_l3) for h in trace.hierarchy}
+        assert len(active) > 1  # refinement differs between samples and layers
+
+
+def test_train_step_tape_size_is_independent_of_batch_size(tmp_path, monkeypatch):
+    cfg = DapeConfig()
+    path = tmp_path / "c.dape"
+    gen_corpus(8, 5, (1, 1, 1), str(path), cfg)
+    corpus = load_corpus(str(path))
+    entries = []
+    gradients = T.GradTape.gradients
+
+    def counting(tape, *args):
+        entries.append(len(tape.entries))
+        return gradients(tape, *args)
+
+    monkeypatch.setattr(T.GradTape, "gradients", counting)
+    for b in (2, 8):
+        train_step(init_model(cfg), corpus.batch(range(b)), cfg)
+    assert entries[0] == entries[1]
+
+
 # ---------------------------------------------------------------------------
 # toggles and cost monotonicity
 
@@ -309,6 +395,20 @@ def test_checkpoint_round_trip_and_byte_stability(tmp_path):
     ie1, _, _ = forward(model, batch, cfg)
     ie2, _, _ = forward(model2, batch, cfg2)
     assert np.array_equal(ie1.a, ie2.a)
+
+
+@pytest.mark.parametrize("config", ["missing", 7, [1, 2]])
+def test_checkpoint_without_config_object_is_a_file_format_error(tmp_path, config):
+    from dape.container import save_tensors
+    from dape.errors import FileFormatError
+
+    meta = {"kind": "checkpoint"}
+    if config != "missing":
+        meta["config"] = config
+    p = tmp_path / "ck.dape"
+    save_tensors(p, meta, {"temperature": np.float64(0.07)})
+    with pytest.raises(FileFormatError, match="config"):
+        load_checkpoint(str(p))
 
 
 def test_init_model_bit_reproducible():

@@ -91,7 +91,7 @@ def test_split_identity_kernels_copy_channels():
     )
     assert [t.shape[1] for t in levels] == [1, 1, 1]
     for i, (tokens, (fy, fx)) in enumerate(zip(levels, LEVEL_FACTORS)):
-        copied = N._pool_tokens(Tensor(m[..., i : i + 1]), 1, 1, fy, fx)
+        copied = T.pool_parent_major(Tensor(m[..., i : i + 1]), 1, 1, fy, fx)
         assert np.max(np.abs(tokens.a - copied.a)) < 1e-15
 
 
@@ -199,7 +199,7 @@ def test_level_mask_default_threshold_value():
 def test_level_mask_empty_active_set():
     g = rng(10)
     m = N.level_mask(Tensor(g.standard_normal((3, 4))), Tensor(g.standard_normal((2, 4))),
-                     0.6, 0.5, np.arange(0))
+                     0.6, 0.5, np.zeros(3, dtype=bool))
     assert np.array_equal(m.weights, np.zeros((3, 2)))
 
 
@@ -217,20 +217,20 @@ def test_level_mask_matches_per_entry_oracle():
 def test_level_mask_inactive_rows_exactly_zero():
     g = rng(12)
     m = N.level_mask(Tensor(g.standard_normal((4, 3))), Tensor(g.standard_normal((2, 3))),
-                     -1.0, 1 / 7, np.array([1, 3]))
+                     -1.0, 1 / 7, np.array([False, True, False, True]))
     assert np.array_equal(m.weights[[0, 2]], np.zeros((2, 2)))
     assert np.all(m.weights[[1, 3]] == 1 / 7)  # threshold -1 catches all
 
 
 def test_density_all_zero_mask():
     m = AffinityMask(np.zeros((3, 4)), (0.0, 1.0))
-    assert N.density_flag(m, 0.5).size == 0
+    assert np.flatnonzero(N.density_flag(m, 0.5)).size == 0
 
 
 def test_density_tau_zero_any_hit():
     w = np.zeros((3, 4))
     w[1, 2] = 1.0
-    assert list(N.density_flag(AffinityMask(w, (0.0, 1.0)), 0.0)) == [1]
+    assert list(np.flatnonzero(N.density_flag(AffinityMask(w, (0.0, 1.0)), 0.0))) == [1]
 
 
 def test_density_hand_counting_case():
@@ -238,7 +238,7 @@ def test_density_hand_counting_case():
     w[0, 0] = 1.0            # 25% fill: not > 0.25
     w[1, :2] = 1.0           # 50%
     w[2, :] = 1.0            # 100%
-    assert list(N.density_flag(AffinityMask(w, (0.0, 1.0)), 0.25)) == [1, 2]
+    assert list(np.flatnonzero(N.density_flag(AffinityMask(w, (0.0, 1.0)), 0.25))) == [1, 2]
 
 
 def test_upscale_single_cell():
@@ -342,7 +342,7 @@ def full_materialization_oracle(cfg, m, t_tokens, weights):
 def test_hierarchy_no_dense_rows_collapses_to_level1():
     cfg, m, t, weights = build_case(20, tau_d=1.0)  # nothing can exceed fill 1.0
     hier, _, _ = N.build_hierarchy(m, t, cfg, weights)
-    assert hier.dense_l1.size == 0
+    assert np.flatnonzero(hier.dense_l1).size == 0
     assert np.array_equal(hier.a2.weights, np.zeros_like(hier.a2.weights))
     assert np.array_equal(hier.a3.weights, np.zeros_like(hier.a3.weights))
     assert np.array_equal(hier.a_prime, hier.a1.weights)
@@ -360,7 +360,7 @@ def test_hierarchy_matches_full_materialization_oracle():
         cfg, m, t, weights = build_case(seed, k_thr=0.1)
         hier, _, _ = N.build_hierarchy(m, t, cfg, weights)
         want, dense1, dense2 = full_materialization_oracle(cfg, m, t, weights)
-        assert np.array_equal(sorted(hier.dense_l1), dense1)
+        assert np.array_equal(np.flatnonzero(hier.dense_l1), dense1)
         assert np.max(np.abs(hier.a_prime - want)) < 1e-12
 
 
@@ -381,7 +381,7 @@ def test_hierarchy_monotonicity_in_tau_and_threshold(seed):
     cfg_hi_tau.k_thr = 0.1
     cfg_hi_tau.tau_d = 0.5
     hi_tau, _, _ = N.build_hierarchy(m, t, cfg_hi_tau, weights)
-    assert set(hi_tau.dense_l1) <= set(base.dense_l1)
+    assert set(np.flatnonzero(hi_tau.dense_l1)) <= set(np.flatnonzero(base.dense_l1))
     cfg_hi_thr = nfa_cfg()
     cfg_hi_thr.k_thr = 0.4
     cfg_hi_thr.tau_d = 0.1

@@ -208,6 +208,43 @@ def test_container_offset_past_payload_rejected(tmp_path):
         load_tensors(p)
 
 
+@pytest.mark.parametrize(
+    "records, payload, match",
+    [
+        # b starts inside a
+        ([("a", 2, 0), ("b", 2, 8)], 24, "'b'.*overlaps"),
+        # both claim the same bytes
+        ([("a", 1, 0), ("b", 1, 0)], 8, "overlaps"),
+        # bytes 8..16 belong to no tensor
+        ([("a", 1, 0), ("b", 1, 16)], 24, "'b'.*gap after byte 8"),
+        # the first tensor does not start the payload
+        ([("a", 1, 8)], 16, "'a'.*gap after byte 0"),
+        ([("a", 1, 0)], 16, "8 payload bytes after the last tensor"),
+    ],
+)
+def test_container_extents_must_tile_the_payload(tmp_path, records, payload, match):
+    p = tmp_path / "t.dape"
+    manifest = [{"name": n, "shape": [k], "offset": off} for n, k, off in records]
+    write_raw(p, {"meta": {}, "manifest": manifest}, payload=bytes(payload))
+    with pytest.raises(FileFormatError, match=match):
+        load_tensors(p)
+
+
+def test_saved_extents_are_back_to_back(tmp_path):
+    p = tmp_path / "t.dape"
+    tensors = {"z": np.ones((2, 3)), "a": np.ones(4), "m": np.float64(1.0), "e": np.ones((0, 2))}
+    save_tensors(p, {"kind": "test"}, tensors)
+    raw = p.read_bytes()
+    n = struct.unpack("<Q", raw[len(MAGIC) : len(MAGIC) + 8])[0]
+    manifest = json.loads(raw[len(MAGIC) + 8 : len(MAGIC) + 8 + n])["manifest"]
+    end = 0
+    for rec in sorted(manifest, key=lambda r: r["offset"]):
+        assert rec["offset"] == end
+        end += 8 * int(np.prod(rec["shape"]))
+    assert end == len(raw) - len(MAGIC) - 8 - n
+    assert set(load_tensors(p)[1]) == set(tensors)
+
+
 @pytest.mark.parametrize("entry", ["img/0001", "txt/0003"])
 def test_corpus_missing_entry_rejected(tmp_path, entry):
     p = tmp_path / "c.dape"

@@ -189,6 +189,34 @@ def test_downsample_preserves_global_mean(seed):
     assert abs(out.mean() - x.mean()) < 1e-12
 
 
+def test_pool_parent_major_matches_block_mean_then_reorder():
+    x = rng(8).standard_normal((3, 8, 12, 2))  # a batch of 3 maps
+    gy, gx, fy, fx = 2, 3, 2, 2
+    got = T.pool_parent_major(T.Tensor(x), gy, gx, fy, fx).a
+    for s in range(3):
+        cells = oracles.block_mean(x[s], 8 // (fy * gy), 12 // (fx * gx))
+        want = [
+            cells[fy * a + dy, fx * b + dx]
+            for a in range(gy) for b in range(gx) for dy in range(fy) for dx in range(fx)
+        ]
+        assert np.max(np.abs(got[s] - np.array(want))) < 1e-12
+
+
+def test_pool_parent_major_gradient():
+    x = T.Tensor(rng(9).standard_normal((2, 4, 8, 3)))
+    w = T.Tensor(rng(10).standard_normal((2, 8, 3)))
+
+    def f():
+        return T.tsum(T.mul(T.pool_parent_major(x, 1, 2, 2, 2), w))
+
+    assert T.grad_check(f, [x]) < 1e-6
+
+
+def test_span_means_of_single_rows_is_the_input():
+    a = T.Tensor(rng(11).standard_normal((2, 4, 3)))
+    assert T.span_means(a, [(0, 1), (1, 2), (2, 3), (3, 4)]) is a
+
+
 # ---------------------------------------------------------------------------
 # highpass_fourier
 
@@ -286,11 +314,56 @@ def test_grad_structural_ops():
     rows = T.Tensor(g.standard_normal((2, 3)))
 
     def f():
-        out = T.replace_rows(base, [1, 3], rows)
+        out = T.add_rows(base, [1, 3], rows)
         picked = T.gather_rows(out, [0, 1, 3])
         return T.tsum(T.mul(picked, picked))
 
     assert T.grad_check(f, [base, rows]) < 1e-6
+
+
+def test_add_rows_adds_to_the_named_rows_of_each_sample():
+    base = rng(12).standard_normal((2, 5, 3))
+    delta = rng(13).standard_normal((2, 2, 3))
+    got = T.add_rows(T.Tensor(base), [4, 1], T.Tensor(delta)).a
+    want = base.copy()
+    want[:, [4, 1]] += delta
+    assert np.array_equal(got, want)
+    with pytest.raises(DimensionError):
+        T.add_rows(T.Tensor(base), [1, 1], T.Tensor(delta))
+
+
+def test_backward_skips_what_no_source_reaches():
+    """Only tensors computed from a source get a gradient: an op output
+    built from constants alone is skipped, its backward never runs."""
+    g = rng(14)
+    c = T.Tensor(g.standard_normal((3, 4)))  # data: not a source
+    w = T.Tensor(g.standard_normal((4, 4)))
+    seen = {}
+
+    def probe(x, name):
+        out = T.Tensor(x.a.copy())
+
+        def backward(grad, acc):
+            seen[name] = T._wants(acc, x)
+            T._acc(acc, x, grad)
+
+        T._rec(out, backward, x)
+        return out
+
+    with T.GradTape() as tape:
+        k = probe(T.scale(c, 2.0), "constant")
+        v = probe(T.matmul(c, w), "from_source")
+        loss = T.tsum(T.mul(k, v))
+    (gw,) = tape.gradients(loss, [w])
+    assert seen == {"from_source": True}
+    assert np.allclose(gw, c.a.T @ (2.0 * c.a))
+
+
+def test_conv_weight_gradient_over_constant_input():
+    g = rng(15)
+    x = T.Tensor(g.standard_normal((2, 4, 4, 2)))  # a batch of constant maps
+    kw = T.Tensor(g.standard_normal((2, 3, 3)))
+    assert T.grad_check(lambda: T.tsum(T.mul(T.conv2d_local(x, 3, kw), x)), [kw]) < 1e-6
 
 
 def test_gradients_require_scalar_target():
