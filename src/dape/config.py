@@ -13,6 +13,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ConfigurationError
+from .tensor import KERNEL_SIZES
 
 
 @dataclass
@@ -58,9 +59,10 @@ class DapeConfig:
     corpus: str = ""                 # path to a generated corpus file
 
     def __post_init__(self):
-        self.grid = tuple(self.grid)
-        self.mu = tuple(self.mu)
-        self.kernels = tuple(self.kernels)
+        # JSON gives lists; anything else is left for validate() to reject
+        for name in ("grid", "mu", "kernels"):
+            if isinstance(getattr(self, name), list):
+                setattr(self, name, tuple(getattr(self, name)))
 
     # derived --------------------------------------------------------------
     @property
@@ -73,24 +75,38 @@ class DapeConfig:
 
     def validate(self) -> None:
         err = ConfigurationError
-        if self.d < 1 or self.n_layers < 1 or self.s < 1:
-            raise err("d, n_layers and s must be positive")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if not _has_type(v, f.type):
+                raise err(f"{f.name}={v!r} is not of type {f.type}")
+        for name in _POSITIVE:
+            if getattr(self, name) < 1:
+                raise err(f"{name}={getattr(self, name)} must be >= 1")
+        for name in ("p_slots", "seed", "steps"):
+            if getattr(self, name) < 0:
+                raise err(f"{name}={getattr(self, name)} must be >= 0")
+        if min(self.grid) < 1:
+            raise err(f"grid {self.grid} needs two positive entries")
+        if any(k not in KERNEL_SIZES for k in self.kernels):
+            raise err(f"kernels {self.kernels} must be three sizes from {KERNEL_SIZES}")
+        if not 0.0 < self.cutoff_frac < 1.0:
+            raise err(f"cutoff_frac={self.cutoff_frac} outside (0, 1)")
+        if self.learning_rate < 0:
+            raise err(f"learning_rate={self.learning_rate} must be >= 0")
         for name in ("k0", "k_c", "k_thr"):
             v = getattr(self, name)
             if not -1.0 <= v <= 1.0:
                 raise err(f"threshold {name}={v} outside [-1, 1]")
         if not 0.0 <= self.tau_d <= 1.0:
             raise err(f"tau_d={self.tau_d} outside [0, 1]")
-        if self.L < 1 or self.d % self.L:
+        if self.d % self.L:
             raise err(f"L={self.L} must divide d={self.d}")
         if not 1 <= self.k1 <= self.d // self.L:
             raise err(f"k1={self.k1} outside [1, d/L={self.d // self.L}]")
-        if len(self.mu) != 3 or any(m <= 0 for m in self.mu):
+        if any(m <= 0 for m in self.mu):
             raise err("mu must be three positive fractions")
         if abs(sum(self.mu) - 1.0) > 1e-12:
             raise err(f"mu must sum to 1, got {sum(self.mu)}")
-        if self.phi_period < 1:
-            raise err("phi_period must be >= 1")
         gy, gx = self.grid
         h = self.image_size
         if h % self.s:
@@ -110,7 +126,7 @@ class DapeConfig:
         if self.enable_phi:
             if self.j_text % 4:
                 raise err("j_text must be divisible by 4 when detail injection is on")
-            if self.detail_pool < 1 or h % self.detail_pool:
+            if h % self.detail_pool:
                 raise err(
                     f"detail_pool={self.detail_pool} does not divide image_size={h}"
                 )
@@ -150,6 +166,30 @@ class DapeConfig:
         if not isinstance(raw, dict):
             raise ConfigurationError(f"config {path} must hold a JSON object")
         return cls.from_dict(raw)
+
+
+# int fields that must be >= 1 (batch_size has its own bound below)
+_POSITIVE = (
+    "d", "n_layers", "s", "j_text", "text_len", "image_size", "canvas", "L", "k1",
+    "phi_period", "detail_pool", "eval_interval",
+)
+
+
+def _has_type(v, kind: str) -> bool:
+    """Whether v is a value of the annotated field type: ints are not
+    bools, reals are ints or floats well inside float64's finite range,
+    tuples have their length."""
+    if kind.startswith("tuple["):
+        items = kind[len("tuple["):-1].split(", ")
+        return (
+            isinstance(v, tuple) and len(v) == len(items)
+            and all(_has_type(x, t) for x, t in zip(v, items))
+        )
+    if kind == "int":
+        return isinstance(v, int) and not isinstance(v, bool)
+    if kind == "float":
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and -1e300 < v < 1e300
+    return isinstance(v, {"bool": bool, "str": str}[kind])
 
 
 def mu_partition(c: int, mu: tuple[float, ...]) -> tuple[int, ...]:

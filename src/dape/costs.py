@@ -17,7 +17,7 @@ from math import prod
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError
+from .errors import ContractError, NumericError
 
 
 class CostCounter:
@@ -64,6 +64,10 @@ def cost_scope(counter: CostCounter | None, module: str):
     counter._module = module
     try:
         yield
+    except NumericError as e:
+        if e.module is None:
+            e.module = module
+        raise
     finally:
         counter._module = prev_module
         T._COST_SINK = prev_sink

@@ -18,7 +18,20 @@ class ConfigurationError(DapeError):
 
 
 class NumericError(DapeError):
-    """A NaN/Inf appeared, or a gradient is non-finite."""
+    """A NaN/Inf appeared, or a gradient is non-finite.
+
+    A failed finiteness check sets `shape` to the checked array's shape and
+    `index` to the position of its first non-finite entry; `module` is the
+    innermost cost scope the error passed through. Each stays None when
+    unknown.
+    """
+
+    def __init__(self, msg: str, shape: tuple[int, ...] | None = None,
+                 index: tuple[int, ...] | None = None):
+        super().__init__(msg)
+        self.shape = shape
+        self.index = index
+        self.module: str | None = None
 
 
 class IndexRangeError(DapeError):

@@ -236,7 +236,12 @@ def forward(
 
             m_stream, t_stream = m_next, t_next
     except NumericError as e:
-        raise NumericError(f"layer {layer}: {e}") from e
+        where = f"layer {layer}"
+        if e.module is not None:
+            where += f", module {e.module}"
+        if e.index and e.shape[0] == batch.size:  # an activation: axis 0 is the batch
+            where += f", sample {e.index[0]}"
+        raise NumericError(f"{where}: {e}") from e
 
     if replay is not None:
         replay.check_consumed()
@@ -307,7 +312,10 @@ def load_checkpoint(path: str) -> tuple[DapeConfig, "DapeModel"]:
         raise FileFormatError(f"{path} is not a checkpoint container")
     if not isinstance(meta.get("config"), dict):
         raise FileFormatError(f"{path} holds no config object")
-    cfg = DapeConfig.from_dict(meta["config"])
+    try:
+        cfg = DapeConfig.from_dict(meta["config"])
+    except ConfigurationError as e:
+        raise FileFormatError(f"{path} holds an invalid config: {e}") from e
     model = init_model(cfg)
     for name, t in model.params():
         if name not in tensors:

@@ -33,7 +33,10 @@ Array = np.ndarray
 
 def _check_finite(arr: Array, what: str) -> None:
     if not np.isfinite(arr).all():
-        raise NumericError(f"non-finite values in {what}")
+        first = np.argwhere(~np.isfinite(arr))[0]
+        raise NumericError(
+            f"non-finite values in {what}", arr.shape, tuple(int(i) for i in first)
+        )
 
 
 class Tensor:
@@ -665,7 +668,34 @@ def downsample_avg(x: Tensor, s: int) -> Tensor:
     return block_mean_2d(x, s, s)
 
 
-_ALLOWED_KERNELS = (3, 5, 7)
+KERNEL_SIZES = (3, 5, 7)
+
+
+def _conv_rows(a: Array, p: int) -> Array:
+    """An (..., h, w, c) map zero-padded by p and laid out (c, h+2p, N,
+    w+2p), N the flattened leading axes, so that the rows [di, di+h) of
+    every sample flatten to one (c, h*N, w+2p) view."""
+    h, w, c = a.shape[-3:]
+    a4 = a.reshape(-1, h, w, c)
+    xp = np.zeros((c, h + 2 * p, a4.shape[0], w + 2 * p))
+    xp[:, p : p + h, :, p : p + w] = a4.transpose(3, 1, 0, 2)
+    return xp
+
+
+def _band_index(k: int, w: int) -> tuple[Array, Array]:
+    # (row, column) of tap dj in a banded (w+k-1, w) operator: (j+dj, j)
+    cols = np.arange(w)[None, :]
+    return np.arange(k)[:, None] + cols, cols
+
+
+def _conv_bands(weights: Array, w: int) -> Array:
+    """Each tap row weights[:, di, :] as a banded operator on padded rows:
+    band[di, ch, j+dj, j] = weights[ch, di, dj], shape (k, c, w+k-1, w)."""
+    c, k, _ = weights.shape
+    band = np.zeros((k, c, w + k - 1, w))
+    rows, cols = _band_index(k, w)
+    band[:, :, rows, cols] = weights.transpose(1, 0, 2)[..., None]
+    return band
 
 
 def conv2d_local(x: Tensor, kernel_size: int, weights: Tensor) -> Tensor:
@@ -673,13 +703,17 @@ def conv2d_local(x: Tensor, kernel_size: int, weights: Tensor) -> Tensor:
     over an (..., h, w, c) tensor.
 
     weights has shape (c, k, k): one k*k filter per channel, shared by
-    every sample of the leading axes.
+    every sample of the leading axes. Each tap row di is one banded
+    (w+k-1, w) operator per channel, so the forward pass is k matmuls
+    batched over channels, y = sum_di rows_di @ band_di, and so is the
+    weight gradient: tap (di, dj) sums the dj-th diagonal of rows_di^T @ g.
+    The MAC count bills the k*k taps per output, not the band's zeros.
     """
     if kernel_size % 2 == 0:
         raise ConfigurationError(f"kernel size must be odd, got {kernel_size}")
-    if kernel_size not in _ALLOWED_KERNELS:
+    if kernel_size not in KERNEL_SIZES:
         raise ConfigurationError(
-            f"kernel size must be one of {_ALLOWED_KERNELS}, got {kernel_size}"
+            f"kernel size must be one of {KERNEL_SIZES}, got {kernel_size}"
         )
     if x.a.ndim < 3:
         raise DimensionError(f"conv2d_local expects (..., h, w, c), got {x.shape}")
@@ -690,32 +724,40 @@ def conv2d_local(x: Tensor, kernel_size: int, weights: Tensor) -> Tensor:
             f"conv weights shape {weights.shape} incompatible with input {x.shape}"
         )
     p = k // 2
-    pad = ((0, 0),) * (x.a.ndim - 3) + ((p, p), (p, p), (0, 0))
-    xp = np.pad(x.a, pad)
-    y = np.zeros(x.shape)
-    for di in range(k):
-        for dj in range(k):
-            y += xp[..., di : di + h, dj : dj + w, :] * weights.a[:, di, dj]
-    _count("mac", x.size * k * k)
-    out = _out(y, "conv2d_local")
-    spatial = tuple(range(x.a.ndim - 1))
+    n = x.size // (h * w * c)
+    wp = w + 2 * p
 
-    xp_shape = xp.shape
-    del xp  # backward re-pads x rather than keep the larger padded copy alive
+    def rows(xp: Array, di: int) -> Array:
+        return xp[:, di : di + h].reshape(c, h * n, wp)
+
+    xp = _conv_rows(x.a, p)
+    band = _conv_bands(weights.a, w)
+    y = rows(xp, 0) @ band[0]
+    for di in range(1, k):
+        y += rows(xp, di) @ band[di]
+    _count("mac", x.size * k * k)
+    out = _out(y.reshape(c, h, n, w).transpose(2, 1, 3, 0).reshape(x.shape), "conv2d_local")
+    # backward rebuilds the padded map and the bands rather than keep them alive
+    del xp, band
 
     def backward(g, acc):
+        gt = np.ascontiguousarray(g.reshape(n, h, w, c).transpose(3, 1, 0, 2))
+        gt = gt.reshape(c, h * n, w)
         if _wants(acc, x):
-            gxp = np.zeros(xp_shape)
+            # a contiguous transpose runs the faster non-transposed kernel
+            band_t = np.ascontiguousarray(_conv_bands(weights.a, w).transpose(0, 1, 3, 2))
+            gxp = np.zeros((c, h + 2 * p, n, wp))
             for di in range(k):
-                for dj in range(k):
-                    gxp[..., di : di + h, dj : dj + w, :] += g * weights.a[:, di, dj]
-            _acc(acc, x, gxp[..., p : p + h, p : p + w, :])
+                gxp[:, di : di + h] += (gt @ band_t[di]).reshape(c, h, n, wp)
+            ga = gxp[:, p : p + h, :, p : p + w].transpose(2, 1, 3, 0)
+            _acc(acc, x, ga.reshape(x.shape))
         if _wants(acc, weights):
-            xp = np.pad(x.a, pad)
+            xp = _conv_rows(x.a, p)
+            diag_rows, diag_cols = _band_index(k, w)
             gw = np.empty_like(weights.a)
             for di in range(k):
-                for dj in range(k):
-                    gw[:, di, dj] = np.sum(g * xp[..., di : di + h, dj : dj + w, :], axis=spatial)
+                prod = rows(xp, di).transpose(0, 2, 1) @ gt  # (c, w+2p, w)
+                gw[:, di] = prod[:, diag_rows, diag_cols].sum(axis=-1)
             _acc(acc, weights, gw)
 
     _rec(out, backward, x, weights)

@@ -60,6 +60,29 @@ def conv2d_sliding(x, w):
     return out
 
 
+def conv2d_taps(x, w, g):
+    """Depthwise zero-padded cross-correlation of an (n, h, w, c) batch and
+    the gradients of sum(y * g), one shifted multiply-add per tap.
+
+    Returns (y, dy/dx . g, dy/dw . g).
+    """
+    n, h, wd, c = x.shape
+    k = w.shape[1]
+    p = k // 2
+    xp = np.zeros((n, h + 2 * p, wd + 2 * p, c))
+    xp[:, p : p + h, p : p + wd] = x
+    y = np.zeros_like(x)
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    for di in range(k):
+        for dj in range(k):
+            window = xp[:, di : di + h, dj : dj + wd]
+            y += window * w[:, di, dj]
+            gxp[:, di : di + h, dj : dj + wd] += g * w[:, di, dj]
+            gw[:, di, dj] = (g * window).sum(axis=(0, 1, 2))
+    return y, gxp[:, p : p + h, p : p + wd], gw
+
+
 def block_mean(x, sy, sx):
     h, w, c = x.shape
     out = np.zeros((h // sy, w // sx, c))

@@ -74,6 +74,32 @@ def test_cli_bad_config_is_usage_error(tmp_path, run_root, capsys):
     assert main(["train", "--config", str(p)]) == 2
 
 
+# Wrong types and out-of-range values: each must fail in validate, before
+# it can divide by zero, index past a tuple or reach init_model.
+BAD_FIELDS = [
+    {"grid": [4, 0]}, {"j_text": 0}, {"grid": [4]}, {"grid": 4},
+    {"kernels": [3.5, 5, 7]}, {"n_layers": 2.5}, {"d": 64.0}, {"d": True},
+    {"kernels": [3, 5]}, {"kernels": [3, 5, 9]}, {"image_size": 0},
+    {"text_len": 0}, {"enable_cwa": "no"}, {"mu": [float("inf"), 0.5, 0.5]},
+    {"cutoff_frac": 1.5}, {"seed": -1}, {"eval_interval": 0}, {"corpus": 3},
+]
+
+
+@pytest.mark.parametrize("over", BAD_FIELDS, ids=lambda o: json.dumps(o))
+def test_field_of_wrong_type_or_range_is_a_configuration_error(over):
+    with pytest.raises(ConfigurationError, match=next(iter(over))):
+        DapeConfig.from_dict(over)
+
+
+@pytest.mark.parametrize("over", [{"grid": [4, 0]}, {"kernels": [3, 5, 9]}, {"enable_cwa": "no"}])
+def test_cli_bad_field_is_usage_error_before_a_run_dir(tmp_path, run_root, over):
+    # a missing corpus would be an I/O error (3): the config is rejected first
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(dict(over, corpus=str(tmp_path / "none.dape"))))
+    assert main(["train", "--config", str(p)]) == 2
+    assert not run_root.exists()
+
+
 def test_cli_missing_corpus_is_io_error(tmp_path, run_root):
     cfg = tiny_cfg(tmp_path, corpus=str(tmp_path / "nope.dape"))
     assert main(["train", "--config", write_cfg(tmp_path, cfg)]) == 3

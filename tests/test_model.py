@@ -8,7 +8,7 @@ import monolithic
 import oracles
 from dape import tensor as T
 from dape.config import DapeConfig
-from dape.errors import ConfigurationError, ContractError
+from dape.errors import ConfigurationError, ContractError, NumericError
 from dape.model import (
     Batch,
     contrastive_loss,
@@ -409,6 +409,30 @@ def test_checkpoint_without_config_object_is_a_file_format_error(tmp_path, confi
     save_tensors(p, meta, {"temperature": np.float64(0.07)})
     with pytest.raises(FileFormatError, match="config"):
         load_checkpoint(str(p))
+
+
+@pytest.mark.parametrize("weight, module", [("layer1.img.wq", "coarse"), ("layer1.img.wv", "cwa")])
+def test_overflow_names_layer_module_and_sample(weight, module):
+    cfg = oracle_cfg()
+    batch = corpus_batch(cfg, n=4)
+    # sample 2 carries a thousand times the signal, so it overflows first
+    batch.images[2] *= 1e3
+    batch.texts[2] *= 1e3
+    model = init_model(cfg)
+    w = dict(model.params())[weight]
+    base = w.a.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for e in range(295, 309):  # up to float64's largest power of ten
+            w.a[...] = base * 10.0**e
+            try:
+                forward(model, batch, cfg)
+            except NumericError as err:
+                msg = str(err)
+                break
+        else:
+            pytest.fail("no finite scale overflowed")
+    assert e > 295
+    assert msg.startswith(f"layer 1, module {module}, sample 2: non-finite values in ")
 
 
 def test_init_model_bit_reproducible():

@@ -2,6 +2,7 @@
 
 import json
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from dape.config import DapeConfig
 from dape.container import MAGIC, load_tensors, save_tensors
 from dape.errors import ConfigurationError, FileFormatError
+from dape.model import init_model, load_checkpoint, save_checkpoint
 from dape.synth import (
     DENSITY_SHAPES,
     Featurizer,
@@ -289,3 +291,41 @@ def test_any_strict_prefix_is_a_file_format_error(saved_container, data):
     p.write_bytes(full[: data.draw(st.integers(0, len(full) - 1))])
     with pytest.raises(FileFormatError):
         load_tensors(p)
+
+
+@pytest.fixture(scope="module")
+def saved_files(saved_container, tmp_path_factory):
+    """Bytes of a saved container and of a default-config checkpoint."""
+    p = tmp_path_factory.mktemp("ckpt") / "ckpt.dape"
+    cfg = DapeConfig()
+    save_checkpoint(str(p), cfg, init_model(cfg))
+    return {"container": saved_container[0], "checkpoint": p.read_bytes()}
+
+
+@pytest.mark.parametrize("kind", ["container", "checkpoint"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_any_header_bit_flip_loads_or_is_a_file_format_error(
+    saved_files, tmp_path_factory, kind, data
+):
+    """One flipped bit in the magic, the header length or the JSON header
+    either still parses to a valid file or is reported as corrupt; no other
+    exception (a config that fails validation included) escapes."""
+    raw = bytearray(saved_files[kind])
+    n = struct.unpack("<Q", raw[len(MAGIC) : len(MAGIC) + 8])[0]
+    pos = data.draw(st.integers(0, len(MAGIC) + 8 + n - 1), label="byte")
+    raw[pos] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+    p = tmp_path_factory.getbasetemp() / f"flipped-{kind}.dape"
+    p.write_bytes(raw)
+    try:
+        (load_tensors if kind == "container" else load_checkpoint)(str(p))
+    except FileFormatError:
+        pass
+
+
+def test_checkpoint_with_invalid_config_is_a_file_format_error(tmp_path):
+    cfg = DapeConfig()
+    meta = {"kind": "checkpoint", "config": dict(asdict(cfg), grid=[4, 0])}
+    save_tensors(tmp_path / "ck.dape", meta, {n: t.a for n, t in init_model(cfg).params()})
+    with pytest.raises(FileFormatError, match="invalid config.*grid"):
+        load_checkpoint(str(tmp_path / "ck.dape"))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from dape import tensor as T
+from dape.costs import CostCounter, cost_scope
 from dape.errors import ConfigurationError, DimensionError, NumericError
 
 
@@ -148,6 +149,49 @@ def test_conv_against_sliding_window():
     w = rng(5).standard_normal((3, 3, 3))
     got = T.conv2d_local(T.Tensor(x), 3, T.Tensor(w)).a
     assert np.max(np.abs(got - oracles.conv2d_sliding(x, w))) < 1e-12
+
+
+@pytest.mark.parametrize("k", [3, 5, 7])
+def test_conv_batched_non_square_against_sliding_window(k):
+    g = rng(20 + k)
+    x = g.standard_normal((2, 6, 9, 3))
+    w = g.standard_normal((3, k, k))
+    got = T.conv2d_local(T.Tensor(x), k, T.Tensor(w)).a
+    for n in range(2):
+        assert np.max(np.abs(got[n] - oracles.conv2d_sliding(x[n], w))) < 1e-12
+
+
+@pytest.mark.parametrize("k", [5, 7])
+def test_conv_grad_check_input_and_weights(k):
+    g = rng(30 + k)
+    x = T.Tensor(g.standard_normal((2, 6, 9, 2)))
+    kw = T.Tensor(g.standard_normal((2, k, k)))
+    assert T.grad_check(lambda: T.tsum(T.mul(T.conv2d_local(x, k, kw), x)), [x, kw]) < 1e-6
+
+
+@pytest.mark.parametrize("k", [3, 5, 7])
+def test_conv_bills_k_squared_macs_per_input_entry(k):
+    counter = CostCounter()
+    x = T.Tensor(rng(40).standard_normal((2, 6, 9, 3)))
+    with cost_scope(counter, "conv"):
+        T.conv2d_local(x, k, T.Tensor(rng(41).standard_normal((3, k, k))))
+    assert counter.macs == {"conv": x.size * k * k}
+
+
+def test_conv_at_benchmark_shape_matches_tap_loop():
+    # the largest branch of the dense-refinement workload: b=8, 16x16, 37 channels
+    g = rng(50)
+    x = g.standard_normal((8, 16, 16, 37))
+    w = g.standard_normal((37, 7, 7))
+    up = g.standard_normal(x.shape)
+    want_y, want_gx, want_gw = oracles.conv2d_taps(x, w, up)
+    xt, wt = T.Tensor(x), T.Tensor(w)
+    with T.GradTape() as tape:
+        y = T.conv2d_local(xt, 7, wt)
+        loss = T.tsum(T.mul(y, T.Tensor(up)))
+    gx, gw = tape.gradients(loss, [xt, wt])
+    for got, want in ((y.a, want_y), (gx, want_gx), (gw, want_gw)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_conv_even_kernel_rejected():
