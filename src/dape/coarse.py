@@ -226,13 +226,10 @@ def masked_cross_attention(
         raise DimensionError(
             f"mask oriented {mask.shape}, attention needs ({n_q}, {n_kv})"
         )
-    q = T.matmul(q_tokens, q_proj.wq)
-    k = T.matmul(kv_tokens, kv_proj.wk)
-    v = T.matmul(kv_tokens, kv_proj.wv)
-    weights = T.row_softmax(T.scale(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(d)))
-    if mask is not None:
-        weights = T.mul(weights, Tensor(mask.weights))
-    return T.matmul(weights, v)
+    return T.attention(
+        q_tokens, kv_tokens, q_proj.wq, kv_proj.wk, kv_proj.wv,
+        None if mask is None else mask.weights,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,9 @@ class DapeConfig:
         for name in ("p_slots", "seed", "steps"):
             if getattr(self, name) < 0:
                 raise err(f"{name}={getattr(self, name)} must be >= 0")
+        for name, top in LIMITS.items():
+            if getattr(self, name) > top:
+                raise err(f"{name}={getattr(self, name)} exceeds its limit {top}")
         if min(self.grid) < 1:
             raise err(f"grid {self.grid} needs two positive entries")
         if any(k not in KERNEL_SIZES for k in self.kernels):
@@ -173,6 +176,17 @@ _POSITIVE = (
     "d", "n_layers", "s", "j_text", "text_len", "image_size", "canvas", "L", "k1",
     "phi_period", "detail_pool", "eval_interval",
 )
+
+
+# Largest value of each size field. With the other fields at their
+# defaults, each keeps what it allocates (the (h*w)^2 high-pass operator,
+# 6*n_layers d*d projections, the rendered canvases) to a few hundred MB.
+LIMITS = {
+    "d": 512, "n_layers": 64, "s": 8, "j_text": 256, "text_len": 512,
+    "image_size": 64, "canvas": 1024, "L": 64, "k1": 64, "phi_period": 64,
+    "detail_pool": 8, "eval_interval": 10**6, "batch_size": 1024, "p_slots": 256,
+    "steps": 10**6,
+}
 
 
 def _has_type(v, kind: str) -> bool:

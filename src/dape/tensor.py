@@ -1,9 +1,17 @@
 """Dense float64 tensor kernel with a reverse-mode gradient tape.
 
-Every public operation validates that its output is finite. Gradients cover
-the continuous computation path only: mask construction (thresholding,
-top-k, density flags) happens outside the tape and is treated as constant
-during backprop.
+Every public operation validates that its output is finite; pure
+reindexing ops (reshape, gather, concat, ...) inherit finiteness from their
+inputs. The fused `attention` records one tape entry for the chain of nine
+ops it replaces and checks where a non-finite value can first appear: the
+q, k and v projections, the raw scores, the mask and the output. The other
+intermediates cannot create one: scaling by 1/sqrt(d) <= 1 shrinks finite
+scores, a softmax of finite rows lies in [0, 1], and its product with a
+finite mask is finite.
+
+Gradients cover the continuous computation path only: mask construction
+(thresholding, top-k, density flags) happens outside the tape and is
+treated as constant during backprop.
 
 All arrays are C-contiguous float64; `Tensor.data` exposes the row-major
 flat view required by the storage contract.
@@ -227,20 +235,28 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g, acc):
         if _wants(acc, a):
-            # a contiguous transpose runs the faster non-transposed kernel
-            ga = g @ np.ascontiguousarray(np.swapaxes(w, -1, -2))
-            if ga.ndim > x.ndim:
-                ga = ga.reshape(-1, *x.shape).sum(axis=0)
-            _acc(acc, a, ga)
+            _acc(acc, a, _matmul_dx(g, x, w))
         if _wants(acc, b):
-            if w.ndim < x.ndim:
-                gw = x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-            else:
-                gw = np.swapaxes(x, -1, -2) @ g
-            _acc(acc, b, gw)
+            _acc(acc, b, _matmul_dw(g, x, w))
 
     _rec(out, backward, a, b)
     return out
+
+
+def _matmul_dx(g: Array, x: Array, w: Array) -> Array:
+    """Gradient of x @ w with respect to x, given the output gradient g."""
+    # a contiguous transpose runs the faster non-transposed kernel
+    gx = g @ np.ascontiguousarray(np.swapaxes(w, -1, -2))
+    if gx.ndim > x.ndim:
+        gx = gx.reshape(-1, *x.shape).sum(axis=0)
+    return gx
+
+
+def _matmul_dw(g: Array, x: Array, w: Array) -> Array:
+    """Gradient of x @ w with respect to w, given the output gradient g."""
+    if w.ndim < x.ndim:
+        return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+    return np.swapaxes(x, -1, -2) @ g
 
 
 def _binary_shapes(a: Tensor, b: Tensor, op: str) -> None:
@@ -386,9 +402,7 @@ def row_softmax(a: Tensor) -> Tensor:
     """Numerically stable softmax over the last axis of an (..., m, n) tensor."""
     if a.a.ndim < 2:
         raise DimensionError(f"row_softmax expects at least 2-D, got {a.shape}")
-    shifted = a.a - np.max(a.a, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / np.sum(e, axis=-1, keepdims=True)
+    y = _softmax(a.a)
     out = _out(y, "row_softmax")
 
     def backward(g, acc):
@@ -396,6 +410,92 @@ def row_softmax(a: Tensor) -> Tensor:
         _acc(acc, a, y * (g - dot))
 
     _rec(out, backward, a)
+    return out
+
+
+def _softmax(a: Array) -> Array:
+    e = np.exp(a - a.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def attention(xq: Tensor, xkv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
+              mask: Array | None) -> Tensor:
+    """softmax(Q K^T / sqrt(d)) scaled entrywise by a constant mask, times
+    V, with Q = xq @ wq, K = xkv @ wk and V = xkv @ wv, as one tape entry.
+
+    Queries and keys/values are (..., N_q, d) and (..., N_kv, d); a 2-D one
+    applies to every sample of the other's leading axes. The weights are
+    (d, d) and the mask, off the tape, (..., N_q, N_kv); `mask=None` runs
+    unmasked attention. Values, MACs and gradients are those of the chain
+    matmul, transpose, matmul, scale, row_softmax, mul, matmul.
+    """
+    x, z = xq.a, xkv.a
+    d = x.shape[-1]
+    if (
+        x.ndim < 2 or z.ndim < 2 or z.shape[-1] != d
+        or (x.ndim > 2 and z.ndim > 2 and x.shape[:-2] != z.shape[:-2])
+        or any(w.shape != (d, d) for w in (wq, wk, wv))
+    ):
+        raise DimensionError(
+            f"attention shape mismatch: {xq.shape} over {xkv.shape} with weights "
+            f"{wq.shape}, {wk.shape}, {wv.shape}"
+        )
+    q = x @ wq.a
+    _check_finite(q, "attention queries")
+    k = z @ wk.a
+    _check_finite(k, "attention keys")
+    v = z @ wv.a
+    _check_finite(v, "attention values")
+    kt = np.ascontiguousarray(np.swapaxes(k, -1, -2))
+    s = q @ kt
+    _check_finite(s, "attention scores")
+    c = 1.0 / np.sqrt(d)
+    sm = _softmax(s * c)
+    macs = (q.size + k.size + v.size + s.size) * d + s.size
+    if mask is None:
+        m, p = None, sm
+    else:
+        m = np.ascontiguousarray(mask, dtype=np.float64)
+        if s.shape[s.ndim - m.ndim:] != m.shape:
+            raise DimensionError(f"attention mask {m.shape} vs scores {s.shape}")
+        _check_finite(m, "attention mask")
+        macs += max(sm.size, m.size)
+        p = sm * m
+    y = p @ v
+    _count("mac", macs + y.size * v.shape[-2])
+    out = _out(y, "attention")
+
+    def backward(g, acc):
+        # the chain's gradient expressions, in its order: the value
+        # product, then the mask, softmax and scale, then the projections
+        # of v, k and q
+        want_q = _wants(acc, xq) or _wants(acc, wq)
+        want_k = _wants(acc, xkv) or _wants(acc, wk)
+        if want_q or want_k:
+            gp = _matmul_dx(g, p, v)
+            if m is not None:
+                gp = gp * m
+            gs = sm * (gp - (gp * sm).sum(axis=-1, keepdims=True)) * c
+        if _wants(acc, xkv) or _wants(acc, wv):
+            gv = _matmul_dw(g, p, v)
+            if _wants(acc, xkv):
+                _acc(acc, xkv, _matmul_dx(gv, z, wv.a))
+            if _wants(acc, wv):
+                _acc(acc, wv, _matmul_dw(gv, z, wv.a))
+        if want_k:
+            gk = np.swapaxes(_matmul_dw(gs, q, kt), -1, -2)
+            if _wants(acc, xkv):
+                _acc(acc, xkv, _matmul_dx(gk, z, wk.a))
+            if _wants(acc, wk):
+                _acc(acc, wk, _matmul_dw(gk, z, wk.a))
+        if want_q:
+            gq = _matmul_dx(gs, q, kt)
+            if _wants(acc, xq):
+                _acc(acc, xq, _matmul_dx(gq, x, wq.a))
+            if _wants(acc, wq):
+                _acc(acc, wq, _matmul_dw(gq, x, wq.a))
+
+    _rec(out, backward, xq, xkv, wq, wk, wv)
     return out
 
 
@@ -826,28 +926,6 @@ def pooled_highpass_cells(arr: Array, cutoff_frac: float, pool: int) -> Array:
     _count("mac", op.shape[0] * arr.size)
     out = op @ arr.reshape(arr.shape[:-3] + (h * w, c))
     _check_finite(out, "pooled_highpass_cells")
-    return out
-
-
-def highpass_fourier(x: Tensor, cutoff_frac: float) -> Tensor:
-    """Remove low radial frequencies of a 2-D map (the detail filter).
-
-    Bins with radius < cutoff_frac * max_radius are zeroed (DC always goes).
-    The frequency mask is symmetric under negation, so the filter operator
-    is symmetric: the backward pass applies the same matrix.
-    """
-    if x.a.ndim != 2:
-        raise DimensionError(f"highpass_fourier expects 2-D, got {x.shape}")
-    h, w = x.shape
-    y = pooled_highpass_cells(x.a[:, :, None], cutoff_frac, 1).reshape(h, w)
-    out = _out(y, "highpass_fourier", check=False)
-
-    def backward(g, acc):
-        if _wants(acc, x):
-            op = _highpass_operator(h, w, cutoff_frac)
-            _acc(acc, x, (op @ g.reshape(-1)).reshape(h, w))
-
-    _rec(out, backward, x)
     return out
 
 

@@ -1,7 +1,9 @@
 """Independent brute-force oracles used to pin expected values.
 
 Everything here is written against the math, not against the package:
-explicit loops, no shared helpers, so the two paths can disagree.
+explicit loops, no shared helpers, so the two paths can disagree. The one
+exception is `attention_chain`, which pins the fused attention op to the
+chain of primitive tape ops it replaces.
 """
 
 import math
@@ -150,6 +152,22 @@ def masked_attention_loops(q_tokens, kv_tokens, mask, wq, wk, wv):
             w_ij = (e[j] / z) * mask[i, j]
             out[i] += w_ij * v[j]
     return out
+
+
+def attention_chain(xq, xkv, wq, wk, wv, mask):
+    """Masked cross-attention op by op, one tape entry each: the three
+    projections, the transpose, the score product, the 1/sqrt(d) scale, the
+    row softmax, the mask product and the value product."""
+    from dape import tensor as T
+
+    q = T.matmul(xq, wq)
+    k = T.matmul(xkv, wk)
+    v = T.matmul(xkv, wv)
+    scores = T.scale(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(xq.shape[-1]))
+    weights = T.row_softmax(scores)
+    if mask is not None:
+        weights = T.mul(weights, T.Tensor(mask))
+    return T.matmul(weights, v)
 
 
 def span_mean_rows(seq, spans):

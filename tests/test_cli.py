@@ -100,6 +100,47 @@ def test_cli_bad_field_is_usage_error_before_a_run_dir(tmp_path, run_root, over)
     assert not run_root.exists()
 
 
+# One value past each size field's limit, in a config that the range and
+# divisibility rules would otherwise accept.
+OVER_LIMIT = {
+    "d": {"d": 1024},
+    "n_layers": {"n_layers": 65},
+    "s": {"s": 16, "image_size": 64},
+    "j_text": {"j_text": 512, "text_len": 512},
+    "text_len": {"text_len": 1024},
+    "image_size": {"image_size": 128},
+    "canvas": {"canvas": 2048},
+    "L": {"d": 256, "L": 128, "k1": 1},
+    "k1": {"d": 512, "L": 4, "k1": 128},
+    "phi_period": {"phi_period": 65},
+    "detail_pool": {"detail_pool": 16, "image_size": 64},
+    "eval_interval": {"eval_interval": 10**6 + 1},
+    "batch_size": {"batch_size": 1025},
+    "p_slots": {"p_slots": 257},
+    "steps": {"steps": 10**6 + 1},
+}
+
+
+def test_every_size_limit_has_an_over_limit_case():
+    from dape.config import LIMITS
+
+    assert set(OVER_LIMIT) == set(LIMITS)
+    for name, over in OVER_LIMIT.items():
+        assert over[name] > LIMITS[name]
+        assert all(v <= LIMITS[k] for k, v in over.items() if k != name)
+
+
+@pytest.mark.parametrize("name", list(OVER_LIMIT))
+def test_over_limit_size_is_a_usage_error_before_a_run_dir(tmp_path, run_root, name):
+    with pytest.raises(ConfigurationError, match=f"^{name}=.*limit"):
+        DapeConfig.from_dict(OVER_LIMIT[name])
+    # a missing corpus would be an I/O error (3): the config is rejected first
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps(dict(OVER_LIMIT[name], corpus=str(tmp_path / "none.dape"))))
+    assert main(["train", "--config", str(p)]) == 2
+    assert not run_root.exists()
+
+
 def test_cli_missing_corpus_is_io_error(tmp_path, run_root):
     cfg = tiny_cfg(tmp_path, corpus=str(tmp_path / "nope.dape"))
     assert main(["train", "--config", write_cfg(tmp_path, cfg)]) == 3

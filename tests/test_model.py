@@ -411,7 +411,10 @@ def test_checkpoint_without_config_object_is_a_file_format_error(tmp_path, confi
         load_checkpoint(str(p))
 
 
-@pytest.mark.parametrize("weight, module", [("layer1.img.wq", "coarse"), ("layer1.img.wv", "cwa")])
+@pytest.mark.parametrize("weight, module", [
+    ("layer1.img.wq", "coarse"), ("layer1.img.wv", "cwa"), ("layer1.txt.wk", "coarse"),
+    ("phi.q.wq", "phi"),
+])
 def test_overflow_names_layer_module_and_sample(weight, module):
     cfg = oracle_cfg()
     batch = corpus_batch(cfg, n=4)
@@ -433,6 +436,22 @@ def test_overflow_names_layer_module_and_sample(weight, module):
             pytest.fail("no finite scale overflowed")
     assert e > 295
     assert msg.startswith(f"layer 1, module {module}, sample 2: non-finite values in ")
+
+
+def test_default_train_step_records_one_tape_entry_per_attention(monkeypatch):
+    # 78 entries at b=8, 20 of them the fused attentions (coarse 12, CWA 6,
+    # PHI's slot attention and its nested fine-alignment attention)
+    cfg = DapeConfig()
+    batch = corpus_batch(cfg, n=8)
+    lengths, gradients = [], T.GradTape.gradients
+
+    def counted(tape, target, sources):
+        lengths.append(len(tape.entries))
+        return gradients(tape, target, sources)
+
+    monkeypatch.setattr(T.GradTape, "gradients", counted)
+    train_step(init_model(cfg), batch, cfg)
+    assert lengths == [78]
 
 
 def test_init_model_bit_reproducible():

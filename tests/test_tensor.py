@@ -87,6 +87,100 @@ def test_row_softmax_rows_sum_to_one_and_shift_invariant(seed, shift):
 
 
 # ---------------------------------------------------------------------------
+# attention
+
+# d = 6, so that the 1/sqrt(d) scale is inexact and its place in the
+# gradient shows in the bits
+ATTENTION_SHAPES = {
+    "single": ((3, 6), (5, 6)),
+    "batched": ((2, 3, 6), (2, 5, 6)),
+    "shared_kv": ((2, 3, 6), (5, 6)),  # 2-D keys/values serve every sample
+}
+INPUTS = ("xq", "xkv", "wq", "wk", "wv")
+
+
+def attention_inputs(shapes, masked, seed=0):
+    """Query/key-value tokens, three weights and a {0, 1/7, 2/7} mask, laid
+    out transposed like the coarse text update's."""
+    (q_shape, kv_shape) = ATTENTION_SHAPES[shapes]
+    g = rng(seed)
+    xs = [T.Tensor(g.standard_normal(q_shape)), T.Tensor(g.standard_normal(kv_shape))]
+    ws = [T.Tensor(0.5 * g.standard_normal((6, 6))) for _ in range(3)]
+    mask = None
+    if masked:
+        lead = q_shape[:-2] or kv_shape[:-2]
+        stored = g.choice([0.0, 1 / 7, 2 / 7], size=lead + (kv_shape[-2], q_shape[-2]))
+        mask = np.swapaxes(stored, -1, -2)
+    return xs + ws, mask
+
+
+def billed_run(fn, inputs, mask, sources, seed=1):
+    """Output, billed MACs, tape length and gradients of sum(out * G) +
+    sum(xkv * H) with respect to `sources`, a subset of the five inputs by
+    name. The second term reaches xkv first in backward, so the order in
+    which the attention adds its two parts to xkv's gradient shows in the
+    bits."""
+    counter = CostCounter()
+    g = rng(seed)
+    with T.GradTape() as tape:
+        with cost_scope(counter, "attention"):
+            out = fn(*inputs, mask)
+        n_entries = len(tape.entries)
+        target = T.add(
+            T.tsum(T.mul(out, T.Tensor(g.standard_normal(out.shape)))),
+            T.tsum(T.mul(inputs[1], T.Tensor(g.standard_normal(inputs[1].shape)))),
+        )
+    grads = tape.gradients(target, [inputs[INPUTS.index(s)] for s in sources])
+    return out.a, counter.macs["attention"], n_entries, grads
+
+
+@pytest.mark.parametrize("sources", [INPUTS, ("wq",), ("xkv", "wv"), ("wk", "xq"), ("wv",)])
+@pytest.mark.parametrize("masked", [True, False], ids=["mask", "no_mask"])
+@pytest.mark.parametrize("shapes", list(ATTENTION_SHAPES))
+def test_attention_equals_the_op_chain_bit_for_bit(shapes, masked, sources):
+    inputs, mask = attention_inputs(shapes, masked)
+    out, macs, n_fused, grads = billed_run(T.attention, inputs, mask, sources)
+    want, want_macs, n_chain, want_grads = billed_run(
+        oracles.attention_chain, inputs, mask, sources
+    )
+    assert (n_fused, n_chain) == (1, 9 if masked else 8)
+    assert np.array_equal(out, want)
+    assert macs == want_macs
+    for name, got, exp in zip(sources, grads, want_grads):
+        assert np.array_equal(got, exp), name
+        assert np.any(got != 0.0), name
+
+
+@pytest.mark.parametrize("masked", [True, False], ids=["mask", "no_mask"])
+@pytest.mark.parametrize("shapes", list(ATTENTION_SHAPES))
+def test_attention_gradients_match_finite_differences(shapes, masked):
+    inputs, mask = attention_inputs(shapes, masked, seed=2)
+    g = T.Tensor(rng(3).standard_normal(T.attention(*inputs, mask).shape))
+    err = T.grad_check(lambda: T.tsum(T.mul(T.attention(*inputs, mask), g)), inputs)
+    assert err < 1e-6
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_attention_non_finite_mask_raises(bad):
+    inputs, mask = attention_inputs("batched", True)
+    mask = mask.copy()
+    mask[1, 2, 0] = bad
+    with pytest.raises(NumericError, match="attention mask") as err:
+        T.attention(*inputs, mask)
+    assert err.value.index == (1, 2, 0)
+
+
+def test_attention_shape_mismatch():
+    (xq, xkv, wq, wk, wv), mask = attention_inputs("batched", True)
+    with pytest.raises(DimensionError):
+        T.attention(xq, xkv, wq, wk, wv, mask[..., :-1])
+    with pytest.raises(DimensionError):
+        T.attention(xq, xkv, wq, wk, T.Tensor(np.eye(3)), mask)
+    with pytest.raises(DimensionError):
+        T.attention(xq, T.Tensor(np.ones((3, 5, 6))), wq, wk, wv, None)
+
+
+# ---------------------------------------------------------------------------
 # cosine
 
 
@@ -262,25 +356,30 @@ def test_span_means_of_single_rows_is_the_input():
 
 
 # ---------------------------------------------------------------------------
-# highpass_fourier
+# high-pass filter: pooled_highpass_cells with one cell per pixel
+
+
+def highpass(x, cutoff_frac):
+    """The filter on a 2-D map, through the production fused filter+pool."""
+    return T.pooled_highpass_cells(x[..., None], cutoff_frac, 1).reshape(x.shape)
 
 
 def test_highpass_constant_image_goes_to_zero():
     x = np.full((8, 8), 3.7)
-    out = T.highpass_fourier(T.Tensor(x), 0.5).a
+    out = highpass(x, 0.5)
     assert np.max(np.abs(out)) < 1e-12
 
 
 def test_highpass_tiny_cutoff_removes_only_dc():
     x = rng(8).standard_normal((8, 8))
-    out = T.highpass_fourier(T.Tensor(x), 1e-12).a
+    out = highpass(x, 1e-12)
     assert np.max(np.abs(out - (x - x.mean()))) < 1e-10
 
 
 def test_highpass_impulse_against_naive_dft():
     x = np.zeros((8, 8))
     x[2, 5] = 1.0
-    got = T.highpass_fourier(T.Tensor(x), 0.4).a
+    got = highpass(x, 0.4)
     want = oracles.highpass_naive(x, 0.4)
     assert np.max(np.abs(got - want)) < 1e-9
 
@@ -288,14 +387,14 @@ def test_highpass_impulse_against_naive_dft():
 def test_highpass_cutoff_out_of_range():
     for bad in (0.0, 1.0, -0.2, 1.5):
         with pytest.raises(ConfigurationError):
-            T.highpass_fourier(T.Tensor(np.zeros((4, 4))), bad)
+            highpass(np.zeros((4, 4)), bad)
 
 
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 10_000))
 def test_highpass_output_zero_mean(seed):
     x = rng(seed).standard_normal((8, 8))
-    out = T.highpass_fourier(T.Tensor(x), 0.3).a
+    out = highpass(x, 0.3)
     assert abs(out.mean()) < 1e-9
 
 
@@ -340,7 +439,7 @@ def test_grad_check_each_op():
         "cosine": (lambda: T.cosine(v, w), [v, w]),
         "conv": (lambda: T.tsum(T.mul(T.conv2d_local(x, 3, kw), x)), [x, kw]),
         "downsample": (lambda: T.tsum(T.mul(T.downsample_avg(x, 2), T.downsample_avg(x, 2))), [x]),
-        "highpass": (lambda: T.tsum(T.mul(T.highpass_fourier(m, 0.3), m)), [m]),
+        "attention": (lambda: T.tsum(T.mul(T.attention(a, a, m, m, m, None), a)), [a, m]),
         "logsumexp": (lambda: T.tsum(T.row_logsumexp(a)), [a]),
         "l2norm": (lambda: T.tsum(T.mul(T.l2_normalize_rows(a), a)), [a]),
         "spans": (lambda: T.tsum(T.mul(T.span_means(a, [(0, 2), (2, 3)]), T.span_means(a, [(0, 2), (2, 3)]))), [a]),
