@@ -148,8 +148,8 @@ def check_nfa() -> list[CheckResult]:
     weights = nfa.NfaWeights(
         tuple(Tensor(g.standard_normal((wd, k, k)) * 0.3) for wd, k in zip(widths, cfg.kernels)),
         tuple(Tensor(g.standard_normal((wd, 8))) for wd in widths),
-        coarse.ProjectionSet(Tensor(np.eye(8)), Tensor(np.eye(8)), Tensor(np.eye(8))),
-        coarse.ProjectionSet(Tensor(np.eye(8)), Tensor(np.eye(8)), Tensor(np.eye(8))),
+        coarse.QueryProjection(Tensor(np.eye(8))),
+        coarse.KeyValueProjection(Tensor(np.eye(8)), Tensor(np.eye(8))),
     )
     mmap = Tensor(g.standard_normal((8, 8, 8)))
     ttok = coarse.tokenize_text(Tensor(g.standard_normal((16, 8))), 4)

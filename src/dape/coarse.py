@@ -10,7 +10,7 @@ Token tensors are (..., N, d) and masks (..., N_q, N_kv): the leading axes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from math import prod
 
 import numpy as np
@@ -103,18 +103,40 @@ class AffinityMask:
         return [AffinityMask._unchecked(x, self.alphabet, self.level) for x in w]
 
 
+class _SquareProjections:
+    """Checks on construction that every field is a square matrix."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            w = getattr(self, f.name)
+            if w.a.ndim != 2 or w.shape[0] != w.shape[1]:
+                raise DimensionError(f"projection must be square, got {w.shape}")
+
+
 @dataclass
-class ProjectionSet:
-    """Query/key/value projections for one modality in one block."""
+class ProjectionSet(_SquareProjections):
+    """Query/key/value projections for one modality in one block whose
+    attentions read the set in both roles (coarse, CWA)."""
 
     wq: Tensor
     wk: Tensor
     wv: Tensor
 
-    def __post_init__(self):
-        for w in (self.wq, self.wk, self.wv):
-            if w.a.ndim != 2 or w.shape[0] != w.shape[1]:
-                raise DimensionError(f"projection must be square, got {w.shape}")
+
+@dataclass
+class QueryProjection(_SquareProjections):
+    """The query side of an attention that reads its set only as queries."""
+
+    wq: Tensor
+
+
+@dataclass
+class KeyValueProjection(_SquareProjections):
+    """The key/value side of an attention that reads its set only as keys
+    and values."""
+
+    wk: Tensor
+    wv: Tensor
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +230,13 @@ def masked_cross_attention(
     q_tokens: Tensor,
     kv_tokens: Tensor,
     mask: AffinityMask | None,
-    projections: tuple[ProjectionSet, ProjectionSet],
+    projections: tuple[QueryProjection | ProjectionSet, KeyValueProjection | ProjectionSet],
 ) -> Tensor:
     """softmax(Q K^T / sqrt(d)) scaled entrywise by the mask, times V.
 
     The caller passes the mask oriented (..., N_q, N_kv). `mask=None` runs
-    unmasked attention.
+    unmasked attention. Only `wq` of the query set and `wk`, `wv` of the
+    key/value set are read.
     """
     q_proj, kv_proj = projections
     d = q_tokens.shape[-1]

@@ -10,12 +10,13 @@ a model is bit-reproducible from (config, seed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import tensor as T
-from .coarse import ProjectionSet, coarse_align_block, tokenize_text
+from .coarse import (KeyValueProjection, ProjectionSet, QueryProjection, coarse_align_block,
+                     tokenize_text)
 from .config import DapeConfig, mu_partition
 from .costs import Replay, Trace, cost_scope
 from .cwa import ChannelGate, cwa_block, fuse_text
@@ -66,11 +67,20 @@ class DapeModel:
         return [t for _, t in self._names]
 
 
-def _proj_set(rng, d: int, scale: float = 0.02) -> ProjectionSet:
-    def w():
-        return Tensor(np.eye(d) + scale * rng.standard_normal((d, d)))
+def _projections(rng, d: int, kind=ProjectionSet, scale: float = 0.02):
+    """Draw a query, a key and a value matrix, in that order, and keep the
+    ones `kind` holds. An unread one is drawn all the same, so every later
+    parameter keeps its seeded value."""
+    drawn = {
+        name: Tensor(np.eye(d) + scale * rng.standard_normal((d, d)))
+        for name in ("wq", "wk", "wv")
+    }
+    return kind(**{f.name: drawn[f.name] for f in fields(kind)})
 
-    return ProjectionSet(w(), w(), w())
+
+def _named(prefix: str, proj) -> list[tuple[str, Tensor]]:
+    """(name, tensor) for each projection matrix, in field order."""
+    return [(f"{prefix}.{f.name}", getattr(proj, f.name)) for f in fields(proj)]
 
 
 def init_model(cfg: DapeConfig) -> DapeModel:
@@ -79,6 +89,8 @@ def init_model(cfg: DapeConfig) -> DapeModel:
     Projection sets start at identity plus small noise so that early masks
     see feature directions comparable to the raw featurizer space; the
     depthwise kernels use uniform(-1/k, 1/k) per the kernel contract.
+    NFA and PHI keep only the query or key/value side each of their
+    attentions reads.
     """
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
@@ -87,15 +99,10 @@ def init_model(cfg: DapeConfig) -> DapeModel:
 
     layers = []
     for i in range(cfg.n_layers):
-        img = _proj_set(rng, d)
-        txt = _proj_set(rng, d)
+        img = _projections(rng, d)
+        txt = _projections(rng, d)
         layers.append(LayerParams(img, txt))
-        for mod, ps in (("img", img), ("txt", txt)):
-            names += [
-                (f"layer{i}.{mod}.wq", ps.wq),
-                (f"layer{i}.{mod}.wk", ps.wk),
-                (f"layer{i}.{mod}.wv", ps.wv),
-            ]
+        names += _named(f"layer{i}.img", img) + _named(f"layer{i}.txt", txt)
 
     gate = ChannelGate(
         Tensor(0.02 * rng.standard_normal((d, d))),
@@ -119,28 +126,22 @@ def init_model(cfg: DapeConfig) -> DapeModel:
     projs = tuple(
         Tensor(rng.standard_normal((w, d)) / np.sqrt(w)) for w in widths
     )
-    nfa_img = _proj_set(rng, d)
-    nfa_txt = _proj_set(rng, d)
+    nfa_img = _projections(rng, d, QueryProjection)
+    nfa_txt = _projections(rng, d, KeyValueProjection)
     nfa = NfaWeights(convs, projs, nfa_img, nfa_txt)
     for b in range(3):
         names.append((f"nfa.conv{b}", convs[b]))
         names.append((f"nfa.proj{b}", projs[b]))
-    for mod, ps in (("img", nfa_img), ("txt", nfa_txt)):
-        names += [
-            (f"nfa.{mod}.wq", ps.wq), (f"nfa.{mod}.wk", ps.wk), (f"nfa.{mod}.wv", ps.wv),
-        ]
+    names += _named("nfa.img", nfa_img) + _named("nfa.txt", nfa_txt)
 
     detail_proj = Tensor(rng.standard_normal((d, d)) / np.sqrt(d))
     learnable = LearnableTokens(Tensor(0.02 * rng.standard_normal((cfg.slot_count, d))))
-    phi_q = _proj_set(rng, d)
-    phi_kv = _proj_set(rng, d)
+    phi_q = _projections(rng, d, QueryProjection)
+    phi_kv = _projections(rng, d, KeyValueProjection)
     phi = PhiWeights(detail_proj, learnable, phi_q, phi_kv)
     names.append(("phi.detail_proj", detail_proj))
     names.append(("phi.learnable", learnable.tokens))
-    for mod, ps in (("q", phi_q), ("kv", phi_kv)):
-        names += [
-            (f"phi.{mod}.wq", ps.wq), (f"phi.{mod}.wk", ps.wk), (f"phi.{mod}.wv", ps.wv),
-        ]
+    names += _named("phi.q", phi_q) + _named("phi.kv", phi_kv)
 
     temperature = Tensor(np.float64(cfg.temperature_init))
     names.append(("temperature", temperature))

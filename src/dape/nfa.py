@@ -26,7 +26,8 @@ from itertools import combinations
 import numpy as np
 
 from . import tensor as T
-from .coarse import AffinityMask, ProjectionSet, TokenSet, masked_cross_attention, on_alphabet
+from .coarse import (AffinityMask, KeyValueProjection, QueryProjection, TokenSet,
+                     masked_cross_attention, on_alphabet)
 from .config import mu_partition
 from .costs import HierarchyCost, cosine_matrix, decide
 from .errors import ConfigurationError, DimensionError
@@ -35,12 +36,14 @@ from .tensor import Tensor
 
 @dataclass
 class NfaWeights:
-    """Learned pieces of the fine-alignment path."""
+    """Learned pieces of the fine-alignment path. Its attention has image
+    queries over text keys/values, so it holds the image query projection
+    and the text key/value projections only."""
 
     conv_kernels: tuple[Tensor, Tensor, Tensor]
     branch_projs: tuple[Tensor, Tensor, Tensor]
-    img_ps: ProjectionSet
-    txt_ps: ProjectionSet
+    img_ps: QueryProjection
+    txt_ps: KeyValueProjection
 
 
 @dataclass
@@ -403,7 +406,7 @@ def nfa_attention(
     m_tokens: Tensor,
     t_tokens: Tensor,
     a_prime: np.ndarray,
-    projections: tuple[ProjectionSet, ProjectionSet],
+    projections: tuple[QueryProjection, KeyValueProjection],
     cfg,
 ) -> Tensor:
     """Masked update over the finest tokens: softmaxed scores scaled by the
@@ -415,8 +418,7 @@ def nfa_attention(
         )
     lattice = mask_lattice(*cfg.mu)
     mask = AffinityMask(a_prime, tuple(lattice), "combined")
-    img_ps, txt_ps = projections
-    return masked_cross_attention(m_tokens, t_tokens, mask, (img_ps, txt_ps))
+    return masked_cross_attention(m_tokens, t_tokens, mask, projections)
 
 
 def pool_children_to_parents(update: Tensor) -> Tensor:

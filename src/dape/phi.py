@@ -18,7 +18,7 @@ from math import prod
 import numpy as np
 
 from . import tensor as T
-from .coarse import ProjectionSet, masked_cross_attention, tokenize_text
+from .coarse import KeyValueProjection, QueryProjection, masked_cross_attention, tokenize_text
 from .costs import cost_scope
 from .errors import ConfigurationError, ContractError, IndexRangeError
 from .nfa import build_hierarchy_from_tokens, nfa_attention, parent_major_perm
@@ -48,8 +48,8 @@ class PhiWeights:
 
     detail_proj: Tensor                 # (c, d)
     learnable: LearnableTokens
-    q_ps: ProjectionSet                 # slot queries
-    kv_ps: ProjectionSet                # detail keys/values
+    q_ps: QueryProjection               # slot queries
+    kv_ps: KeyValueProjection           # detail keys/values
 
 
 def extract_slots(m1_plus: Tensor, positions) -> Tensor:
@@ -98,7 +98,7 @@ def phi_inject(
     detail: Tensor | DetailState,
     t_prev: Tensor,
     weights: PhiWeights,
-    nfa_projections: tuple[ProjectionSet, ProjectionSet],
+    nfa_projections: tuple[QueryProjection, KeyValueProjection],
     cfg,
     layer_index: int,
     trace=None,

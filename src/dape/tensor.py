@@ -885,7 +885,8 @@ def _highpass_operator(h: int, w: int, cutoff_frac: float) -> Array:
 
     The chain inverse-DFT * mask * DFT is a fixed real-valued linear map
     for a negation-symmetric mask; materializing it turns the per-channel
-    filter into a single real matmul.
+    filter into a single real matmul. It is filled one output row y of
+    the map at a time, so no complex (h, w, h, w) array is ever held.
     """
     keep = _highpass_keep(h, w, cutoff_frac)
     f_h = _dft_matrix(h)
@@ -895,8 +896,11 @@ def _highpass_operator(h: int, w: int, cutoff_frac: float) -> Array:
     # row factor R[u, y, y'] = inv_h[y, u] * f_h[u, y'], masked column factor
     # W[u, z, z'] = sum_v keep[u, v] inv_w[z, v] f_w[v, z']
     col = np.einsum("uv,zv,vq->uzq", keep.astype(complex), inv_w, f_w)
-    op = np.einsum("yu,up,uzq->yzpq", inv_h, f_h, col).real
-    return np.ascontiguousarray(op.reshape(h * w, h * w))
+    op = np.empty((h * w, h * w))
+    for y in range(h):
+        block = np.einsum("u,up,uzq->zpq", inv_h[y], f_h, col).real
+        op[y * w : (y + 1) * w] = block.reshape(w, h * w)
+    return op
 
 
 @lru_cache(maxsize=8)

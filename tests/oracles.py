@@ -1,9 +1,11 @@
 """Independent brute-force oracles used to pin expected values.
 
 Everything here is written against the math, not against the package:
-explicit loops, no shared helpers, so the two paths can disagree. The one
-exception is `attention_chain`, which pins the fused attention op to the
-chain of primitive tape ops it replaces.
+explicit loops, no shared helpers, so the two paths can disagree. The
+exceptions are `attention_chain`, which pins the fused attention op to the
+chain of primitive tape ops it replaces, and `highpass_operator_oneshot`,
+which pins the row-by-row build of the high-pass operator to the one-shot
+einsum it replaces.
 """
 
 import math
@@ -132,6 +134,21 @@ def highpass_naive(x, cutoff_frac):
             if math.hypot(fu, fv) < cutoff_frac * max_radius:
                 spectrum[u, v] = 0.0
     return idft2_naive(spectrum).real
+
+
+def highpass_operator_oneshot(h, w, cutoff_frac):
+    """The real (h*w, h*w) high-pass operator in one einsum over a complex
+    (h, w, h, w) array: inverse DFT * radial keep mask * DFT."""
+    fu = np.minimum(np.arange(h), h - np.arange(h))
+    fv = np.minimum(np.arange(w), w - np.arange(w))
+    keep = np.hypot(fu[:, None], fv[None, :]) >= cutoff_frac * math.hypot(h // 2, w // 2)
+    f_h = np.exp(-2j * np.pi * np.outer(np.arange(h), np.arange(h)) / h)
+    f_w = np.exp(-2j * np.pi * np.outer(np.arange(w), np.arange(w)) / w)
+    inv_h = np.conj(f_h) / h
+    inv_w = np.conj(f_w) / w
+    col = np.einsum("uv,zv,vq->uzq", keep.astype(complex), inv_w, f_w)
+    op = np.einsum("yu,up,uzq->yzpq", inv_h, f_h, col).real
+    return np.ascontiguousarray(op.reshape(h * w, h * w))
 
 
 def masked_attention_loops(q_tokens, kv_tokens, mask, wq, wk, wv):

@@ -239,6 +239,30 @@ def test_attention_all_ones_mask_equals_unmasked_oracle():
     assert np.max(np.abs(got.a - want)) < 1e-10
 
 
+def test_attention_reads_only_the_query_and_key_value_roles():
+    d = 4
+    g = rng(14)
+    q, kv = Tensor(g.standard_normal((3, d))), Tensor(g.standard_normal((5, d)))
+    wq, wk, wv = (Tensor(g.standard_normal((d, d))) for _ in range(3))
+    mask = C.AffinityMask(g.integers(0, 2, (3, 5)).astype(float), (0.0, 1.0))
+    full = C.ProjectionSet(wq, wk, wv)
+    want = C.masked_cross_attention(q, kv, mask, (full, full))
+    got = C.masked_cross_attention(
+        q, kv, mask, (C.QueryProjection(wq), C.KeyValueProjection(wk, wv))
+    )
+    assert np.array_equal(got.a, want.a)
+
+
+@pytest.mark.parametrize("make", [
+    lambda w, sq: C.QueryProjection(w),
+    lambda w, sq: C.KeyValueProjection(sq, w),
+    lambda w, sq: C.ProjectionSet(sq, w, sq),
+])
+def test_projection_roles_reject_non_square_matrices(make):
+    with pytest.raises(DimensionError, match="square"):
+        make(Tensor(np.ones((4, 3))), Tensor(np.eye(4)))
+
+
 def test_attention_orientation_mismatch():
     d = 3
     q = Tensor(np.zeros((2, d)))

@@ -1,6 +1,8 @@
 """Model stack: end-to-end equivalence against the straight-line oracle,
 objective properties, training behavior, toggles, and checkpointing."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -395,6 +397,46 @@ def test_checkpoint_round_trip_and_byte_stability(tmp_path):
     ie1, _, _ = forward(model, batch, cfg)
     ie2, _, _ = forward(model2, batch, cfg2)
     assert np.array_equal(ie1.a, ie2.a)
+
+
+# NFA and PHI once held full projection sets; of those, their attentions
+# never read these six. init_model still draws and drops them, and older
+# checkpoints still carry them.
+UNREAD_PROJECTIONS = ("nfa.img.wk", "nfa.img.wv", "nfa.txt.wq", "phi.q.wk", "phi.q.wv", "phi.kv.wq")
+
+
+def test_default_init_keeps_its_seeded_values():
+    # SHA-256 over (name, bytes) of every parameter in name order, as the
+    # model drew them when it also held the unread projections
+    params = dict(init_model(DapeConfig()).params())
+    assert len(params) == 56
+    assert sum(t.a.size for t in params.values()) == 192_169
+    h = hashlib.sha256()
+    for name in sorted(params):
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(params[name].a).tobytes())
+    assert h.hexdigest() == "df3ec941974121b01f2c9b1ad192d2470699f65b9cd98105c294296d311ed291"
+
+
+def test_checkpoint_with_the_unread_projections_still_loads(tmp_path):
+    from dataclasses import asdict
+
+    from dape.container import load_tensors, save_tensors
+
+    cfg = DapeConfig()
+    g = rng(3)
+    old = {name: t.a + g.standard_normal(t.a.shape) for name, t in init_model(cfg).params()}
+    old.update({name: g.standard_normal((cfg.d, cfg.d)) for name in UNREAD_PROJECTIONS})
+    path = tmp_path / "old.dape"
+    save_tensors(path, {"kind": "checkpoint", "config": asdict(cfg)}, old)
+    _, model = load_checkpoint(str(path))
+    assert len(old) == 62 and len(model.params()) == 56
+    for name, t in model.params():
+        assert np.array_equal(t.a, old[name])
+
+    save_checkpoint(str(path), cfg, model)
+    _, tensors = load_tensors(path)
+    assert sorted(tensors) == sorted(old.keys() - set(UNREAD_PROJECTIONS))
 
 
 @pytest.mark.parametrize("config", ["missing", 7, [1, 2]])

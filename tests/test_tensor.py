@@ -390,6 +390,13 @@ def test_highpass_cutoff_out_of_range():
             highpass(np.zeros((4, 4)), bad)
 
 
+@pytest.mark.parametrize("h, w", [(8, 8), (16, 16), (32, 32), (8, 12)])
+def test_highpass_operator_row_by_row_equals_one_shot_build(h, w):
+    got = T._highpass_operator(h, w, 0.25)
+    assert got.shape == (h * w, h * w) and got.flags.c_contiguous
+    assert np.array_equal(got, oracles.highpass_operator_oneshot(h, w, 0.25))
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 10_000))
 def test_highpass_output_zero_mean(seed):
