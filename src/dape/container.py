@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -21,15 +22,16 @@ MAGIC = b"DAPE1\n"
 
 
 def save_tensors(path: str | Path, meta: dict, tensors: dict[str, np.ndarray]) -> None:
+    """Write a container, each array's bytes straight from its own buffer."""
     manifest = []
     offset = 0
-    blobs = []
+    arrays = []
     for name in sorted(tensors):
-        arr = np.ascontiguousarray(np.asarray(tensors[name], dtype=np.float64))
-        blob = arr.astype("<f8").tobytes()
+        # a no-copy view for the float64 C-contiguous arrays callers pass
+        arr = np.ascontiguousarray(tensors[name], dtype="<f8")
         manifest.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        offset += len(blob)
-        blobs.append(blob)
+        offset += arr.nbytes
+        arrays.append(arr)
     header = json.dumps(
         {"meta": meta, "manifest": manifest}, sort_keys=True, separators=(",", ":")
     ).encode()
@@ -37,34 +39,41 @@ def save_tensors(path: str | Path, meta: dict, tensors: dict[str, np.ndarray]) -
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(header)))
         fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
+        for arr in arrays:
+            fh.write(arr.data)
 
 
 def load_tensors(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a container back; any malformed or truncated file raises
-    FileFormatError."""
+    FileFormatError.
+
+    The payload is read once into one buffer and every tensor is a view of
+    it, so keeping any one of them alive keeps the whole buffer alive.
+    """
     p = Path(path)
     if not p.exists():
         raise FileFormatError(f"no such file: {p}")
-    raw = p.read_bytes()
-    if not raw.startswith(MAGIC):
-        raise FileFormatError(f"{p} is not a DAPE1 container")
-    start = len(MAGIC) + 8
-    if len(raw) < start:
-        raise FileFormatError(f"{p}: file ends inside the header length")
-    n = struct.unpack("<Q", raw[len(MAGIC) : start])[0]
-    if n > len(raw) - start:
-        raise FileFormatError(f"{p}: header length {n} runs past the end of the file")
-    try:
-        header = json.loads(raw[start : start + n].decode())
-    except ValueError as e:
-        raise FileFormatError(f"{p}: bad header: {e}") from e
-    meta = header.get("meta") if isinstance(header, dict) else None
-    manifest = header.get("manifest") if isinstance(header, dict) else None
-    if not isinstance(meta, dict) or not isinstance(manifest, list):
-        raise FileFormatError(f"{p}: header needs a meta object and a manifest list")
-    body = raw[start + n :]
+    with open(p, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        start = len(MAGIC) + 8
+        lead = fh.read(start)
+        if not lead.startswith(MAGIC):
+            raise FileFormatError(f"{p} is not a DAPE1 container")
+        if len(lead) < start:
+            raise FileFormatError(f"{p}: file ends inside the header length")
+        n = struct.unpack("<Q", lead[len(MAGIC) :])[0]
+        if n > size - start:
+            raise FileFormatError(f"{p}: header length {n} runs past the end of the file")
+        try:
+            header = json.loads(fh.read(n).decode())
+        except ValueError as e:
+            raise FileFormatError(f"{p}: bad header: {e}") from e
+        meta = header.get("meta") if isinstance(header, dict) else None
+        manifest = header.get("manifest") if isinstance(header, dict) else None
+        if not isinstance(meta, dict) or not isinstance(manifest, list):
+            raise FileFormatError(f"{p}: header needs a meta object and a manifest list")
+        body = np.empty(size - start - n, dtype=np.uint8)
+        body = body[: fh.readinto(body)]
     extents = []
     for rec in manifest:
         try:
@@ -86,8 +95,10 @@ def load_tensors(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
             what = "overlaps the tensor before it" if lo < end else f"leaves a gap after byte {end}"
             raise FileFormatError(f"{p}: tensor {name!r} at offset {lo} {what}")
         end = lo + 8 * count
-        arr = np.frombuffer(body[lo:end], dtype="<f8").reshape(shape)
-        tensors[name] = arr.astype(np.float64)
+        # offsets are multiples of 8 here, so every view is aligned; the
+        # conversion copies only on a big-endian host
+        arr = body[lo:end].view("<f8").reshape(shape)
+        tensors[name] = arr.astype(np.float64, copy=False)
     if end != len(body):
         raise FileFormatError(f"{p}: {len(body) - end} payload bytes after the last tensor")
     return meta, tensors

@@ -40,14 +40,6 @@ class CostCounter:
     def total_cosines(self) -> int:
         return sum(self.cosines.values())
 
-    def snapshot(self) -> dict:
-        return {
-            "macs": dict(self.macs),
-            "cosines": dict(self.cosines),
-            "total_macs": self.total_macs(),
-            "total_cosines": self.total_cosines(),
-        }
-
 
 @contextmanager
 def cost_scope(counter: CostCounter | None, module: str):

@@ -329,7 +329,6 @@ def build_hierarchy(
     trace=None,
     replay=None,
     density_rule=None,
-    max_level: int = 3,
 ):
     """Full fine-alignment mask build from a feature map.
 
@@ -353,7 +352,6 @@ def build_hierarchy(
         trace,
         replay,
         density_rule,
-        max_level,
     )
     return hier, p3, txt_sets[2].tokens
 

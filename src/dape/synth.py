@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -73,20 +74,25 @@ def generate_scene(rng: np.random.Generator, density: str, canvas: int) -> Synth
     return SyntheticScene(canvas, shapes, density)
 
 
+@lru_cache(maxsize=64)
 def _shape_mask(kind: str, cell_px: int, radius: int) -> np.ndarray:
+    """Boolean (cell_px, cell_px) footprint; cached, so it is read-only."""
     c = (cell_px - 1) / 2.0
     yy, xx = np.mgrid[0:cell_px, 0:cell_px]
     if kind == "circle":
-        return (yy - c) ** 2 + (xx - c) ** 2 <= radius**2
-    if kind == "square":
-        return (np.abs(yy - c) <= radius) & (np.abs(xx - c) <= radius)
-    if kind == "triangle":
+        mask = (yy - c) ** 2 + (xx - c) ** 2 <= radius**2
+    elif kind == "square":
+        mask = (np.abs(yy - c) <= radius) & (np.abs(xx - c) <= radius)
+    elif kind == "triangle":
         # upward triangle: widening rows from the apex
         h = 2 * radius
         top = int(c - radius)
         rows = yy - top
-        return (rows >= 0) & (rows < h) & (np.abs(xx - c) <= rows / 2.0)
-    raise ConfigurationError(f"unknown shape kind {kind!r}")
+        mask = (rows >= 0) & (rows < h) & (np.abs(xx - c) <= rows / 2.0)
+    else:
+        raise ConfigurationError(f"unknown shape kind {kind!r}")
+    mask.flags.writeable = False
+    return mask
 
 
 def render_scene(scene: SyntheticScene) -> np.ndarray:

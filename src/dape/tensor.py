@@ -880,13 +880,16 @@ def _highpass_keep(h: int, w: int, cutoff_frac: float) -> Array:
 
 
 @lru_cache(maxsize=8)
-def _highpass_operator(h: int, w: int, cutoff_frac: float) -> Array:
-    """The filter as one real (h*w, h*w) matrix acting on flattened maps.
+def _highpass_operator(h: int, w: int, cutoff_frac: float, pool: int = 1) -> Array:
+    """The filter followed by pool*pool cell averaging, as one real
+    (h*w/pool^2, h*w) matrix acting on flattened maps.
 
     The chain inverse-DFT * mask * DFT is a fixed real-valued linear map
     for a negation-symmetric mask; materializing it turns the per-channel
     filter into a single real matmul. It is filled one output row y of
-    the map at a time, so no complex (h, w, h, w) array is ever held.
+    the map at a time and each row block is pooled as it is filled, so
+    neither a complex (h, w, h, w) array nor the unpooled operator is
+    ever held.
     """
     keep = _highpass_keep(h, w, cutoff_frac)
     f_h = _dft_matrix(h)
@@ -896,26 +899,16 @@ def _highpass_operator(h: int, w: int, cutoff_frac: float) -> Array:
     # row factor R[u, y, y'] = inv_h[y, u] * f_h[u, y'], masked column factor
     # W[u, z, z'] = sum_v keep[u, v] inv_w[z, v] f_w[v, z']
     col = np.einsum("uv,zv,vq->uzq", keep.astype(complex), inv_w, f_w)
-    op = np.empty((h * w, h * w))
+    gx = w // pool
+    op = np.zeros((h // pool, gx, h * w))
+    scale = 1.0 / (pool * pool)
     for y in range(h):
         block = np.einsum("u,up,uzq->zpq", inv_h[y], f_h, col).real
-        op[y * w : (y + 1) * w] = block.reshape(w, h * w)
-    return op
-
-
-@lru_cache(maxsize=8)
-def _pooled_highpass_operator(h: int, w: int, cutoff_frac: float, pool: int) -> Array:
-    """High-pass followed by pool*pool cell averaging, as one real matrix."""
-    op = _highpass_operator(h, w, cutoff_frac)
-    gy, gx = h // pool, w // pool
-    pm = np.zeros((gy * gx, h * w))
-    for a in range(gy):
-        for b in range(gx):
-            for dy in range(pool):
-                for dx in range(pool):
-                    src = (a * pool + dy) * w + (b * pool + dx)
-                    pm[a * gx + b, src] = 1.0 / (pool * pool)
-    return np.ascontiguousarray(pm @ op)
+        cells = block.reshape(gx, pool, h * w)
+        # sums run in the cell's row-major pixel order
+        for dx in range(pool):
+            op[y // pool] += scale * cells[:, dx]
+    return op.reshape(-1, h * w)
 
 
 def pooled_highpass_cells(arr: Array, cutoff_frac: float, pool: int) -> Array:
@@ -923,10 +916,7 @@ def pooled_highpass_cells(arr: Array, cutoff_frac: float, pool: int) -> Array:
     h, w, c = arr.shape[-3:]
     if not (0.0 < cutoff_frac < 1.0):
         raise ConfigurationError(f"cutoff_frac must be in (0, 1), got {cutoff_frac}")
-    if pool == 1:
-        op = _highpass_operator(h, w, cutoff_frac)
-    else:
-        op = _pooled_highpass_operator(h, w, cutoff_frac, pool)
+    op = _highpass_operator(h, w, cutoff_frac, pool)
     _count("mac", op.shape[0] * arr.size)
     out = op @ arr.reshape(arr.shape[:-3] + (h * w, c))
     _check_finite(out, "pooled_highpass_cells")

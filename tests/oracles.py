@@ -3,12 +3,16 @@
 Everything here is written against the math, not against the package:
 explicit loops, no shared helpers, so the two paths can disagree. The
 exceptions are `attention_chain`, which pins the fused attention op to the
-chain of primitive tape ops it replaces, and `highpass_operator_oneshot`,
-which pins the row-by-row build of the high-pass operator to the one-shot
-einsum it replaces.
+chain of primitive tape ops it replaces, `highpass_operator_oneshot` and
+`pooled_highpass_operator_matmul`, which pin the row-by-row, pool-as-you-go
+build of the high-pass operator to the one-shot einsum and the pooling
+matmul it replaces, and `save_tensors_blobs`, which pins the container
+writer's bytes to the blob-per-tensor writer it replaces.
 """
 
+import json
 import math
+import struct
 
 import numpy as np
 
@@ -149,6 +153,44 @@ def highpass_operator_oneshot(h, w, cutoff_frac):
     col = np.einsum("uv,zv,vq->uzq", keep.astype(complex), inv_w, f_w)
     op = np.einsum("yu,up,uzq->yzpq", inv_h, f_h, col).real
     return np.ascontiguousarray(op.reshape(h * w, h * w))
+
+
+def pooled_highpass_operator_matmul(h, w, cutoff_frac, pool):
+    """The high-pass operator followed by pool*pool cell averaging, as a
+    dense (h*w/pool^2, h*w) pooling matrix times the unpooled operator."""
+    op = highpass_operator_oneshot(h, w, cutoff_frac)
+    gy, gx = h // pool, w // pool
+    pm = np.zeros((gy * gx, h * w))
+    for a in range(gy):
+        for b in range(gx):
+            for dy in range(pool):
+                for dx in range(pool):
+                    src = (a * pool + dy) * w + (b * pool + dx)
+                    pm[a * gx + b, src] = 1.0 / (pool * pool)
+    return np.ascontiguousarray(pm @ op)
+
+
+def save_tensors_blobs(path, meta, tensors):
+    """A DAPE1 container written with one little-endian byte blob per
+    tensor, assembled in memory before any byte goes to the file."""
+    manifest = []
+    offset = 0
+    blobs = []
+    for name in sorted(tensors):
+        arr = np.ascontiguousarray(np.asarray(tensors[name], dtype=np.float64))
+        blob = arr.astype("<f8").tobytes()
+        manifest.append({"name": name, "shape": list(arr.shape), "offset": offset})
+        offset += len(blob)
+        blobs.append(blob)
+    header = json.dumps(
+        {"meta": meta, "manifest": manifest}, sort_keys=True, separators=(",", ":")
+    ).encode()
+    with open(path, "wb") as fh:
+        fh.write(b"DAPE1\n")
+        fh.write(struct.pack("<Q", len(header)))
+        fh.write(header)
+        for blob in blobs:
+            fh.write(blob)
 
 
 def masked_attention_loops(q_tokens, kv_tokens, mask, wq, wk, wv):

@@ -1,7 +1,9 @@
 """Corpus generation: determinism, grammar, split, container format."""
 
+import hashlib
 import json
 import struct
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from dape.config import DapeConfig
 from dape.container import MAGIC, load_tensors, save_tensors
 from dape.errors import ConfigurationError, FileFormatError
@@ -24,6 +27,7 @@ from dape.synth import (
     load_corpus,
     render_scene,
     split_ids,
+    _shape_mask,
 )
 
 
@@ -329,3 +333,90 @@ def test_checkpoint_with_invalid_config_is_a_file_format_error(tmp_path):
     save_tensors(tmp_path / "ck.dape", meta, {n: t.a for n, t in init_model(cfg).params()})
     with pytest.raises(FileFormatError, match="invalid config.*grid"):
         load_checkpoint(str(tmp_path / "ck.dape"))
+
+
+# ---------------------------------------------------------------------------
+# pinned bytes and memory: one payload copy at a time
+
+
+def test_save_writes_the_blob_writers_bytes(tmp_path):
+    g = np.random.default_rng(9)
+    tensors = {
+        "scalar": np.float64(-0.5),                  # 0-d, saved with shape [1]
+        "empty": np.ones((0, 3)),
+        "mat": g.standard_normal((4, 5)),
+        "fortran": np.asfortranarray(g.standard_normal((3, 2))),
+        "strided": g.standard_normal((6, 4))[::2, 1:],
+        "f32": g.standard_normal(7).astype(np.float32),
+        "ints": np.arange(5),
+        "big": g.standard_normal((2, 3)).astype(">f8"),
+    }
+    meta = {"kind": "test", "note": "bytes"}
+    want, got = tmp_path / "blobs.dape", tmp_path / "direct.dape"
+    oracles.save_tensors_blobs(want, meta, tensors)
+    save_tensors(got, meta, tensors)
+    assert got.read_bytes() == want.read_bytes()
+    _, loaded = load_tensors(want)  # a file the blob writer wrote still loads
+    for name, arr in tensors.items():
+        assert np.array_equal(loaded[name], np.atleast_1d(arr))
+
+
+@pytest.mark.parametrize(
+    "mix, digest",
+    [
+        ((1, 1, 1), "23b2873c978bd9fdab9762b8bb76df11c2f727cef3c5021c586f79ed4e31d3a9"),
+        ((0, 0, 1), "96dde6173b29a24e0135deeb413db636182e1641487332f55e5a0c41e299ba75"),
+    ],
+)
+def test_gen_corpus_bytes_are_pinned(tmp_path, mix, digest):
+    p = tmp_path / "c.dape"
+    gen_corpus(80, 7, mix, str(p), DapeConfig())
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == digest
+
+
+def test_load_returns_native_contiguous_float64(tmp_path):
+    g = np.random.default_rng(4)
+    tensors = {"a": g.standard_normal((3, 4)), "b": g.standard_normal(5), "e": np.ones((0, 2))}
+    save_tensors(tmp_path / "t.dape", {"kind": "test"}, tensors)
+    _, loaded = load_tensors(tmp_path / "t.dape")
+    for name, arr in tensors.items():
+        got = loaded[name]
+        assert got.dtype == np.float64 and got.dtype.isnative
+        assert got.flags.c_contiguous and got.flags.aligned
+        assert np.array_equal(got, arr)
+
+
+def test_cached_shape_mask_is_read_only():
+    mask = _shape_mask("circle", 8, 3)
+    assert mask is _shape_mask("circle", 8, 3)
+    with pytest.raises(ValueError):
+        mask[0, 0] = True
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_gen_corpus_holds_one_payload_copy(tmp_path):
+    """The scenes' arrays go to the file as they are: no blob copies."""
+    p = str(tmp_path / "c.dape")
+    gen_corpus(4, 7, (1, 1, 1), p, DapeConfig())  # warm caches outside the trace
+    _, peak = traced_peak(lambda: gen_corpus(80, 7, (1, 1, 1), p, DapeConfig()))
+    corpus = load_corpus(p)
+    payload = corpus.images.nbytes + corpus.texts.nbytes
+    assert peak < 1.5 * payload
+
+
+def test_load_corpus_holds_at_most_two_payload_copies(tmp_path):
+    """One read buffer plus the stacked arrays, nothing in between."""
+    p = str(tmp_path / "c.dape")
+    gen_corpus(80, 7, (1, 1, 1), p, DapeConfig())
+    load_corpus(p)
+    corpus, peak = traced_peak(lambda: load_corpus(p))
+    payload = corpus.images.nbytes + corpus.texts.nbytes
+    assert peak < 2.3 * payload

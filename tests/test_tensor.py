@@ -397,6 +397,37 @@ def test_highpass_operator_row_by_row_equals_one_shot_build(h, w):
     assert np.array_equal(got, oracles.highpass_operator_oneshot(h, w, 0.25))
 
 
+@pytest.mark.parametrize("h, w", [(8, 8), (16, 16), (32, 32), (8, 12)])
+def test_pooled_highpass_operator_equals_pooling_matmul(h, w):
+    """With a power-of-two pool the cell weights are exact, so pooling each
+    row block as it is filled matches the pooling matmul bit for bit."""
+    got = T._highpass_operator(h, w, 0.25, 2)
+    assert got.shape == (h * w // 4, h * w) and got.flags.c_contiguous
+    assert np.array_equal(got, oracles.pooled_highpass_operator_matmul(h, w, 0.25, 2))
+
+
+def test_pooled_highpass_operator_odd_pool_within_rounding():
+    got = T._highpass_operator(12, 12, 0.25, 3)
+    want = oracles.pooled_highpass_operator_matmul(12, 12, 0.25, 3)
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_pooled_highpass_build_never_holds_the_unpooled_operator():
+    """The 32x32 unpooled operator alone is 4x the pooled one's bytes (the
+    pooling-matmul build peaked at 6x)."""
+    import tracemalloc
+
+    T._highpass_operator.cache_clear()
+    tracemalloc.start()
+    try:
+        op = T._highpass_operator(32, 32, 0.3, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * op.nbytes
+    assert T._highpass_operator.cache_info().currsize == 1
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 10_000))
 def test_highpass_output_zero_mean(seed):
