@@ -70,17 +70,13 @@ def check_coarse_align() -> list[CheckResult]:
     out.append(_result("binarize idempotent", np.array_equal(m.weights, again.weights)))
     at_thr = coarse.binarize(np.array([[0.5]]), 0.5, 1.0)
     out.append(_result("strict threshold tie rule", at_thr.weights[0, 0] == 0.0))
-    imgs = coarse.identity_tokens(Tensor(g.standard_normal((4, 3))), "image")
-    txts = coarse.identity_tokens(Tensor(g.standard_normal((2, 3))), "text")
+    imgs = Tensor(g.standard_normal((4, 3)))
+    txts = Tensor(g.standard_normal((2, 3)))
     aff = coarse.affinity(imgs, txts)
     perm = g.permutation(4)
-    aff_p = coarse.affinity(
-        coarse.identity_tokens(Tensor(imgs.tokens.a[perm]), "image"), txts
-    )
+    aff_p = coarse.affinity(Tensor(imgs.a[perm]), txts)
     out.append(_result("permutation equivariance", np.max(np.abs(aff[perm] - aff_p)) < 1e-12))
-    aff_s = coarse.affinity(
-        coarse.identity_tokens(Tensor(2.5 * imgs.tokens.a), "image"), txts
-    )
+    aff_s = coarse.affinity(Tensor(2.5 * imgs.a), txts)
     same = np.array_equal(
         coarse.binarize(aff, 0.3).weights, coarse.binarize(aff_s, 0.3).weights
     )
@@ -178,8 +174,8 @@ def check_phi() -> list[CheckResult]:
         Tensor(g.standard_normal((4, 4, d))), Tensor(g.standard_normal((2, d))),
         eye, eye, DapeConfig(d=d, s=1, grid=(2, 2), j_text=2), pad_tokens=slot_tokens,
     )
-    out.append(_result("pad appends slots", padded.n == 6 and list(slots) == [4, 5]))
-    back = phi.extract_slots(padded.tokens, slots)
+    out.append(_result("pad appends slots", padded.shape[-2] == 6 and list(slots) == [4, 5]))
+    back = phi.extract_slots(padded, slots)
     out.append(_result("pad/extract round trip", np.array_equal(back.a, slot_tokens.a)))
     const = Tensor(np.full((8, 8, 3), 2.0))
     tokens, grid, first = phi.make_detail_tokens(const, Tensor(g.standard_normal((3, d))), 0.25)

@@ -47,7 +47,7 @@ def _parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bench", help="fine-alignment cost sweep over density")
     b.add_argument("--config", required=True)
     b.add_argument("--densities", default="0,25,50,75,100",
-                   help="percent values, e.g. 0,25,50,75,100")
+                   help="percents in [0, 100], e.g. 0,25,50,75,100")
     return p
 
 

@@ -10,7 +10,7 @@ Token tensors are (..., N, d) and masks (..., N_q, N_kv): the leading axes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from math import prod
 
 import numpy as np
@@ -26,27 +26,11 @@ from .tensor import Tensor
 
 @dataclass
 class TokenSet:
-    """N tokens of width d (per sample of the leading axes) plus provenance
-    of what each token covers.
-
-    Provenance entries: ("cell", (y0, y1, x0, x1)) for image tokens,
-    ("span", (s, e)) for text tokens, ("slot", i) for synthetic slots,
-    ("row", i) for identity tokenization of an existing token stream.
-    `source` keeps the underlying sequence so spans can be re-split.
-    """
+    """(..., J, d) text tokens, each the mean of an equal run of rows of the
+    (..., l, d) `source` sequence, which finer text levels re-pool."""
 
     tokens: Tensor
-    provenance: list = field(default_factory=list)
-    modality: str = "image"
-    source: Tensor | None = None
-
-    @property
-    def n(self) -> int:
-        return self.tokens.shape[-2]
-
-    @property
-    def d(self) -> int:
-        return self.tokens.shape[-1]
+    source: Tensor
 
 
 def on_alphabet(values: np.ndarray, alphabet) -> bool:
@@ -66,7 +50,6 @@ class AffinityMask:
 
     weights: np.ndarray
     alphabet: tuple[float, ...]
-    level: str = "coarse"
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -83,24 +66,21 @@ class AffinityMask:
         return self.weights.shape
 
     @classmethod
-    def _unchecked(cls, weights, alphabet, level) -> "AffinityMask":
+    def _unchecked(cls, weights, alphabet) -> "AffinityMask":
         # fast path for values already known to sit in the alphabet
         m = object.__new__(cls)
         m.weights = weights
         m.alphabet = alphabet
-        m.level = level
         return m
 
     def transposed(self) -> "AffinityMask":
         """Each sample's mask transposed: (..., m, n)."""
-        return AffinityMask._unchecked(
-            np.swapaxes(self.weights, -1, -2), self.alphabet, self.level
-        )
+        return AffinityMask._unchecked(np.swapaxes(self.weights, -1, -2), self.alphabet)
 
     def split(self, lead: tuple[int, ...]) -> list["AffinityMask"]:
         """One (n, m) mask per sample of the leading axes `lead`."""
         w = self.weights.reshape((prod(lead),) + self.weights.shape[len(lead):])
-        return [AffinityMask._unchecked(x, self.alphabet, self.level) for x in w]
+        return [AffinityMask._unchecked(x, self.alphabet) for x in w]
 
 
 class _SquareProjections:
@@ -143,7 +123,7 @@ class KeyValueProjection(_SquareProjections):
 # Tokenization
 
 
-def tokenize_image(m0: Tensor, grid: tuple[int, int]) -> TokenSet:
+def tokenize_image(m0: Tensor, grid: tuple[int, int]) -> Tensor:
     """Mean-pool an (..., h, w, d) map into gy*gx cell tokens, row-major."""
     if m0.a.ndim < 3:
         raise DimensionError(f"expected (..., h, w, d) map, got {m0.shape}")
@@ -151,51 +131,25 @@ def tokenize_image(m0: Tensor, grid: tuple[int, int]) -> TokenSet:
     gy, gx = grid
     if gy < 1 or gx < 1 or h % gy or w % gx:
         raise DimensionError(f"grid {grid} does not divide map {h}x{w}")
-    cy, cx = h // gy, w // gx
-    pooled = T.block_mean_2d(m0, cy, cx)
-    tokens = T.reshape(pooled, m0.shape[:-3] + (gy * gx, d))
-    prov = [
-        ("cell", (y * cy, (y + 1) * cy, x * cx, (x + 1) * cx))
-        for y in range(gy)
-        for x in range(gx)
-    ]
-    return TokenSet(tokens, prov, "image", source=m0)
-
-
-def even_spans(length: int, parts: int) -> list[tuple[int, int]]:
-    """Split [0, length) into contiguous spans with lengths differing by <= 1."""
-    base, extra = divmod(length, parts)
-    spans, start = [], 0
-    for i in range(parts):
-        end = start + base + (1 if i < extra else 0)
-        spans.append((start, end))
-        start = end
-    return spans
+    pooled = T.block_mean_2d(m0, h // gy, w // gx)
+    return T.reshape(pooled, m0.shape[:-3] + (gy * gx, d))
 
 
 def tokenize_text(t: Tensor, j: int) -> TokenSet:
-    """Split l positions into j contiguous spans; token = span mean."""
+    """Split l positions into j equal contiguous spans; token = span mean."""
     if t.a.ndim < 2:
         raise DimensionError(f"expected (..., l, d) sequence, got {t.shape}")
     l = t.shape[-2]
-    if j < 1 or j > l:
-        raise ConfigurationError(f"j={j} must be in [1, {l}]")
-    spans = even_spans(l, j)
-    tokens = T.span_means(t, spans)
-    return TokenSet(tokens, [("span", s) for s in spans], "text", source=t)
-
-
-def identity_tokens(stream: Tensor, modality: str) -> TokenSet:
-    """Each row of an existing token stream is its own token."""
-    prov = [("row", i) for i in range(stream.shape[-2])]
-    return TokenSet(stream, prov, modality, source=stream)
+    if j < 1 or l % j:
+        raise ConfigurationError(f"j={j} must divide l={l}")
+    return TokenSet(T.pool_rows(t, l // j), t)
 
 
 # ---------------------------------------------------------------------------
 # Affinity and masking
 
 
-def affinity(imgs: TokenSet, txts: TokenSet, counter: CostCounter | None = None,
+def affinity(imgs: Tensor, txts: Tensor, counter: CostCounter | None = None,
              module: str = "coarse") -> np.ndarray:
     """Pairwise cosine matrix between image tokens (rows) and text tokens,
     per sample.
@@ -203,15 +157,14 @@ def affinity(imgs: TokenSet, txts: TokenSet, counter: CostCounter | None = None,
     Affinities only ever feed thresholding, so this runs off-tape on raw
     arrays (stop-gradient by construction).
     """
-    if imgs.d != txts.d:
+    if imgs.shape[-1] != txts.shape[-1]:
         raise DimensionError(
-            f"token widths differ: image {imgs.d} vs text {txts.d}"
+            f"token widths differ: image {imgs.shape[-1]} vs text {txts.shape[-1]}"
         )
-    return cosine_matrix(imgs.tokens.a, txts.tokens.a, counter, module)
+    return cosine_matrix(imgs.a, txts.a, counter, module)
 
 
-def binarize(a: np.ndarray, threshold: float, hi: float = 1.0,
-             level: str = "coarse") -> AffinityMask:
+def binarize(a: np.ndarray, threshold: float, hi: float = 1.0) -> AffinityMask:
     """Entries strictly above `threshold` map to `hi`, others to 0."""
     if not np.isfinite(threshold):
         raise ConfigurationError("threshold must be finite")
@@ -219,7 +172,7 @@ def binarize(a: np.ndarray, threshold: float, hi: float = 1.0,
         raise ConfigurationError(f"hi must be positive, got {hi}")
     a = np.asarray(a, dtype=np.float64)
     weights = np.where(a > threshold, hi, 0.0)
-    return AffinityMask(weights, (0.0, hi), level)
+    return AffinityMask(weights, (0.0, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +229,7 @@ def coarse_align_block(
     The text input `t_seq` is (..., l, d); its leading axes are the batch's.
     `m_map` is either the (..., h, w, d) input map (first layer: downsampled
     by `cfg.s`, tokenized on `cfg.grid`) or an (..., N, d) token stream
-    (identity tokenization). `pad_tokens` appends learnable slots, shared by
+    whose rows are the tokens. `pad_tokens` appends learnable slots, shared by
     every sample, to the image side before alignment; `slots` gives their
     row indices. The mask is decided once per sample.
     """
@@ -289,7 +242,7 @@ def coarse_align_block(
         m0 = T.downsample_avg(m_map, cfg.s) if cfg.s > 1 else m_map
         img_tokens = tokenize_image(m0, cfg.grid)
     elif m_map.a.ndim == len(lead) + 2 and m_map.shape[:-2] == lead:
-        img_tokens = identity_tokens(m_map, "image")
+        img_tokens = m_map
     else:
         raise DimensionError(
             f"image input {m_map.shape} does not match text input {t_seq.shape}"
@@ -297,18 +250,12 @@ def coarse_align_block(
 
     slots = np.arange(0)
     if pad_tokens is not None:
-        n_real = img_tokens.n
-        stacked = T.concat_rows([img_tokens.tokens, pad_tokens])
-        prov = img_tokens.provenance + [
-            ("slot", i) for i in range(pad_tokens.shape[0])
-        ]
-        img_tokens = TokenSet(stacked, prov, "image")
+        n_real = img_tokens.shape[-2]
+        img_tokens = T.concat_rows([img_tokens, pad_tokens])
         slots = np.arange(n_real, n_real + pad_tokens.shape[0])
 
-    if t_seq.shape[-2] == cfg.j_text:
-        txt_tokens = identity_tokens(t_seq, "text")
-    else:
-        txt_tokens = tokenize_text(t_seq, cfg.j_text)
+    # later layers carry j_text rows already: pooling at width 1 keeps them
+    txt_tokens = tokenize_text(t_seq, cfg.j_text).tokens
 
     counter = trace.counter if trace is not None else None
     a0 = decide(
@@ -316,18 +263,12 @@ def coarse_align_block(
         replay,
         "coarse_mask",
         lead,
-        lambda: binarize(
-            affinity(img_tokens, txt_tokens, counter, "coarse"), cfg.k0, 1.0, "coarse"
-        ),
+        lambda: binarize(affinity(img_tokens, txt_tokens, counter, "coarse"), cfg.k0),
     )
 
     # Text update: text queries over image keys/values, mask transposed to
     # (..., J, I). Image update: image queries over text, mask as stored
     # (..., I, J).
-    t1 = masked_cross_attention(
-        txt_tokens.tokens, img_tokens.tokens, a0.transposed(), (txt_proj, img_proj)
-    )
-    m1 = masked_cross_attention(
-        img_tokens.tokens, txt_tokens.tokens, a0, (img_proj, txt_proj)
-    )
+    t1 = masked_cross_attention(txt_tokens, img_tokens, a0.transposed(), (txt_proj, img_proj))
+    m1 = masked_cross_attention(img_tokens, txt_tokens, a0, (img_proj, txt_proj))
     return t1, m1, a0, img_tokens, txt_tokens, slots

@@ -121,14 +121,12 @@ class DapeConfig:
             raise err(f"j_text={self.j_text} does not divide text_len={self.text_len}")
         if self.text_len % 4:
             raise err("text_len must be divisible by 4 for fine text refinement")
-        if self.enable_nfa and self.nfa_merge == "pool_add":
-            if h % (4 * gy) or h % (4 * gx):
-                raise err(
-                    f"fine-alignment grid 4*{self.grid} does not divide map {h}x{h}"
-                )
+        nfa_per_layer = self.enable_nfa and self.nfa_merge == "pool_add"
+        if nfa_per_layer and (h % (4 * gy) or h % (4 * gx)):
+            raise err(f"fine-alignment grid 4*{self.grid} does not divide map {h}x{h}")
+        if (nfa_per_layer or self.enable_phi) and self.j_text % 4:
+            raise err("j_text must be divisible by 4 when fine alignment runs (pool_add or PHI)")
         if self.enable_phi:
-            if self.j_text % 4:
-                raise err("j_text must be divisible by 4 when detail injection is on")
             if h % self.detail_pool:
                 raise err(
                     f"detail_pool={self.detail_pool} does not divide image_size={h}"

@@ -82,10 +82,6 @@ class HierarchyCost:
         return 21 * ij
 
     @property
-    def level1_cosines(self) -> int:
-        return self.n_rows_l1 * self.n_cols_l1
-
-    @property
     def ratio(self) -> float:
         return self.cosines / self.full_cosines
 
@@ -93,8 +89,8 @@ class HierarchyCost:
 @dataclass
 class Trace:
     """Everything a forward pass records: decisions (masks, selections,
-    density flags), cost counters, token counts and per-invocation
-    fine-alignment geometry.
+    density flags), cost counters and per-invocation fine-alignment
+    geometry.
 
     `points` keeps each decision point once, as the batch's value with its
     leading shape, in execution order (layer-major); `decisions` lists the
@@ -109,7 +105,6 @@ class Trace:
     counter: CostCounter = field(default_factory=CostCounter)
     points: list = field(default_factory=list)
     samples: int | None = None
-    token_counts: dict = field(default_factory=dict)
     hierarchy: list[HierarchyCost] = field(default_factory=list)
     injections: int = 0
     injection_macs: list[int] = field(default_factory=list)
@@ -205,10 +200,8 @@ class CostReport:
     len(injection_macs) * batch size == injections."""
 
     per_module_macs: dict[str, int]
-    per_module_cosines: dict[str, int]
     total_macs: int
     total_cosines: int
-    token_counts: dict
     fine_cosines: int
     fine_cosines_uniform: int
     fine_ratio: float
@@ -216,25 +209,14 @@ class CostReport:
     injections: int
     injection_macs: list[int]
 
-    def rows(self) -> list[tuple[str, str]]:
-        out = [(k, str(v)) for k, v in sorted(self.per_module_macs.items())]
-        out.append(("total_macs", str(self.total_macs)))
-        out.append(("total_cosines", str(self.total_cosines)))
-        out.append(("fine_cosines", str(self.fine_cosines)))
-        out.append(("fine_cosines_uniform", str(self.fine_cosines_uniform)))
-        out.append(("fine_ratio", f"{self.fine_ratio:.6f}"))
-        return out
-
 
 def cost_report(trace: Trace) -> CostReport:
     fine = sum(h.cosines for h in trace.hierarchy)
     uniform = sum(h.full_cosines for h in trace.hierarchy)
     return CostReport(
         per_module_macs=dict(trace.counter.macs),
-        per_module_cosines=dict(trace.counter.cosines),
         total_macs=trace.counter.total_macs(),
         total_cosines=trace.counter.total_cosines(),
-        token_counts=dict(trace.token_counts),
         fine_cosines=fine,
         fine_cosines_uniform=uniform,
         fine_ratio=(fine / uniform) if uniform else 0.0,

@@ -113,9 +113,7 @@ def cwa_block(
         replay,
         "cwa_mask",
         lead,
-        lambda: binarize(
-            cosine_matrix(b_proj.a, t1.a, counter, "cwa"), cfg.k_c, 1.0, "channel"
-        ),
+        lambda: binarize(cosine_matrix(b_proj.a, t1.a, counter, "cwa"), cfg.k_c),
     )
     txt_proj, img_proj = projections
     t2 = masked_cross_attention(t1, b_proj, a_c.transposed(), (txt_proj, img_proj))

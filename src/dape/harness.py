@@ -110,13 +110,9 @@ def cmd_gen(n: int, seed: int, density_mix, out: str | None = None,
     cfg = cfg or DapeConfig(seed=seed)
     if out is None:
         tag = f"corpus-n{n}-s{seed}-" + "-".join(f"{v:g}" for v in density_mix)
-        out_path = run_root() / tag / "corpus.dape"
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-    else:
-        out_path = Path(out)
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-    gen_corpus(n, seed, tuple(density_mix), str(out_path), cfg)
-    return out_path
+        out = run_root() / tag / "corpus.dape"
+    gen_corpus(n, seed, tuple(density_mix), str(out), cfg)
+    return Path(out)
 
 
 # ---------------------------------------------------------------------------
@@ -271,12 +267,16 @@ class BenchRow:
 def bench_densities(cfg: DapeConfig, densities, corpus: Corpus | None = None) -> list[BenchRow]:
     """Fine-alignment cosine counts under forced dense-row fractions.
 
-    Masks come from featurized scenes; the dense-row sets are overridden
-    to exact fractions (ranked by measured fill) so the sweep hits the
-    requested densities precisely.
+    `densities` are percents in [0, 100]. Masks come from featurized
+    scenes; the dense-row sets are overridden to exact fractions (ranked by
+    measured fill) so the sweep hits the requested densities precisely.
     """
     from .coarse import tokenize_text
     from .nfa import build_hierarchy
+
+    bad = [p for p in densities if not 0.0 <= p <= 100.0]
+    if bad:
+        raise ConfigurationError(f"densities {bad} are not percents in [0, 100]")
 
     if corpus is None:
         import tempfile
@@ -293,7 +293,7 @@ def bench_densities(cfg: DapeConfig, densities, corpus: Corpus | None = None) ->
     txt = Tensor(corpus.texts[0])
     t_tokens = tokenize_text(txt, txt.shape[0] // 4)
     for density in densities:
-        frac = float(density) / 100.0 if density > 1 else float(density)
+        frac = float(density) / 100.0
         trace = Trace()
         build_hierarchy(
             img, t_tokens, cfg, model.nfa, trace=trace,

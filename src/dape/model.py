@@ -21,12 +21,7 @@ from .config import DapeConfig, mu_partition
 from .costs import Replay, Trace, cost_scope
 from .cwa import ChannelGate, cwa_block, fuse_text
 from .errors import ConfigurationError, NumericError
-from .nfa import (
-    NfaWeights,
-    build_hierarchy,
-    nfa_attention,
-    pool_children_to_parents,
-)
+from .nfa import NfaWeights, build_hierarchy, nfa_attention
 from .phi import DetailState, LearnableTokens, PhiWeights, phi_inject
 from .tensor import GradTape, Tensor
 
@@ -167,7 +162,7 @@ def forward(
 
     The whole batch runs through every op at once: maps are (b, h, w, d),
     streams (b, n, d), masks (b, n, m). The trace records masks,
-    selections, density flags, token counts and every cost counter, one
+    selections, density flags and every cost counter, one
     decision entry per sample per decision point in layer-major order;
     passing `replay` freezes all of those decisions (the continuous path
     still recomputes, which is what the gradient checks need). A replay
@@ -189,12 +184,10 @@ def forward(
             inject_here = cfg.enable_phi and (layer % cfg.phi_period == cfg.phi_period - 1)
             pad = model.phi.learnable.tokens if inject_here else None
             with cost_scope(counter, "coarse"):
-                t1, m1, a0, img_tok, txt_tok, slots = coarse_align_block(
+                t1, m1, *_, slots = coarse_align_block(
                     m_stream, t_stream, lp.img, lp.txt, cfg,
                     pad_tokens=pad, trace=record, replay=replay,
                 )
-            if record is not None:
-                trace.token_counts[f"layer{layer}"] = {"image": img_tok.n, "text": txt_tok.n}
 
             if cfg.enable_cwa:
                 with cost_scope(counter, "cwa"):
@@ -220,8 +213,8 @@ def forward(
                         q3, txt3, hier.a_prime,
                         (model.nfa.img_ps, model.nfa.txt_ps), cfg,
                     )
-                    update = pool_children_to_parents(m2)
-                    m_next = T.add_rows(m_next, image_rows, update)
+                    # each parent's update is the mean of its four quadrant rows
+                    m_next = T.add_rows(m_next, image_rows, T.pool_rows(m2, 4))
 
             if inject_here:
                 with cost_scope(counter, "phi"):

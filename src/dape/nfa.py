@@ -145,38 +145,6 @@ def multiscale_tokens(
 
 
 # ---------------------------------------------------------------------------
-# Text refinement
-
-
-def refine_text(t_tokens: TokenSet, factor: int) -> TokenSet:
-    """Split every text span into `factor` contiguous sub-spans of the
-    underlying sequence; sub-token = sub-span mean."""
-    if factor < 1:
-        raise ConfigurationError(f"refine factor must be >= 1, got {factor}")
-    if factor == 1:
-        return t_tokens
-    if t_tokens.source is None:
-        raise ConfigurationError("text tokens carry no source sequence to re-split")
-    spans = []
-    for kind, span in t_tokens.provenance:
-        if kind != "span":
-            raise ConfigurationError("refine_text needs span provenance")
-        s, e = span
-        if e - s < factor:
-            raise ConfigurationError(
-                f"span {span} shorter than refine factor {factor}"
-            )
-        base, extra = divmod(e - s, factor)
-        start = s
-        for i in range(factor):
-            end = start + base + (1 if i < extra else 0)
-            spans.append((start, end))
-            start = end
-    tokens = T.span_means(t_tokens.source, spans)
-    return TokenSet(tokens, [("span", sp) for sp in spans], "text", source=t_tokens.source)
-
-
-# ---------------------------------------------------------------------------
 # Masks
 
 
@@ -187,7 +155,6 @@ def level_mask(
     mu_k: float,
     active: np.ndarray | None = None,
     counter=None,
-    level: str = "fine-1",
 ) -> AffinityMask:
     """Binarized {0, mu_k} affinity of each sample's (..., n, d) image rows
     against its (..., m, d) text tokens, evaluated only on active rows.
@@ -200,7 +167,7 @@ def level_mask(
     n, m = xa.shape[-2], ta.shape[-2]
     if active is None:
         sims = cosine_matrix(xa, ta, counter, "nfa")
-        return AffinityMask._unchecked(np.where(sims > k_thr, mu_k, 0.0), (0.0, mu_k), level)
+        return AffinityMask._unchecked(np.where(sims > k_thr, mu_k, 0.0), (0.0, mu_k))
     weights = np.zeros(xa.shape[:-1] + (m,))
     sample, row = np.nonzero(active.reshape(-1, n))
     if sample.size:
@@ -208,7 +175,7 @@ def level_mask(
         t = ta.reshape((-1,) + ta.shape[-2:])[sample]
         sims = cosine_matrix(x, t, counter, "nfa")[:, 0, :]
         weights.reshape(-1, n, m)[sample, row] = np.where(sims > k_thr, mu_k, 0.0)
-    return AffinityMask._unchecked(weights, (0.0, mu_k), level)
+    return AffinityMask._unchecked(weights, (0.0, mu_k))
 
 
 def density_flag(mask: AffinityMask, tau_d: float) -> np.ndarray:
@@ -227,7 +194,7 @@ def upscale_mask(mask: AffinityMask, target: tuple[int, int]) -> AffinityMask:
     if tr % rows or tc % cols:
         raise DimensionError(f"target {target} not a multiple of {mask.shape}")
     w = np.repeat(np.repeat(mask.weights, tr // rows, axis=-2), tc // cols, axis=-1)
-    return AffinityMask._unchecked(w, mask.alphabet, mask.level)
+    return AffinityMask._unchecked(w, mask.alphabet)
 
 
 def _children(flags: np.ndarray) -> np.ndarray:
@@ -263,7 +230,7 @@ def build_level_masks(
 
     a1 = decide(
         trace, replay, "nfa_mask_l1", lead,
-        lambda: level_mask(img_levels[0], txt_levels[0], cfg.k_thr, mu1, None, counter, "fine-1"),
+        lambda: level_mask(img_levels[0], txt_levels[0], cfg.k_thr, mu1, None, counter),
     )
     dense1 = decide(
         trace, replay, "nfa_dense_l1", lead, lambda: rule(a1, 1, np.ones(lead + (n1,), bool))
@@ -274,7 +241,7 @@ def build_level_masks(
     )
     a2 = decide(
         trace, replay, "nfa_mask_l2", lead,
-        lambda: level_mask(img_levels[1], txt_levels[1], cfg.k_thr, mu2, active2, counter, "fine-2"),
+        lambda: level_mask(img_levels[1], txt_levels[1], cfg.k_thr, mu2, active2, counter),
     )
     dense2 = decide(trace, replay, "nfa_dense_l2", lead, lambda: rule(a2, 2, active2))
 
@@ -283,7 +250,7 @@ def build_level_masks(
     )
     a3 = decide(
         trace, replay, "nfa_mask_l3", lead,
-        lambda: level_mask(img_levels[2], txt_levels[2], cfg.k_thr, mu3, active3, counter, "fine-3"),
+        lambda: level_mask(img_levels[2], txt_levels[2], cfg.k_thr, mu3, active3, counter),
     )
 
     a1u = upscale_mask(a1, target)
@@ -310,15 +277,19 @@ def build_level_masks(
     return hier
 
 
-def text_pyramid(t_tokens: TokenSet) -> tuple[TokenSet, TokenSet, TokenSet]:
-    """Base text tokens plus their 2x and 4x refinements.
+def text_pyramid(t_tokens: TokenSet) -> tuple[Tensor, Tensor, Tensor]:
+    """Base text tokens plus their 2x and 4x refinements: the source pooled
+    at half and a quarter of the base tokens' row width.
 
     Only the finest level feeds the masked update's keys/values; the
     coarser two exist for mask construction and stay off-tape.
     """
+    width = t_tokens.source.shape[-2] // t_tokens.tokens.shape[-2]
+    if width % 4:
+        raise ConfigurationError(f"text tokens {width} rows wide cannot refine to quarters")
     with T.no_recording():
-        l2 = refine_text(t_tokens, 2)
-    return t_tokens, l2, refine_text(t_tokens, 4)
+        l2 = T.pool_rows(t_tokens.source, width // 2)
+    return t_tokens.tokens, l2, T.pool_rows(t_tokens.source, width // 4)
 
 
 def build_hierarchy(
@@ -344,16 +315,9 @@ def build_hierarchy(
         p1 = T.matmul(tokens[0], weights.branch_projs[0])
         p2 = T.matmul(tokens[1], weights.branch_projs[1])
     p3 = T.matmul(tokens[2], weights.branch_projs[2])
-    txt_sets = text_pyramid(t_tokens)
-    hier = build_level_masks(
-        (p1, p2, p3),
-        tuple(ts.tokens for ts in txt_sets),
-        cfg,
-        trace,
-        replay,
-        density_rule,
-    )
-    return hier, p3, txt_sets[2].tokens
+    txt_levels = text_pyramid(t_tokens)
+    hier = build_level_masks((p1, p2, p3), txt_levels, cfg, trace, replay, density_rule)
+    return hier, p3, txt_levels[2]
 
 
 def build_hierarchy_from_tokens(
@@ -386,18 +350,11 @@ def build_hierarchy_from_tokens(
     lead = q3.shape[:-2]
     img_l2 = Tensor(q3.a.reshape(lead + (2 * gy * gx, 2, d)).mean(axis=-2), check=False)
     img_l1 = Tensor(img_l2.a.reshape(lead + (gy * gx, 2, d)).mean(axis=-2), check=False)
-    txt_sets = text_pyramid(t_tokens)
-
+    txt_levels = text_pyramid(t_tokens)
     hier = build_level_masks(
-        (img_l1, img_l2, q3),
-        tuple(ts.tokens for ts in txt_sets),
-        cfg,
-        trace,
-        replay,
-        None,
-        max_level,
+        (img_l1, img_l2, q3), txt_levels, cfg, trace, replay, None, max_level
     )
-    return hier, q3, txt_sets[2].tokens
+    return hier, q3, txt_levels[2]
 
 
 def nfa_attention(
@@ -415,13 +372,6 @@ def nfa_attention(
             f"({m_tokens.shape[-2]}, {t_tokens.shape[-2]})"
         )
     lattice = mask_lattice(*cfg.mu)
-    mask = AffinityMask(a_prime, tuple(lattice), "combined")
+    mask = AffinityMask(a_prime, tuple(lattice))
     return masked_cross_attention(m_tokens, t_tokens, mask, projections)
 
-
-def pool_children_to_parents(update: Tensor) -> Tensor:
-    """Average each parent's four quadrant rows: (..., 4I, d) -> (..., I, d)."""
-    n, d = update.shape[-2:]
-    if n % 4:
-        raise DimensionError(f"row count {n} not a multiple of 4")
-    return T.tmean(T.reshape(update, update.shape[:-2] + (n // 4, 4, d)), axis=-2)

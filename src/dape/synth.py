@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -180,11 +181,12 @@ def gen_corpus(
     out_path: str,
     cfg: DapeConfig | None = None,
 ) -> dict:
-    """Render n scenes, featurize both modalities, write one container."""
+    """Render n scenes, featurize both modalities, write one container
+    (creating its directory)."""
     if n < 4:
         raise ConfigurationError(f"corpus needs n >= 4, got {n}")
     mix = np.asarray(density_mix, dtype=np.float64)
-    if mix.size != 3 or mix.min() < 0 or mix.sum() <= 0:
+    if mix.size != 3 or not np.isfinite(mix).all() or mix.min() < 0 or mix.sum() <= 0:
         raise ConfigurationError(f"bad density mix {density_mix}")
     cfg = cfg or DapeConfig(seed=seed)
     feat = Featurizer(cfg)
@@ -216,6 +218,7 @@ def gen_corpus(
         "train_ids": train_ids,
         "eval_ids": eval_ids,
     }
+    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     save_tensors(out_path, meta, tensors)
     return meta
 

@@ -673,36 +673,21 @@ def slice_last(a: Tensor, c0: int, c1: int) -> Tensor:
     return out
 
 
-def span_means(a: Tensor, spans: Sequence[tuple[int, int]]) -> Tensor:
-    """Mean of rows a[..., s:e, :] for each span; output (..., len(spans), d)."""
+def pool_rows(a: Tensor, width: int) -> Tensor:
+    """Mean of each run of `width` consecutive rows along axis -2:
+    (..., n, d) -> (..., n / width, d). Width 1 returns `a` itself."""
     if a.a.ndim < 2:
-        raise DimensionError(f"span_means expects at least 2-D, got {a.shape}")
+        raise DimensionError(f"pool_rows expects at least 2-D, got {a.shape}")
     n, d = a.shape[-2:]
-    j = len(spans)
-    # contiguous equal-length spans covering [0, n) pool in one reshape
-    uniform = (
-        n % j == 0
-        and all(s == i * (n // j) and e == (i + 1) * (n // j) for i, (s, e) in enumerate(spans))
-    )
-    if uniform and j == n:
-        return a  # one row per span: the rows themselves
-    if uniform:
-        width = n // j
-        rows = a.a.reshape(a.shape[:-2] + (j, width, d)).mean(axis=-2)
-    else:
-        rows = np.stack([a.a[..., s:e, :].mean(axis=-2) for s, e in spans], axis=-2)
-    out = _out(rows, "span_means")
+    if width < 1 or n % width:
+        raise DimensionError(f"pool width {width} does not divide {n} rows")
+    if width == 1:
+        return a
+    out = _out(a.a.reshape(a.shape[:-2] + (n // width, width, d)).mean(axis=-2), "pool_rows")
 
     def backward(g, acc):
-        if not _wants(acc, a):
-            return
-        if uniform:
-            ga = np.repeat(g / (n // j), n // j, axis=-2)
-        else:
-            ga = np.zeros_like(a.a)
-            for i, (s, e) in enumerate(spans):
-                ga[..., s:e, :] += g[..., i : i + 1, :] / (e - s)
-        _acc(acc, a, ga)
+        if _wants(acc, a):
+            _acc(acc, a, np.repeat(g / width, width, axis=-2))
 
     _rec(out, backward, a)
     return out

@@ -82,6 +82,9 @@ BAD_FIELDS = [
     {"kernels": [3, 5]}, {"kernels": [3, 5, 9]}, {"image_size": 0},
     {"text_len": 0}, {"enable_cwa": "no"}, {"mu": [float("inf"), 0.5, 0.5]},
     {"cutoff_frac": 1.5}, {"seed": -1}, {"eval_interval": 0}, {"corpus": 3},
+    # per-layer fine alignment pools text in quarters, PHI on or off
+    {"j_text": 2, "nfa_merge": "pool_add", "enable_phi": False},
+    {"j_text": 6, "text_len": 24, "nfa_merge": "pool_add", "enable_phi": False},
 ]
 
 
@@ -91,7 +94,8 @@ def test_field_of_wrong_type_or_range_is_a_configuration_error(over):
         DapeConfig.from_dict(over)
 
 
-@pytest.mark.parametrize("over", [{"grid": [4, 0]}, {"kernels": [3, 5, 9]}, {"enable_cwa": "no"}])
+@pytest.mark.parametrize("over", [{"grid": [4, 0]}, {"kernels": [3, 5, 9]}, {"enable_cwa": "no"},
+                                  *BAD_FIELDS[-2:]])
 def test_cli_bad_field_is_usage_error_before_a_run_dir(tmp_path, run_root, over):
     # a missing corpus would be an I/O error (3): the config is rejected first
     p = tmp_path / "bad.json"
@@ -161,6 +165,15 @@ def test_gen_writes_deterministic_corpus(tmp_path, run_root, capsys):
     assert (tmp_path / "c1.dape").read_bytes() == (tmp_path / "c2.dape").read_bytes()
 
 
+@pytest.mark.parametrize("mix", ["nan,1,1", "inf,1,1"])
+def test_gen_non_finite_density_is_usage_error(tmp_path, run_root, mix):
+    out = tmp_path / "sub" / "c.dape"
+    assert main(["gen", "--n", "4", "--seed", "9", "--density", mix, "--out", str(out)]) == 2
+    assert main(["gen", "--n", "4", "--seed", "9", "--density", mix]) == 2
+    assert not (tmp_path / "sub").exists()
+    assert not run_root.exists()
+
+
 # ---------------------------------------------------------------------------
 # check + mutation testing
 
@@ -186,10 +199,10 @@ def test_mutation_flipped_binarize_comparison_caught(monkeypatch):
     """Fault: '>' becomes '>=' in the threshold rule."""
     real = dape.coarse.binarize
 
-    def flipped(a, threshold, hi=1.0, level="coarse"):
+    def flipped(a, threshold, hi=1.0):
         a = np.asarray(a, dtype=np.float64)
         weights = np.where(a >= threshold, hi, 0.0)
-        return dape.coarse.AffinityMask(weights, (0.0, hi), level)
+        return dape.coarse.AffinityMask(weights, (0.0, hi))
 
     monkeypatch.setattr(dape.coarse, "binarize", flipped)
     report = run_checks("coarse-align")
@@ -233,7 +246,7 @@ def test_mutation_transposed_upscale_caught(monkeypatch):
         rows, cols = mask.shape
         tr, tc = target
         w = np.repeat(np.repeat(mask.weights.T, tr // cols, axis=0), tc // rows, axis=1)
-        return real_mask._unchecked(w, mask.alphabet, mask.level)
+        return real_mask._unchecked(w, mask.alphabet)
 
     monkeypatch.setattr(dape.nfa, "upscale_mask", transposed)
     report = run_checks("nfa")
@@ -336,6 +349,22 @@ def test_bench_counts_match_closed_form(tmp_path, run_root):
         want = i1 * j1 + 2 * d1 * 2 * j1 + 2 * d2 * 4 * j1
         assert row.cosines == want
         assert row.uniform == 21 * i1 * j1
+
+
+@pytest.mark.parametrize("value", ["nan", "-5", "250", "inf"])
+def test_bench_density_outside_percent_range_is_usage_error(tmp_path, run_root, value):
+    cfg = tiny_cfg(tmp_path)
+    prepared_corpus(tmp_path, cfg)
+    assert run_cmd(tmp_path, cfg, ["bench", "--densities", f"0,{value}"]) == 2
+    assert not run_root.exists()
+
+
+def test_bench_densities_are_percents(tmp_path, run_root):
+    cfg = tiny_cfg(tmp_path)
+    prepared_corpus(tmp_path, cfg)
+    assert run_cmd(tmp_path, cfg, ["bench", "--densities", "1"]) == 0
+    csv = (run_root / cfg.hash() / "bench.csv").read_text().splitlines()
+    assert float(csv[1].split(",")[0]) == 0.01
 
 
 def test_cli_end_to_end_train(tmp_path, run_root, capsys):

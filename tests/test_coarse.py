@@ -39,22 +39,23 @@ def eye_proj(d):
 def test_tokenize_image_degenerate_grid_is_global_mean():
     x = rng(1).standard_normal((4, 4, 3))
     ts = C.tokenize_image(Tensor(x), (1, 1))
-    assert ts.n == 1
-    assert np.allclose(ts.tokens.a[0], x.reshape(-1, 3).mean(axis=0), atol=1e-12)
+    assert ts.shape == (1, 3)
+    assert np.allclose(ts.a[0], x.reshape(-1, 3).mean(axis=0), atol=1e-12)
 
 
 def test_tokenize_image_block_means():
     x = rng(2).standard_normal((4, 4, 3))
     ts = C.tokenize_image(Tensor(x), (2, 2))
     want = oracles.block_mean(x, 2, 2).reshape(4, 3)
-    assert np.max(np.abs(ts.tokens.a - want)) < 1e-12
-    assert ts.provenance[1] == ("cell", (0, 2, 2, 4))
+    assert np.max(np.abs(ts.a - want)) < 1e-12
+    # row-major cells: token 1 is the top-right block
+    assert np.allclose(ts.a[1], x[0:2, 2:4].reshape(-1, 3).mean(axis=0), atol=1e-12)
 
 
 def test_tokenize_image_identity_grid():
     x = rng(3).standard_normal((3, 2, 5))
     ts = C.tokenize_image(Tensor(x), (3, 2))
-    assert np.array_equal(ts.tokens.a, x.reshape(6, 5))
+    assert np.array_equal(ts.a, x.reshape(6, 5))
 
 
 def test_tokenize_image_non_divisible_grid():
@@ -62,13 +63,11 @@ def test_tokenize_image_non_divisible_grid():
         C.tokenize_image(Tensor(np.zeros((4, 4, 1))), (3, 2))
 
 
-def test_tokenize_image_provenance_partitions_map():
-    ts = C.tokenize_image(Tensor(rng(4).standard_normal((4, 6, 2))), (2, 3))
-    covered = np.zeros((4, 6), dtype=int)
-    for kind, (y0, y1, x0, x1) in ts.provenance:
-        assert kind == "cell"
-        covered[y0:y1, x0:x1] += 1
-    assert np.all(covered == 1)
+def test_tokenize_image_cells_partition_map():
+    x = rng(4).standard_normal((4, 6, 2))
+    ts = C.tokenize_image(Tensor(x), (2, 3))
+    want = [x[y:y + 2, c:c + 2].reshape(-1, 2).mean(axis=0) for y in (0, 2) for c in (0, 2, 4)]
+    assert np.allclose(ts.a, want, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -82,11 +81,11 @@ def test_tokenize_text_identity():
 
 
 def test_tokenize_text_pair_means():
-    x = rng(6).standard_normal((4, 3))
-    ts = C.tokenize_text(Tensor(x), 2)
-    want = oracles.span_mean_rows(x, [(0, 2), (2, 4)])
+    x = Tensor(rng(6).standard_normal((4, 3)))
+    ts = C.tokenize_text(x, 2)
+    want = oracles.span_mean_rows(x.a, [(0, 2), (2, 4)])
     assert np.max(np.abs(ts.tokens.a - want)) < 1e-12
-    assert [p[1] for p in ts.provenance] == [(0, 2), (2, 4)]
+    assert ts.source is x
 
 
 def test_tokenize_text_single_token():
@@ -100,11 +99,10 @@ def test_tokenize_text_too_many_tokens():
         C.tokenize_text(Tensor(np.zeros((3, 2))), 4)
 
 
-def test_tokenize_text_uneven_spans_differ_by_at_most_one():
-    spans = C.even_spans(10, 3)
-    lengths = [e - s for s, e in spans]
-    assert max(lengths) - min(lengths) <= 1
-    assert sum(lengths) == 10
+@pytest.mark.parametrize("l,j", [(10, 3), (6, 4), (4, 0)])
+def test_tokenize_text_rejects_a_count_that_does_not_divide(l, j):
+    with pytest.raises(ConfigurationError):
+        C.tokenize_text(Tensor(np.zeros((l, 2))), j)
 
 
 # ---------------------------------------------------------------------------
@@ -112,23 +110,21 @@ def test_tokenize_text_uneven_spans_differ_by_at_most_one():
 
 
 def test_affinity_identical_single_tokens():
-    t = C.identity_tokens(Tensor([[1.0, 2.0]]), "image")
-    u = C.identity_tokens(Tensor([[1.0, 2.0]]), "text")
+    t = Tensor([[1.0, 2.0]])
+    u = Tensor([[1.0, 2.0]])
     assert np.allclose(C.affinity(t, u), [[1.0]], atol=1e-12)
 
 
 def test_affinity_orthogonal_tokens():
-    t = C.identity_tokens(Tensor([[1.0, 0.0]]), "image")
-    u = C.identity_tokens(Tensor([[0.0, 1.0]]), "text")
+    t = Tensor([[1.0, 0.0]])
+    u = Tensor([[0.0, 1.0]])
     assert C.affinity(t, u)[0, 0] == 0.0
 
 
 def test_affinity_matches_pairwise_loop():
     a = rng(8).standard_normal((3, 5))
     b = rng(9).standard_normal((2, 5))
-    got = C.affinity(
-        C.identity_tokens(Tensor(a), "image"), C.identity_tokens(Tensor(b), "text")
-    )
+    got = C.affinity(Tensor(a), Tensor(b))
     for i in range(3):
         for j in range(2):
             assert got[i, j] == pytest.approx(oracles.cosine_direct(a[i], b[j]), abs=1e-12)
@@ -136,10 +132,7 @@ def test_affinity_matches_pairwise_loop():
 
 def test_affinity_dimension_mismatch():
     with pytest.raises(DimensionError):
-        C.affinity(
-            C.identity_tokens(Tensor(np.zeros((2, 3))), "image"),
-            C.identity_tokens(Tensor(np.zeros((2, 4))), "text"),
-        )
+        C.affinity(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
 
 
 def test_binarize_basic_threshold():
@@ -337,10 +330,8 @@ def test_permuting_image_tokens_permutes_mask_rows(seed):
     imgs = g.standard_normal((4, 3))
     txts = g.standard_normal((2, 3))
     perm = g.permutation(4)
-    a = C.affinity(C.identity_tokens(Tensor(imgs), "image"), C.identity_tokens(Tensor(txts), "text"))
-    b = C.affinity(
-        C.identity_tokens(Tensor(imgs[perm]), "image"), C.identity_tokens(Tensor(txts), "text")
-    )
+    a = C.affinity(Tensor(imgs), Tensor(txts))
+    b = C.affinity(Tensor(imgs[perm]), Tensor(txts))
     assert np.max(np.abs(a[perm] - b)) < 1e-12
 
 
@@ -350,17 +341,8 @@ def test_scaling_image_features_leaves_mask_unchanged(seed, alpha):
     g = rng(seed)
     imgs = g.standard_normal((4, 3))
     txts = g.standard_normal((2, 3))
-    a = C.binarize(
-        C.affinity(C.identity_tokens(Tensor(imgs), "image"), C.identity_tokens(Tensor(txts), "text")),
-        0.3,
-    )
-    b = C.binarize(
-        C.affinity(
-            C.identity_tokens(Tensor(alpha * imgs), "image"),
-            C.identity_tokens(Tensor(txts), "text"),
-        ),
-        0.3,
-    )
+    a = C.binarize(C.affinity(Tensor(imgs), Tensor(txts)), 0.3)
+    b = C.binarize(C.affinity(Tensor(alpha * imgs), Tensor(txts)), 0.3)
     assert np.array_equal(a.weights, b.weights)
 
 

@@ -1,6 +1,7 @@
 """Guard against dead code: every top-level function or class in
-`src/dape` must be referenced somewhere in `src/dape` other than its own
-definition. Names read only from outside the package are allowlisted."""
+`src/dape`, and every method or property of such a class, must be
+referenced somewhere in `src/dape` other than its own definition. Names
+read only from outside the package are allowlisted."""
 
 import ast
 from collections import Counter
@@ -11,6 +12,11 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "dape"
 # name -> why it may have no reference inside the package
 ALLOWED = {
     "cost_report": "read by the benchmark (perfbench/bench.py) and the tests",
+}
+
+# Class.member -> why it may have no read inside the package
+ALLOWED_MEMBERS = {
+    "Trace.decisions": "perfbench's pinned decision count and the tests read it",
 }
 
 
@@ -47,3 +53,39 @@ def test_every_top_level_definition_has_a_reference():
     ]
     assert not unreferenced, f"defined but never referenced in src/dape: {unreferenced}"
     assert set(ALLOWED) <= {node.name for _, node in defs}, "stale allowlist entry"
+
+
+def attribute_reads(tree: ast.AST) -> Counter:
+    """Attribute names and string constants used in `tree`: a member is
+    read as `obj.name` (or by name through getattr)."""
+    out: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out[node.value] += 1
+    return out
+
+
+def test_every_class_member_is_read():
+    trees = [ast.parse(p.read_text(), p.name) for p in sorted(SRC.glob("*.py"))]
+    total = sum((attribute_reads(t) for t in trees), Counter())
+    members = [
+        (cls.name, node)
+        for tree in trees
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+    # reads inside a member's own body (recursion) do not count
+    unread = [
+        f"{cls}.{node.name}"
+        for cls, node in members
+        if f"{cls}.{node.name}" not in ALLOWED_MEMBERS
+        and total[node.name] <= attribute_reads(node)[node.name]
+    ]
+    assert not unread, f"class members never read in src/dape: {unread}"
+    stale = set(ALLOWED_MEMBERS) - {f"{cls}.{node.name}" for cls, node in members}
+    assert not stale, f"stale member allowlist entries: {sorted(stale)}"

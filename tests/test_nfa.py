@@ -157,35 +157,36 @@ def test_parent_major_order_alternates_halves():
 
 
 # ---------------------------------------------------------------------------
-# refine_text
+# text_pyramid
 
 
 def test_refine_factor_one_is_identity():
     t = tokenize_text(Tensor(rng(6).standard_normal((8, 3))), 2)
-    assert N.refine_text(t, 1) is t
+    assert N.text_pyramid(t)[0] is t.tokens
 
 
 def test_refine_single_span_of_four():
-    seq = rng(7).standard_normal((4, 3))
-    t = tokenize_text(Tensor(seq), 1)
-    r = N.refine_text(t, 2)
-    assert [p[1] for p in r.provenance] == [(0, 2), (2, 4)]
-    assert np.allclose(r.tokens.a, oracles.span_mean_rows(seq, [(0, 2), (2, 4)]), atol=1e-15)
+    seq = Tensor(rng(7).standard_normal((4, 3)))
+    _, halves, quarters = N.text_pyramid(tokenize_text(seq, 1))
+    assert np.allclose(halves.a, oracles.span_mean_rows(seq.a, [(0, 2), (2, 4)]), atol=1e-15)
+    assert quarters is seq  # one-row spans are the rows themselves
 
 
 def test_refine_seeded_matches_span_split_oracle():
+    """The three levels are the source's span means at widths w, w/2, w/4."""
     seq = rng(8).standard_normal((16, 3))
-    t = tokenize_text(Tensor(seq), 2)
-    r = N.refine_text(t, 2)
-    spans = [(0, 4), (4, 8), (8, 12), (12, 16)]
-    assert [p[1] for p in r.provenance] == spans
-    assert np.max(np.abs(r.tokens.a - oracles.span_mean_rows(seq, spans))) < 1e-12
+    levels = N.text_pyramid(tokenize_text(Tensor(seq), 2))
+    for level, w in zip(levels, (8, 4, 2)):
+        spans = [(s, s + w) for s in range(0, 16, w)]
+        assert np.max(np.abs(level.a - oracles.span_mean_rows(seq, spans))) < 1e-12
 
 
 def test_refine_span_too_short():
-    t = tokenize_text(Tensor(rng(9).standard_normal((4, 3))), 4)
-    with pytest.raises(ConfigurationError):
-        N.refine_text(t, 2)
+    """Base tokens whose row width is not a multiple of 4 cannot refine."""
+    seq = Tensor(rng(9).standard_normal((12, 3)))
+    for j in (12, 6, 2):  # widths 1, 2 and 6
+        with pytest.raises(ConfigurationError):
+            N.text_pyramid(tokenize_text(seq, j))
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +296,8 @@ def full_materialization_oracle(cfg, m, t_tokens, weights):
         for lvl, (fy, fx) in enumerate(LEVEL_FACTORS)
     ]
     seq = t_tokens.source.a
-    spans1 = [p[1] for p in t_tokens.provenance]
+    width = seq.shape[0] // t_tokens.tokens.shape[0]
+    spans1 = [(s, s + width) for s in range(0, seq.shape[0], width)]
 
     def split_spans(spans, f):
         out = []
@@ -465,7 +467,7 @@ def test_nfa_attention_matches_explicit_loop_oracle():
 def test_pool_children_to_parents():
     g = rng(34)
     x = g.standard_normal((8, 3))
-    out = N.pool_children_to_parents(Tensor(x))
+    out = T.pool_rows(Tensor(x), 4)  # how pool_add folds quadrants into parents
     assert np.allclose(out.a[0], x[0:4].mean(axis=0), atol=1e-15)
     assert np.allclose(out.a[1], x[4:8].mean(axis=0), atol=1e-15)
 

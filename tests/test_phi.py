@@ -63,23 +63,24 @@ def pad_case(seed, pad_tokens):
 
 def test_pad_zero_slots_identity():
     img_tokens, slots, m = pad_case(1, None)
-    assert np.array_equal(img_tokens.tokens.a, tokenize_image(m, (2, 2)).tokens.a)
+    assert np.array_equal(img_tokens.a, tokenize_image(m, (2, 2)).a)
     assert slots.size == 0
 
 
 def test_pad_counts_and_slot_positions():
-    img_tokens, slots, _ = pad_case(2, Tensor(rng(3).standard_normal((2, 3))))
-    assert img_tokens.n == 6
+    pad = Tensor(rng(3).standard_normal((2, 3)))
+    img_tokens, slots, m = pad_case(2, pad)
+    assert img_tokens.shape == (6, 3)
     assert list(slots) == [4, 5]
-    assert img_tokens.provenance[4] == ("slot", 0)
-    # slot provenance disjoint from real-token provenance
-    assert all(p[0] == "cell" for p in img_tokens.provenance[:4])
+    # the cell tokens come first, the slots after them
+    assert np.array_equal(img_tokens.a[:4], tokenize_image(m, (2, 2)).a)
+    assert np.array_equal(img_tokens.a[4:], pad.a)
 
 
 def test_pad_extract_round_trip_bit_identical():
     m_in = rng(4).standard_normal((3, 3))
     img_tokens, slots, _ = pad_case(4, Tensor(m_in))
-    back = P.extract_slots(img_tokens.tokens, slots)
+    back = P.extract_slots(img_tokens, slots)
     assert np.array_equal(back.a, m_in)
 
 

@@ -352,7 +352,20 @@ def test_pool_parent_major_gradient():
 
 def test_span_means_of_single_rows_is_the_input():
     a = T.Tensor(rng(11).standard_normal((2, 4, 3)))
-    assert T.span_means(a, [(0, 1), (1, 2), (2, 3), (3, 4)]) is a
+    assert T.pool_rows(a, 1) is a
+
+
+@pytest.mark.parametrize("width", [2, 4])
+def test_pool_rows_is_the_reshape_mean(width):
+    x = rng(12).standard_normal((2, 8, 3))
+    want = x.reshape(2, 8 // width, width, 3).mean(axis=-2)
+    assert np.array_equal(T.pool_rows(T.Tensor(x), width).a, want)
+
+
+@pytest.mark.parametrize("width", [0, 3, 16])
+def test_pool_rows_rejects_a_width_that_does_not_divide(width):
+    with pytest.raises(DimensionError):
+        T.pool_rows(T.Tensor(np.zeros((8, 3))), width)
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +484,7 @@ def test_grad_check_each_op():
     x = T.Tensor(g.standard_normal((4, 4, 2)))
     kw = T.Tensor(g.standard_normal((2, 3, 3)))
     m = T.Tensor(g.standard_normal((4, 4)))
+    r = T.Tensor([0.3])
     cases = {
         "matmul": (lambda: T.tsum(T.matmul(a, b)), [a, b]),
         "softmax": (lambda: T.tsum(T.mul(T.row_softmax(a), a)), [a]),
@@ -480,9 +494,9 @@ def test_grad_check_each_op():
         "attention": (lambda: T.tsum(T.mul(T.attention(a, a, m, m, m, None), a)), [a, m]),
         "logsumexp": (lambda: T.tsum(T.row_logsumexp(a)), [a]),
         "l2norm": (lambda: T.tsum(T.mul(T.l2_normalize_rows(a), a)), [a]),
-        "spans": (lambda: T.tsum(T.mul(T.span_means(a, [(0, 2), (2, 3)]), T.span_means(a, [(0, 2), (2, 3)]))), [a]),
+        "pool_rows": (lambda: T.tsum(T.mul(T.pool_rows(b, 2), T.pool_rows(b, 2))), [b]),
         "diag": (lambda: T.tsum(T.take_diag(m)), [m]),
-        "recip": (lambda: T.tsum(T.reciprocal(T.Tensor([0.3]))), []),
+        "recip": (lambda: T.tsum(T.reciprocal(r)), [r]),
     }
     for name, (f, params) in cases.items():
         err = T.grad_check(f, params)
