@@ -178,12 +178,12 @@ def check_phi() -> list[CheckResult]:
     back = phi.extract_slots(padded, slots)
     out.append(_result("pad/extract round trip", np.array_equal(back.a, slot_tokens.a)))
     const = Tensor(np.full((8, 8, 3), 2.0))
-    tokens, grid, first = phi.make_detail_tokens(const, Tensor(g.standard_normal((3, d))), 0.25)
+    tokens, _ = phi.make_detail_tokens(const, Tensor(g.standard_normal((3, d))), 0.25)
     out.append(_result("constant map yields zero detail", np.max(np.abs(tokens.a)) < 1e-9))
     carried = Tensor(g.standard_normal((16, d)))
-    state = phi.DetailState(carried, (4, 4), 1)
-    t2, g2, f2 = phi.make_detail_tokens(state, Tensor(np.zeros((3, d))), 0.25)
-    out.append(_result("carried tokens pass through", t2 is carried and not f2))
+    state = phi.DetailState(carried, (4, 4))
+    t2, g2 = phi.make_detail_tokens(state, Tensor(np.zeros((3, d))), 0.25)
+    out.append(_result("carried tokens pass through", t2 is carried and g2 == (4, 4)))
     return out
 
 

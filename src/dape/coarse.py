@@ -16,7 +16,7 @@ from math import prod
 import numpy as np
 
 from . import tensor as T
-from .costs import CostCounter, cosine_matrix
+from .costs import cosine_matrix
 from .errors import ConfigurationError, DimensionError
 from .tensor import Tensor
 
@@ -149,8 +149,7 @@ def tokenize_text(t: Tensor, j: int) -> TokenSet:
 # Affinity and masking
 
 
-def affinity(imgs: Tensor, txts: Tensor, counter: CostCounter | None = None,
-             module: str = "coarse") -> np.ndarray:
+def affinity(imgs: Tensor, txts: Tensor) -> np.ndarray:
     """Pairwise cosine matrix between image tokens (rows) and text tokens,
     per sample.
 
@@ -161,7 +160,7 @@ def affinity(imgs: Tensor, txts: Tensor, counter: CostCounter | None = None,
         raise DimensionError(
             f"token widths differ: image {imgs.shape[-1]} vs text {txts.shape[-1]}"
         )
-    return cosine_matrix(imgs.a, txts.a, counter, module)
+    return cosine_matrix(imgs.a, txts.a)
 
 
 def binarize(a: np.ndarray, threshold: float, hi: float = 1.0) -> AffinityMask:
@@ -192,16 +191,6 @@ def masked_cross_attention(
     key/value set are read.
     """
     q_proj, kv_proj = projections
-    d = q_tokens.shape[-1]
-    if kv_tokens.shape[-1] != d:
-        raise DimensionError(
-            f"query width {d} differs from key/value width {kv_tokens.shape[-1]}"
-        )
-    n_q, n_kv = q_tokens.shape[-2], kv_tokens.shape[-2]
-    if mask is not None and mask.shape[-2:] != (n_q, n_kv):
-        raise DimensionError(
-            f"mask oriented {mask.shape}, attention needs ({n_q}, {n_kv})"
-        )
     return T.attention(
         q_tokens, kv_tokens, q_proj.wq, kv_proj.wk, kv_proj.wv,
         None if mask is None else mask.weights,
@@ -257,13 +246,12 @@ def coarse_align_block(
     # later layers carry j_text rows already: pooling at width 1 keeps them
     txt_tokens = tokenize_text(t_seq, cfg.j_text).tokens
 
-    counter = trace.counter if trace is not None else None
     a0 = decide(
         trace,
         replay,
         "coarse_mask",
         lead,
-        lambda: binarize(affinity(img_tokens, txt_tokens, counter, "coarse"), cfg.k0),
+        lambda: binarize(affinity(img_tokens, txt_tokens), cfg.k0),
     )
 
     # Text update: text queries over image keys/values, mask transposed to

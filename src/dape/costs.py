@@ -226,12 +226,12 @@ def cost_report(trace: Trace) -> CostReport:
     )
 
 
-def cosine_matrix(a: np.ndarray, b: np.ndarray, counter: CostCounter | None, module: str) -> np.ndarray:
+def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise cosine similarity of the rows of (..., n, d) and (..., m, d)
     per sample, giving (..., n, m); zero rows map to 0.
 
     Used for mask construction only (constant w.r.t. gradients), so it
-    works on raw arrays and bills its cost explicitly.
+    works on raw arrays; like every tape op it bills the active cost scope.
     """
     na = np.sqrt(np.sum(a * a, axis=-1, keepdims=True))
     nb = np.sqrt(np.sum(b * b, axis=-1, keepdims=True))
@@ -240,8 +240,6 @@ def cosine_matrix(a: np.ndarray, b: np.ndarray, counter: CostCounter | None, mod
     unit_b = b / np.where(nb == 0.0, 1.0, nb)
     sims = unit_a @ np.swapaxes(unit_b, -1, -2)
     np.clip(sims, -1.0, 1.0, out=sims)
-    if counter is not None:
-        with cost_scope(counter, module):
-            T._count("mac", 3 * a.shape[-1] * sims.size)
-            T._count("cosine", sims.size)
+    T._count("mac", 3 * a.shape[-1] * sims.size)
+    T._count("cosine", sims.size)
     return sims

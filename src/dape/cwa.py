@@ -33,13 +33,6 @@ class ChannelGate:
     b2: Tensor
 
 
-def channelize(m_tokens: Tensor) -> Tensor:
-    """(..., N, d) token stream -> (..., d, N) channel-first view; lossless."""
-    if m_tokens.a.ndim < 2:
-        raise DimensionError(f"channelize expects an (..., N, d) stream, got {m_tokens.shape}")
-    return T.transpose(m_tokens)
-
-
 def gate_channels(c: Tensor, gate: ChannelGate) -> Tensor:
     """Per-channel weights a = softmax(MLP(mean over positions)); (..., d),
     each sample's sums to 1."""
@@ -73,12 +66,6 @@ def select_topk_segments_indices(a_weights: np.ndarray, big_l: int, k1: int) -> 
     return np.sort(order, axis=-1) + seg * np.arange(big_l)[:, None]
 
 
-def aggregate_segments(c: Tensor, segments) -> Tensor:
-    """One (..., L, P) row per segment: the mean of its selected channels'
-    position maps."""
-    return T.gather_mean(c, segments)
-
-
 def cwa_block(
     m_spatial: Tensor,
     t1: Tensor,
@@ -89,9 +76,9 @@ def cwa_block(
     trace=None,
     replay=None,
 ) -> tuple[Tensor, AffinityMask]:
-    """Channelize -> gate -> top-k per segment -> project to d -> binarized
-    affinity against the text tokens -> masked attention giving t2."""
-    c = channelize(m_spatial)
+    """Channel-first view -> gate -> top-k per segment -> project to d ->
+    binarized affinity against the text tokens -> masked attention giving t2."""
+    c = T.transpose(m_spatial)  # (..., d, P): one row per channel
     lead = c.shape[:-2]
     if chan_proj.shape[0] != c.shape[-1]:
         raise DimensionError(
@@ -104,16 +91,15 @@ def cwa_block(
         return select_topk_segments_indices(a_weights, cfg.L, cfg.k1)
 
     segments = decide(trace, replay, "cwa_topk", lead, compute_selection)
-    b = aggregate_segments(c, segments)
+    b = T.gather_mean(c, segments)  # (..., L, P): mean of each segment's picks
     b_proj = T.matmul(b, chan_proj)
 
-    counter = trace.counter if trace is not None else None
     a_c = decide(
         trace,
         replay,
         "cwa_mask",
         lead,
-        lambda: binarize(cosine_matrix(b_proj.a, t1.a, counter, "cwa"), cfg.k_c),
+        lambda: binarize(cosine_matrix(b_proj.a, t1.a), cfg.k_c),
     )
     txt_proj, img_proj = projections
     t2 = masked_cross_attention(t1, b_proj, a_c.transposed(), (txt_proj, img_proj))

@@ -101,6 +101,17 @@ def open_corpus(cfg: DapeConfig, generate: bool = False) -> Corpus | None:
     return corpus
 
 
+def open_training_corpus(cfg: DapeConfig) -> Corpus:
+    """`open_corpus` for training, which needs a scene in each split."""
+    corpus = open_corpus(cfg)
+    if not (corpus.train_ids and corpus.eval_ids):
+        raise ConfigurationError(
+            f"corpus {cfg.corpus} has {len(corpus.train_ids)} train and "
+            f"{len(corpus.eval_ids)} eval scenes; training needs at least one of each"
+        )
+    return corpus
+
+
 # ---------------------------------------------------------------------------
 # gen
 
@@ -159,7 +170,7 @@ def train_model(cfg: DapeConfig, corpus: Corpus, run_id: str = "train"):
 
 
 def cmd_train(cfg: DapeConfig) -> dict:
-    corpus = open_corpus(cfg)
+    corpus = open_training_corpus(cfg)
     out = run_dir_for(cfg)
     model, rows, sps, _ = train_model(cfg, corpus)
     write_csv(out / "metrics.csv", MetricsRow.csv_header(), [r.csv_values() for r in rows])
@@ -205,7 +216,10 @@ class AblationRow:
 
 
 def cmd_ablate(cfg: DapeConfig) -> list[AblationRow]:
-    corpus = open_corpus(cfg)
+    # the table reports each variant's last evaluation, which steps=0 never makes
+    if cfg.steps < 1:
+        raise ConfigurationError("ablate needs steps >= 1")
+    corpus = open_training_corpus(cfg)
     rows = []
     for name, over in ABLATION_VARIANTS:
         variant_cfg = DapeConfig(**{**asdict(cfg), **over})

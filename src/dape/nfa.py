@@ -154,26 +154,25 @@ def level_mask(
     k_thr: float,
     mu_k: float,
     active: np.ndarray | None = None,
-    counter=None,
 ) -> AffinityMask:
     """Binarized {0, mu_k} affinity of each sample's (..., n, d) image rows
     against its (..., m, d) text tokens, evaluated only on active rows.
 
     `active` flags rows per sample, (..., n); None means every row. Cosines
-    run for the active (sample, row) pairs alone, so the counter bills
-    exactly what ran.
+    run for the active (sample, row) pairs alone, so the active cost scope
+    is billed exactly what ran.
     """
     xa, ta = xk.a, tk.a
     n, m = xa.shape[-2], ta.shape[-2]
     if active is None:
-        sims = cosine_matrix(xa, ta, counter, "nfa")
+        sims = cosine_matrix(xa, ta)
         return AffinityMask._unchecked(np.where(sims > k_thr, mu_k, 0.0), (0.0, mu_k))
     weights = np.zeros(xa.shape[:-1] + (m,))
     sample, row = np.nonzero(active.reshape(-1, n))
     if sample.size:
         x = xa.reshape(-1, n, xa.shape[-1])[sample, row][:, None, :]
         t = ta.reshape((-1,) + ta.shape[-2:])[sample]
-        sims = cosine_matrix(x, t, counter, "nfa")[:, 0, :]
+        sims = cosine_matrix(x, t)[:, 0, :]
         weights.reshape(-1, n, m)[sample, row] = np.where(sims > k_thr, mu_k, 0.0)
     return AffinityMask._unchecked(weights, (0.0, mu_k))
 
@@ -197,11 +196,6 @@ def upscale_mask(mask: AffinityMask, target: tuple[int, int]) -> AffinityMask:
     return AffinityMask._unchecked(w, mask.alphabet)
 
 
-def _children(flags: np.ndarray) -> np.ndarray:
-    """Flags of the next level's rows descended from flagged rows (2 each)."""
-    return np.repeat(flags, 2, axis=-1)
-
-
 def build_level_masks(
     img_levels: tuple,
     txt_levels: tuple,
@@ -221,49 +215,34 @@ def build_level_masks(
     bench command). `max_level=1` collapses the hierarchy to its coarsest
     level (fine-alignment toggle off).
     """
-    mu1, mu2, mu3 = cfg.mu
-    counter = trace.counter if trace is not None else None
     rule = density_rule or (lambda mask, level, active: density_flag(mask, cfg.tau_d))
     lead = img_levels[0].shape[:-2]
     n1, m1 = img_levels[0].shape[-2], txt_levels[0].shape[-2]
     target = (4 * n1, 4 * m1)
 
-    a1 = decide(
-        trace, replay, "nfa_mask_l1", lead,
-        lambda: level_mask(img_levels[0], txt_levels[0], cfg.k_thr, mu1, None, counter),
-    )
-    dense1 = decide(
-        trace, replay, "nfa_dense_l1", lead, lambda: rule(a1, 1, np.ones(lead + (n1,), bool))
-    )
+    masks, dense_flags, refined = [], [], []
+    active = np.ones(lead + (n1,), bool)
+    for level, (xk, tk, mu_k) in enumerate(zip(img_levels, txt_levels, cfg.mu), start=1):
+        if level > 1:
+            # the two children of each dense row refine; past max_level none do
+            active = np.repeat(dense_flags[-1], 2, axis=-1) & (level <= max_level)
+            refined.append(active)
+        a = decide(
+            trace, replay, f"nfa_mask_l{level}", lead,
+            lambda: level_mask(xk, tk, cfg.k_thr, mu_k, active if level > 1 else None),
+        )
+        masks.append(upscale_mask(a, target))
+        if level < 3:
+            dense_flags.append(
+                decide(trace, replay, f"nfa_dense_l{level}", lead, lambda: rule(a, level, active))
+            )
 
-    active2 = (
-        _children(dense1) if max_level >= 2 else np.zeros(lead + (2 * n1,), bool)
-    )
-    a2 = decide(
-        trace, replay, "nfa_mask_l2", lead,
-        lambda: level_mask(img_levels[1], txt_levels[1], cfg.k_thr, mu2, active2, counter),
-    )
-    dense2 = decide(trace, replay, "nfa_dense_l2", lead, lambda: rule(a2, 2, active2))
-
-    active3 = (
-        _children(dense2) if max_level >= 3 else np.zeros(lead + (4 * n1,), bool)
-    )
-    a3 = decide(
-        trace, replay, "nfa_mask_l3", lead,
-        lambda: level_mask(img_levels[2], txt_levels[2], cfg.k_thr, mu3, active3, counter),
-    )
-
-    a1u = upscale_mask(a1, target)
-    a2u = upscale_mask(a2, target)
-    a3u = upscale_mask(a3, target)
+    a1u, a2u, a3u = masks
     a_prime = a1u.weights + a2u.weights + a3u.weights
-    hier = HierarchicalMask(a1u, a2u, a3u, a_prime, dense1, dense2)
+    hier = HierarchicalMask(a1u, a2u, a3u, a_prime, *dense_flags)
     hier.check_structure()
     if trace is not None and replay is None:
-        per_sample = zip(
-            active2.reshape(-1, 2 * n1).sum(axis=1).tolist(),
-            active3.reshape(-1, 4 * n1).sum(axis=1).tolist(),
-        )
+        per_sample = zip(*(f.reshape(-1, f.shape[-1]).sum(axis=1).tolist() for f in refined))
         trace.hierarchy.extend(
             HierarchyCost(
                 n_rows_l1=n1,

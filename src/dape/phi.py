@@ -27,12 +27,10 @@ from .tensor import Tensor
 
 @dataclass
 class DetailState:
-    """Carried (..., N, d) detail tokens (row-major on `grid`) and injection
-    count."""
+    """Carried (..., N, d) detail tokens, row-major on `grid`."""
 
     detail_tokens: Tensor
     grid: tuple[int, int]
-    generation: int = 0
 
 
 @dataclass
@@ -65,8 +63,8 @@ def extract_slots(m1_plus: Tensor, positions) -> Tensor:
 def make_detail_tokens(
     source: Tensor | DetailState, proj: Tensor, cutoff_frac: float,
     pool: int = 1,
-) -> tuple[Tensor, tuple[int, int], bool]:
-    """Detail tokens, their grid, and whether this was a first build.
+) -> tuple[Tensor, tuple[int, int]]:
+    """Detail tokens and their grid.
 
     First injection: per-channel high-pass of the (..., h, w, c) map at full
     resolution, then pool*pool cells aggregate and project to token width
@@ -75,7 +73,7 @@ def make_detail_tokens(
     untouched.
     """
     if isinstance(source, DetailState):
-        return source.detail_tokens, source.grid, False
+        return source.detail_tokens, source.grid
     if source.a.ndim < 3:
         raise ConfigurationError(
             f"first detail source must be an (..., h, w, c) map, got {source.shape}"
@@ -89,7 +87,7 @@ def make_detail_tokens(
     # through it, so it runs as one fused raw matmul off the tape.
     cells = Tensor(T.pooled_highpass_cells(source.a, cutoff_frac, pool), check=False)
     gy, gx = h // pool, w // pool
-    return T.matmul(cells, proj), (gy, gx), True
+    return T.matmul(cells, proj), (gy, gx)
 
 
 def phi_inject(
@@ -118,16 +116,11 @@ def phi_inject(
         raise ContractError(
             f"injection at layer {layer_index} violates period {cfg.phi_period}"
         )
-    det_tokens, det_grid, _first = make_detail_tokens(
+    det_tokens, det_grid = make_detail_tokens(
         detail, weights.detail_proj, cfg.cutoff_frac, cfg.detail_pool
     )
-    n_txt = t_prev.shape[-2]
-    if n_txt % 4:
-        raise ConfigurationError(
-            f"text stream length {n_txt} must be divisible by 4 for injection"
-        )
     with T.no_recording():  # base text tokens feed only the masks
-        txt_base = tokenize_text(t_prev, n_txt // 4)
+        txt_base = tokenize_text(t_prev, t_prev.shape[-2] // 4)
     # the nested fine-alignment build bills to its own module, whichever
     # counter the caller installed
     with cost_scope(T._COST_SINK, "nfa"):
@@ -152,6 +145,4 @@ def phi_inject(
     inv = np.empty_like(perm)
     inv[perm] = np.arange(perm.size)
     carried = T.gather_rows(m2, inv)
-    prev_gen = detail.generation if isinstance(detail, DetailState) else 0
-    state = DetailState(carried, (det_grid[0] // 2, det_grid[1] // 2), prev_gen + 1)
-    return m_out, state
+    return m_out, DetailState(carried, (det_grid[0] // 2, det_grid[1] // 2))

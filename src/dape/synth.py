@@ -249,6 +249,13 @@ def load_corpus(path: str) -> Corpus:
     n = meta.get("n")
     if not isinstance(n, int) or n < 1:
         raise FileFormatError(f"{path}: corpus meta has no positive scene count")
+    for key in ("train_ids", "eval_ids"):
+        ids = meta.get(key)
+        if not (isinstance(ids, list) and all(type(i) is int and 0 <= i < n for i in ids)):
+            raise FileFormatError(f"{path}: corpus {key} is not a list of scene ids in [0, {n})")
+    split = meta["train_ids"] + meta["eval_ids"]
+    if len(set(split)) != len(split):
+        raise FileFormatError(f"{path}: corpus train_ids and eval_ids repeat a scene id")
     try:
         images = np.stack([tensors[f"img/{i:04d}"] for i in range(n)])
         texts = np.stack([tensors[f"txt/{i:04d}"] for i in range(n)])

@@ -13,8 +13,7 @@ Gradients cover the continuous computation path only: mask construction
 (thresholding, top-k, density flags) happens outside the tape and is
 treated as constant during backprop.
 
-All arrays are C-contiguous float64; `Tensor.data` exposes the row-major
-flat view required by the storage contract.
+All arrays are C-contiguous float64.
 
 Ops are batch-major: they act on the trailing axes (rows and columns,
 spatial maps, channels) and carry any leading axes through, so one call
@@ -66,32 +65,11 @@ class Tensor:
     def size(self) -> int:
         return self.a.size
 
-    @property
-    def data(self) -> Array:
-        """Row-major flat view of the storage."""
-        return self.a.reshape(-1)
-
     def item(self) -> float:
         return float(self.a.reshape(-1)[0])
 
-    def copy(self) -> "Tensor":
-        return Tensor(self.a.copy(), check=False)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
-
-    # Operator sugar; the module-level functions do the real work.
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
 
 
 def _out(arr: Array, what: str, check: bool = True) -> Tensor:

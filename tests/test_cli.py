@@ -421,3 +421,82 @@ def test_corpus_geometry_mismatch_is_usage_error(tmp_path, run_root, capsys, com
     assert run_cmd(tmp_path, cfg, command) == 2
     assert f"{key}={value}" in capsys.readouterr().err
     assert not run_root.exists()
+
+
+# ---------------------------------------------------------------------------
+# splits: train and ablate need a scene in each; load_corpus checks the ids
+
+
+def set_splits(path, **splits):
+    from dape.container import load_tensors, save_tensors
+
+    meta, tensors = load_tensors(path)
+    save_tensors(path, {**meta, **splits}, tensors)
+
+
+def bounded(fn, seconds=60):
+    """fn(), raising instead of hanging once it runs past `seconds`."""
+    import signal
+
+    def on_alarm(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(seconds)
+    try:
+        return fn()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_four_scene_corpus_has_no_eval_split_so_training_is_a_usage_error(tmp_path, run_root):
+    cfg = tiny_cfg(tmp_path)
+    gen = ["gen", "--n", "4", "--seed", "4", "--density", "1,1,1", "--out", cfg.corpus]
+    assert main([*gen, "--config", write_cfg(tmp_path, cfg)]) == 0
+    for command in COMMANDS[:2]:
+        assert run_cmd(tmp_path, cfg, command) == 2
+    assert not run_root.exists()
+    assert run_cmd(tmp_path, cfg, COMMANDS[2]) == 0  # bench needs no split
+
+
+@pytest.mark.parametrize("command", COMMANDS[:2], ids=["train", "ablate"])
+def test_corpus_without_train_scenes_is_usage_error(tmp_path, run_root, command):
+    cfg = tiny_cfg(tmp_path)
+    prepared_corpus(tmp_path, cfg)
+    set_splits(cfg.corpus, train_ids=[], eval_ids=list(range(8)))
+    assert bounded(lambda: run_cmd(tmp_path, cfg, command)) == 2
+    assert not run_root.exists()
+
+
+BAD_SPLITS = {
+    "eval id past n": dict(eval_ids=[999]),
+    "negative id": dict(eval_ids=[-1]),
+    "id not an int": dict(eval_ids=["1"]),
+    "repeated id": dict(eval_ids=[1, 1]),
+    "id in both splits": dict(train_ids=[0, 1, 2, 3], eval_ids=[3, 4]),
+    "not a list": dict(train_ids=None),
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=["train", "ablate", "bench"])
+@pytest.mark.parametrize("splits", BAD_SPLITS.values(), ids=BAD_SPLITS)
+def test_malformed_corpus_splits_are_io_errors(tmp_path, run_root, command, splits):
+    cfg = tiny_cfg(tmp_path)
+    prepared_corpus(tmp_path, cfg)
+    set_splits(cfg.corpus, **splits)
+    assert bounded(lambda: run_cmd(tmp_path, cfg, command)) == 3
+    assert not run_root.exists()
+
+
+def test_ablate_with_zero_steps_is_usage_error_before_training(tmp_path, run_root, monkeypatch):
+    import dape.harness
+
+    def no_training(*_, **__):
+        raise AssertionError("ablate trained a variant")
+
+    monkeypatch.setattr(dape.harness, "train_model", no_training)
+    cfg = tiny_cfg(tmp_path, steps=0)
+    prepared_corpus(tmp_path, cfg)
+    assert run_cmd(tmp_path, cfg, ["ablate"]) == 2
+    assert not run_root.exists()

@@ -1,4 +1,4 @@
-"""Channel-wise alignment: channelization, gating, top-k selection, fusion."""
+"""Channel-wise alignment: the channel-first view, gating, top-k selection, fusion."""
 
 import itertools
 
@@ -32,26 +32,26 @@ def zero_gate(d):
 
 
 # ---------------------------------------------------------------------------
-# channelize
+# the channel-first view (T.transpose)
 
 
 def test_channelize_single_cell():
     x = rng(1).standard_normal((1, 5))
-    c = W.channelize(Tensor(x))
+    c = T.transpose(Tensor(x))
     assert c.shape == (5, 1)
     assert np.array_equal(c.a[:, 0], x[0])
 
 
 def test_channelize_round_trip_bit_exact():
     x = rng(2).standard_normal((12, 6))
-    c = W.channelize(Tensor(x))
+    c = T.transpose(Tensor(x))
     back = c.a.T
     assert np.array_equal(back, x)
 
 
 def test_channelize_index_arithmetic():
     x = rng(3).standard_normal((4, 3))
-    c = W.channelize(Tensor(x)).a
+    c = T.transpose(Tensor(x)).a
     # channel ch, position p must map to x[p, ch]
     for ch in range(3):
         for p in range(4):
@@ -101,12 +101,12 @@ def test_gate_weights_sum_to_one(seed):
 
 
 # ---------------------------------------------------------------------------
-# select_topk_segments_indices / aggregate_segments
+# select_topk_segments_indices / segment means (T.gather_mean)
 
 
 def select_and_aggregate(c, a, big_l, k1):
     segments = W.select_topk_segments_indices(a, big_l, k1)
-    return segments, W.aggregate_segments(Tensor(c), segments)
+    return segments, T.gather_mean(Tensor(c), segments)
 
 
 def test_select_all_equals_segment_mean():

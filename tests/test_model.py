@@ -537,3 +537,33 @@ def test_cost_report_aggregates_trace():
     assert rep_dense.fine_ratio == 1.0
     # strict dominance whenever some row is not dense
     assert rep_sparse.fine_cosines < rep_sparse.fine_cosines_uniform
+
+
+def test_blocks_bill_their_cosines_to_the_active_scope():
+    """Called without a trace, each block bills its mask cosines to the
+    scope it runs in, as it does its MACs."""
+    from dape.coarse import coarse_align_block, tokenize_text
+    from dape.costs import CostCounter, cost_scope
+    from dape.cwa import cwa_block
+    from dape.nfa import build_hierarchy
+
+    cfg = oracle_cfg(k_thr=-1.0, tau_d=0.0)  # every row refines: 21*I*J fine cosines
+    model = init_model(cfg)
+    batch = corpus_batch(cfg, n=2)
+    lp = model.layers[0]
+    images, texts = Tensor(batch.images), Tensor(batch.texts)
+    counter = CostCounter()
+    with cost_scope(counter, "coarse"):
+        t1, m1, *_ = coarse_align_block(images, texts, lp.img, lp.txt, cfg)
+    with cost_scope(counter, "cwa"):
+        cwa_block(m1, t1, model.gate, model.cwa_proj, (lp.txt, lp.img), cfg)
+    with cost_scope(counter, "nfa"):
+        build_hierarchy(images, tokenize_text(texts, cfg.j_text), cfg, model.nfa)
+    b, i, j = 2, cfg.n_img_tokens, cfg.j_text
+    assert dict(counter.cosines) == {"coarse": b * i * j, "cwa": b * cfg.L * j, "nfa": b * 21 * i * j}
+
+
+def test_fine_cosines_are_the_cosines_billed_to_nfa():
+    cfg = oracle_cfg()
+    _, _, trace = forward(init_model(cfg), corpus_batch(cfg, n=2), cfg)
+    assert sum(h.cosines for h in trace.hierarchy) == trace.counter.cosines["nfa"] > 0

@@ -11,7 +11,7 @@ from dape import nfa as N
 from dape import tensor as T
 from dape.coarse import AffinityMask, ProjectionSet, tokenize_text
 from dape.config import DapeConfig, mu_partition
-from dape.costs import Trace
+from dape.costs import Trace, cost_scope
 from dape.errors import ConfigurationError, DimensionError
 from dape.tensor import Tensor
 
@@ -394,7 +394,8 @@ def test_hierarchy_monotonicity_in_tau_and_threshold(seed):
 def test_hierarchy_cost_dominance_and_counts():
     cfg, m, t, weights = build_case(26, k_thr=0.1)
     trace = Trace()
-    N.build_hierarchy(m, t, cfg, weights, trace=trace)
+    with cost_scope(trace.counter, "nfa"):
+        N.build_hierarchy(m, t, cfg, weights, trace=trace)
     (hc,) = trace.hierarchy
     assert hc.cosines <= hc.full_cosines
     assert hc.cosines == trace.counter.total_cosines()

@@ -115,16 +115,16 @@ def test_detail_tokens_constant_image_bias_free_projection_gives_zero():
     c, d = 3, 4
     src = Tensor(np.ones((8, 8, c)) * 2.0)
     proj = Tensor(rng(8).standard_normal((c, d)))
-    tokens, grid, first = P.make_detail_tokens(src, proj, 0.25)
-    assert first and grid == (8, 8)
+    tokens, grid = P.make_detail_tokens(src, proj, 0.25)
+    assert grid == (8, 8)
     assert np.max(np.abs(tokens.a)) < 1e-10  # high-pass kills a constant map
 
 
 def test_detail_tokens_pass_through_carried_state():
     carried = Tensor(rng(9).standard_normal((16, 4)))
-    state = P.DetailState(carried, (4, 4), generation=1)
-    tokens, grid, first = P.make_detail_tokens(state, Tensor(np.zeros((3, 4))), 0.25)
-    assert tokens is carried and grid == (4, 4) and not first
+    state = P.DetailState(carried, (4, 4))
+    tokens, grid = P.make_detail_tokens(state, Tensor(np.zeros((3, 4))), 0.25)
+    assert tokens is carried and grid == (4, 4)
 
 
 def test_detail_tokens_match_highpass_then_project_oracle():
@@ -132,7 +132,7 @@ def test_detail_tokens_match_highpass_then_project_oracle():
     g = rng(10)
     src = g.standard_normal((8, 8, 1))
     proj = g.standard_normal((1, d))
-    tokens, _, _ = P.make_detail_tokens(Tensor(src), Tensor(proj), 0.4)
+    tokens, _ = P.make_detail_tokens(Tensor(src), Tensor(proj), 0.4)
     hp = oracles.highpass_naive(src[..., 0], 0.4)
     want = hp.reshape(-1, 1) @ proj
     assert np.max(np.abs(tokens.a - want)) < 1e-9
@@ -169,14 +169,14 @@ def test_inject_default_period_is_four():
 
 def test_inject_zero_detail_leaves_slots_unchanged():
     cfg, g, m1p, slots, src, t_prev, weights = inject_case(12)
-    zero_state = P.DetailState(Tensor(np.zeros((64, cfg.d))), (8, 8), 1)
+    zero_state = P.DetailState(Tensor(np.zeros((64, cfg.d))), (8, 8))
     m_out, state = P.phi_inject(
         m1p, slots, zero_state, t_prev, weights, (eye_ps(cfg.d), eye_ps(cfg.d)),
         cfg, layer_index=1,
     )
     # zero detail -> m2 = 0 -> attention over zero values -> m3 = 0
     assert np.array_equal(m_out.a, m1p.a)
-    assert state.generation == 2
+    assert state.grid == (4, 4)
 
 
 def test_inject_touches_only_slot_rows():
@@ -199,7 +199,7 @@ def test_inject_matches_composed_pipeline_oracle():
         m1p, slots, src, t_prev, weights, (eye_ps(cfg.d), eye_ps(cfg.d)),
         cfg, layer_index=1,
     )
-    det, grid, _ = P.make_detail_tokens(src, weights.detail_proj, cfg.cutoff_frac)
+    det, grid = P.make_detail_tokens(src, weights.detail_proj, cfg.cutoff_frac)
     txt_base = tokenize_text(t_prev, cfg.j_text // 4)
     hier, q3, txt3 = build_hierarchy_from_tokens(det, grid, txt_base, cfg)
     m2 = nfa_attention(q3, txt3, hier.a_prime, (eye_ps(cfg.d), eye_ps(cfg.d)), cfg)
@@ -214,7 +214,6 @@ def test_inject_state_carries_and_grid_halves():
         m1p, slots, src, t_prev, weights, (eye_ps(cfg.d), eye_ps(cfg.d)),
         cfg, layer_index=1,
     )
-    assert state.generation == 1
     assert state.grid == (cfg.image_size // 2, cfg.image_size // 2)
     assert state.detail_tokens.shape == ((cfg.image_size // 2) ** 2, cfg.d)
     # second injection consumes the carried state
@@ -222,7 +221,6 @@ def test_inject_state_carries_and_grid_halves():
         m_out, slots, state, t_prev, weights, (eye_ps(cfg.d), eye_ps(cfg.d)),
         cfg, layer_index=1,
     )
-    assert state2.generation == 2
     assert state2.grid == (cfg.image_size // 4, cfg.image_size // 4)
 
 

@@ -595,9 +595,3 @@ def test_untouched_param_gets_zero_gradient():
 def test_tensor_rejects_nan():
     with pytest.raises(NumericError):
         T.Tensor([float("nan")])
-
-
-def test_flat_data_is_row_major():
-    t = T.Tensor([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(t.data, [1.0, 2.0, 3.0, 4.0])
-    assert int(np.prod(t.shape)) == t.data.shape[0]
