@@ -82,6 +82,9 @@ def load_tensors(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         except (KeyError, TypeError, ValueError) as e:
             raise FileFormatError(f"{p}: bad manifest record {rec!r}") from e
         extents.append((lo, name, shape))
+    # one float64 view of the whole payload (a copy only on a big-endian
+    # host), so every tensor below is a slice of the same array
+    floats = body[: len(body) // 8 * 8].view("<f8").astype(np.float64, copy=False)
     tensors = {}
     end = 0  # save_tensors writes the extents back to back; anything else is corrupt
     for lo, name, shape in sorted(extents):
@@ -95,10 +98,8 @@ def load_tensors(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
             what = "overlaps the tensor before it" if lo < end else f"leaves a gap after byte {end}"
             raise FileFormatError(f"{p}: tensor {name!r} at offset {lo} {what}")
         end = lo + 8 * count
-        # offsets are multiples of 8 here, so every view is aligned; the
-        # conversion copies only on a big-endian host
-        arr = body[lo:end].view("<f8").reshape(shape)
-        tensors[name] = arr.astype(np.float64, copy=False)
+        # lo is the previous end, a multiple of 8
+        tensors[name] = floats[lo // 8 : end // 8].reshape(shape)
     if end != len(body):
         raise FileFormatError(f"{p}: {len(body) - end} payload bytes after the last tensor")
     return meta, tensors

@@ -256,11 +256,33 @@ def load_corpus(path: str) -> Corpus:
     split = meta["train_ids"] + meta["eval_ids"]
     if len(set(split)) != len(split):
         raise FileFormatError(f"{path}: corpus train_ids and eval_ids repeat a scene id")
+    return Corpus(meta, _stacked(path, tensors, "img", n), _stacked(path, tensors, "txt", n))
+
+
+def _stacked(path: str, tensors: dict[str, np.ndarray], kind: str, n: int) -> np.ndarray:
+    """Entries `kind/0000` ... as one (n, ...) array. `save_tensors` stores
+    them back to back in name order, so it is a read-only view of the
+    container's buffer. Name order is index order below 10,001 scenes;
+    past that ("img/10000" sorts before "img/1001") the view is put in
+    index order as a copy."""
+    names = [f"{kind}/{i:04d}" for i in range(n)]
+    order = sorted(range(n), key=names.__getitem__)
     try:
-        images = np.stack([tensors[f"img/{i:04d}"] for i in range(n)])
-        texts = np.stack([tensors[f"txt/{i:04d}"] for i in range(n)])
+        parts = [tensors[names[i]] for i in order]
     except KeyError as e:
         raise FileFormatError(f"{path}: corpus has no entry {e}") from e
-    except ValueError as e:
-        raise FileFormatError(f"{path}: corpus entries differ in shape: {e}") from e
-    return Corpus(meta, images, texts)
+    first = parts[0]
+    start = first.__array_interface__["data"][0]
+    for j, (i, part) in enumerate(zip(order, parts)):
+        if part.shape != first.shape:
+            raise FileFormatError(
+                f"{path}: corpus entry {names[i]} has shape {part.shape}, not {first.shape}"
+            )
+        if part.__array_interface__["data"][0] != start + j * first.nbytes:
+            raise FileFormatError(
+                f"{path}: corpus entry {names[i]} is not stored where save_tensors puts it"
+            )
+    block = np.lib.stride_tricks.as_strided(
+        first, (n,) + first.shape, (first.nbytes,) + first.strides, writeable=False
+    )
+    return block if order == list(range(n)) else block[np.argsort(order)]

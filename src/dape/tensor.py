@@ -3,7 +3,8 @@
 Every public operation validates that its output is finite; pure
 reindexing ops (reshape, gather, concat, ...) inherit finiteness from their
 inputs. The fused `attention` records one tape entry for the chain of nine
-ops it replaces and checks where a non-finite value can first appear: the
+ops it replaces, or none when its mask is all zero (its output is then a
+constant), and checks where a non-finite value can first appear: the
 q, k and v projections, the raw scores, the mask and the output. The other
 intermediates cannot create one: scaling by 1/sqrt(d) <= 1 shrinks finite
 scores, a softmax of finite rows lies in [0, 1], and its product with a
@@ -400,6 +401,8 @@ def attention(xq: Tensor, xkv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
               mask: Array | None) -> Tensor:
     """softmax(Q K^T / sqrt(d)) scaled entrywise by a constant mask, times
     V, with Q = xq @ wq, K = xkv @ wk and V = xkv @ wv, as one tape entry.
+    An all-zero mask gives an exactly zero output for any inputs, which is
+    recorded as a constant: no tape entry, zero gradient to all five.
 
     Queries and keys/values are (..., N_q, d) and (..., N_kv, d); a 2-D one
     applies to every sample of the other's leading axes. The weights are
@@ -473,7 +476,11 @@ def attention(xq: Tensor, xkv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
             if _wants(acc, wq):
                 _acc(acc, wq, _matmul_dw(gq, x, wq.a))
 
-    _rec(out, backward, xq, xkv, wq, wk, wv)
+    # an all-zero mask makes the output zero whatever the five inputs, a
+    # constant: no tape entry, so backward also skips every op that feeds
+    # only this one (the mask is tested only while a tape records)
+    if _tape() is not None and (m is None or m.any()):
+        _rec(out, backward, xq, xkv, wq, wk, wv)
     return out
 
 

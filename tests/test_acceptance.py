@@ -305,7 +305,7 @@ def test_acceptance_5_phi_cost_bound(mixed_corpus):
     batch = mixed_corpus.batch(range(8))
     train_step(m_on, batch, cfg_on)
     train_step(m_off, batch, cfg_off)
-    ratios = []
+    ratios, step_ms = [], {"on": [], "off": []}
     for _ in range(7):
         t0 = time.perf_counter()
         for _ in range(10):
@@ -314,13 +314,18 @@ def test_acceptance_5_phi_cost_bound(mixed_corpus):
         t0 = time.perf_counter()
         for _ in range(10):
             train_step(m_off, batch, cfg_off)
-        ratios.append((time.perf_counter() - t0) / t_on)
-    ratios.sort()
-    median = ratios[len(ratios) // 2]
+        t_off = time.perf_counter() - t0
+        ratios.append(t_off / t_on)
+        step_ms["on"].append(100 * t_on)
+        step_ms["off"].append(100 * t_off)
+    median = sorted(ratios)[len(ratios) // 2]
+    rounds = " ".join(f"{r:.3f}" for r in ratios)
+    times = " ".join(f"{k}={sorted(v)[len(v) // 2]:.2f}" for k, v in step_ms.items())
     report(
         "A5 phi-cost-bound",
         mac_ok and median >= 0.8,
-        f"added={added} budget={2 * one_injection} steps/sec ratio median={median:.3f}",
+        f"added={added} budget={2 * one_injection} steps/sec ratio median={median:.3f} "
+        f"rounds=[{rounds}] median step ms: phi {times}",
     )
 
 

@@ -43,17 +43,24 @@ def oracle_cfg(**over):
     return cfg
 
 
-def corpus_batch(cfg, n=4, seed=5, path="/tmp/dape_test_corpus.dape"):
-    gen_corpus(max(n, 4), seed, (1, 1, 1), path, cfg)
-    corpus = load_corpus(path)
-    return corpus.batch(range(n))
+@pytest.fixture
+def corpus_batch(tmp_path):
+    """`corpus_batch(cfg, n, seed)`: the first n scenes of a generated
+    corpus as a batch, the corpus written in the test's own directory."""
+
+    def make(cfg, n=4, seed=5):
+        path = str(tmp_path / "batch_corpus.dape")
+        gen_corpus(max(n, 4), seed, (1, 1, 1), path, cfg)
+        return load_corpus(path).batch(range(n))
+
+    return make
 
 
 # ---------------------------------------------------------------------------
 # forward
 
 
-def test_forward_matches_monolithic_oracle():
+def test_forward_matches_monolithic_oracle(corpus_batch):
     cfg = oracle_cfg()
     model = init_model(cfg)
     batch = corpus_batch(cfg, n=2)
@@ -65,7 +72,7 @@ def test_forward_matches_monolithic_oracle():
     assert trace.injections == 2  # one per sample at layer 1
 
 
-def test_forward_all_masked_out_is_deterministic_zero():
+def test_forward_all_masked_out_is_deterministic_zero(corpus_batch):
     cfg = oracle_cfg(k0=1.0, k_c=1.0, k_thr=1.0, n_layers=1, phi_period=4,
                     enable_phi=False, nfa_merge="slots_only")
     model = init_model(cfg)
@@ -77,7 +84,7 @@ def test_forward_all_masked_out_is_deterministic_zero():
     assert np.array_equal(ie.a, ie2.a)
 
 
-def test_forward_batch_symmetry():
+def test_forward_batch_symmetry(corpus_batch):
     cfg = oracle_cfg()
     model = init_model(cfg)
     batch = corpus_batch(cfg, n=2)
@@ -91,7 +98,7 @@ def test_forward_batch_symmetry():
     assert np.max(np.abs(te.a - te.a[0])) < 1e-12
 
 
-def test_forward_unit_norm_embeddings():
+def test_forward_unit_norm_embeddings(corpus_batch):
     cfg = oracle_cfg()
     model = init_model(cfg)
     batch = corpus_batch(cfg, n=4)
@@ -150,7 +157,7 @@ def test_loss_rejects_bad_inputs():
 # training
 
 
-def test_train_step_zero_lr_keeps_parameters_bit_exact():
+def test_train_step_zero_lr_keeps_parameters_bit_exact(corpus_batch):
     cfg = oracle_cfg(learning_rate=0.0)
     model = init_model(cfg)
     batch = corpus_batch(cfg, n=2)
@@ -160,7 +167,7 @@ def test_train_step_zero_lr_keeps_parameters_bit_exact():
         assert np.array_equal(b, t.a)
 
 
-def test_repeated_step_on_fixed_batch_nonincreasing():
+def test_repeated_step_on_fixed_batch_nonincreasing(corpus_batch):
     cfg = oracle_cfg(learning_rate=1e-3)
     model = init_model(cfg)
     batch = corpus_batch(cfg, n=4)
@@ -169,7 +176,7 @@ def test_repeated_step_on_fixed_batch_nonincreasing():
         assert b <= a + 1e-9
 
 
-def test_training_determinism_bit_identical_losses():
+def test_training_determinism_bit_identical_losses(corpus_batch):
     def run():
         cfg = oracle_cfg()
         model = init_model(cfg)
@@ -179,7 +186,7 @@ def test_training_determinism_bit_identical_losses():
     assert run() == run()
 
 
-def test_gradient_norm_matches_finite_differences_d8():
+def test_gradient_norm_matches_finite_differences_d8(corpus_batch):
     """Sampled-coordinate check on a d=8 full model, masks frozen."""
     cfg = DapeConfig(
         d=8, n_layers=2, s=2, grid=(2, 2), j_text=4, text_len=16,
@@ -188,7 +195,7 @@ def test_gradient_norm_matches_finite_differences_d8():
     )
     cfg.validate()
     model = init_model(cfg)
-    batch = corpus_batch(cfg, n=2, seed=9, path="/tmp/dape_d8_corpus.dape")
+    batch = corpus_batch(cfg, n=2, seed=9)
     from dape.costs import Replay, Trace
 
     trace = Trace()
@@ -202,7 +209,7 @@ def test_gradient_norm_matches_finite_differences_d8():
     assert err < 1e-3
 
 
-def test_replay_leaving_decisions_unconsumed_is_rejected():
+def test_replay_leaving_decisions_unconsumed_is_rejected(corpus_batch):
     """Replaying a 3-sample trace over 2 samples leaves the third sample's
     decisions unused; the structure diverged, so forward must refuse."""
     from dape.costs import Replay
@@ -217,7 +224,7 @@ def test_replay_leaving_decisions_unconsumed_is_rejected():
 
 
 @pytest.mark.parametrize("replay_n", [2, 4])
-def test_replay_over_another_batch_size_is_rejected_before_consuming(replay_n):
+def test_replay_over_another_batch_size_is_rejected_before_consuming(replay_n, corpus_batch):
     """A 3-sample trace replayed over 2 or 4 samples is refused at the first
     decision, whose per-sample entries would otherwise cross into the next
     decision point's; the same replay then serves the 3-sample batch."""
@@ -306,7 +313,7 @@ def test_train_step_tape_size_is_independent_of_batch_size(tmp_path, monkeypatch
 # toggles and cost monotonicity
 
 
-def test_disabling_cwa_equals_zero_channel_projection():
+def test_disabling_cwa_equals_zero_channel_projection(corpus_batch):
     cfg_off = oracle_cfg(enable_cwa=False)
     cfg_on = oracle_cfg(enable_cwa=True)
     model = init_model(cfg_on)
@@ -318,7 +325,7 @@ def test_disabling_cwa_equals_zero_channel_projection():
     assert np.max(np.abs(te_off.a - te_z.a)) < 1e-12
 
 
-def test_disabling_nfa_collapses_hierarchy_to_level1():
+def test_disabling_nfa_collapses_hierarchy_to_level1(corpus_batch):
     cfg = oracle_cfg(enable_nfa=False, nfa_merge="slots_only")
     model = init_model(cfg)
     batch = corpus_batch(cfg, n=2)
@@ -327,7 +334,7 @@ def test_disabling_nfa_collapses_hierarchy_to_level1():
     assert masks and all(np.array_equal(m.weights, np.zeros_like(m.weights)) for m in masks)
 
 
-def test_disabling_phi_zeroes_generation_count():
+def test_disabling_phi_zeroes_generation_count(corpus_batch):
     cfg = oracle_cfg(enable_phi=False)
     model = init_model(cfg)
     batch = corpus_batch(cfg, n=2)
@@ -335,7 +342,7 @@ def test_disabling_phi_zeroes_generation_count():
     assert trace.injections == 0
 
 
-def test_mac_monotonicity_across_toggles():
+def test_mac_monotonicity_across_toggles(corpus_batch):
     batch = None
     totals = {}
     for name, over in (
@@ -368,7 +375,7 @@ def test_mac_monotonicity_across_toggles():
     assert added_macs(2 * k) <= (2 * k // k) * one
 
 
-def test_generation_count_follows_layer_count():
+def test_generation_count_follows_layer_count(corpus_batch):
     for n_layers, want in ((2, 1), (4, 2)):
         cfg = oracle_cfg(n_layers=n_layers)
         model = init_model(cfg)
@@ -381,7 +388,7 @@ def test_generation_count_follows_layer_count():
 # checkpointing
 
 
-def test_checkpoint_round_trip_and_byte_stability(tmp_path):
+def test_checkpoint_round_trip_and_byte_stability(tmp_path, corpus_batch):
     cfg = oracle_cfg()
     model = init_model(cfg)
     batch = corpus_batch(cfg, n=2)
@@ -457,7 +464,7 @@ def test_checkpoint_without_config_object_is_a_file_format_error(tmp_path, confi
     ("layer1.img.wq", "coarse"), ("layer1.img.wv", "cwa"), ("layer1.txt.wk", "coarse"),
     ("phi.q.wq", "phi"),
 ])
-def test_overflow_names_layer_module_and_sample(weight, module):
+def test_overflow_names_layer_module_and_sample(weight, module, corpus_batch):
     cfg = oracle_cfg()
     batch = corpus_batch(cfg, n=4)
     # sample 2 carries a thousand times the signal, so it overflows first
@@ -480,10 +487,20 @@ def test_overflow_names_layer_module_and_sample(weight, module):
     assert msg.startswith(f"layer 1, module {module}, sample 2: non-finite values in ")
 
 
-def test_default_train_step_records_one_tape_entry_per_attention(monkeypatch):
-    # 78 entries at b=8, 20 of them the fused attentions (coarse 12, CWA 6,
-    # PHI's slot attention and its nested fine-alignment attention)
-    cfg = DapeConfig()
+# Tape entries of one b=8 step. Each fused attention is one entry, or none
+# when its mask is all zero. At the defaults that holds for CWA's 6 (k_c
+# 0.5) and PHI's nested fine-alignment attention (k_thr 0.6), so 13 of the
+# 71 entries are attentions: coarse 12 and PHI's slot attention. At k_thr
+# 0.1 the nested one is live and CWA's 6 are still off.
+@pytest.mark.parametrize(
+    "over, entries",
+    [({}, 71), ({"nfa_merge": "pool_add", "k_thr": 0.1}, 114)],
+    ids=["default", "pool_add_k_thr_0.1"],
+)
+def test_train_step_records_one_tape_entry_per_live_attention(
+    over, entries, monkeypatch, corpus_batch
+):
+    cfg = DapeConfig(**over)
     batch = corpus_batch(cfg, n=8)
     lengths, gradients = [], T.GradTape.gradients
 
@@ -493,7 +510,7 @@ def test_default_train_step_records_one_tape_entry_per_attention(monkeypatch):
 
     monkeypatch.setattr(T.GradTape, "gradients", counted)
     train_step(init_model(cfg), batch, cfg)
-    assert lengths == [78]
+    assert lengths == [entries]
 
 
 def test_init_model_bit_reproducible():
@@ -511,7 +528,7 @@ def test_retrieval_at_k_perfect_and_random():
     assert 0.0 <= r[1] <= 1.0
 
 
-def test_cost_report_aggregates_trace():
+def test_cost_report_aggregates_trace(corpus_batch):
     from dape.costs import cost_report
 
     cfg = oracle_cfg()
@@ -539,7 +556,7 @@ def test_cost_report_aggregates_trace():
     assert rep_sparse.fine_cosines < rep_sparse.fine_cosines_uniform
 
 
-def test_blocks_bill_their_cosines_to_the_active_scope():
+def test_blocks_bill_their_cosines_to_the_active_scope(corpus_batch):
     """Called without a trace, each block bills its mask cosines to the
     scope it runs in, as it does its MACs."""
     from dape.coarse import coarse_align_block, tokenize_text
@@ -563,7 +580,7 @@ def test_blocks_bill_their_cosines_to_the_active_scope():
     assert dict(counter.cosines) == {"coarse": b * i * j, "cwa": b * cfg.L * j, "nfa": b * 21 * i * j}
 
 
-def test_fine_cosines_are_the_cosines_billed_to_nfa():
+def test_fine_cosines_are_the_cosines_billed_to_nfa(corpus_batch):
     cfg = oracle_cfg()
     _, _, trace = forward(init_model(cfg), corpus_batch(cfg, n=2), cfg)
     assert sum(h.cosines for h in trace.hierarchy) == trace.counter.cosines["nfa"] > 0

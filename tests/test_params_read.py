@@ -5,7 +5,9 @@ the tape are allowlisted, each with its reason.
 
 The guard checks reads, not nonzero gradients: a parameter can be read
 and still get an exactly zero gradient on a given batch (an all-zero mask
-row), which says nothing about whether the model can ever train it."""
+row), which says nothing about whether the model can ever train it. An
+attention whose whole mask is all zero is a constant and goes on no tape,
+so a parameter read only by such attentions is not on the tape."""
 
 from fnmatch import fnmatch
 

@@ -412,11 +412,71 @@ def test_gen_corpus_holds_one_payload_copy(tmp_path):
     assert peak < 1.5 * payload
 
 
-def test_load_corpus_holds_at_most_two_payload_copies(tmp_path):
-    """One read buffer plus the stacked arrays, nothing in between."""
+def test_load_corpus_holds_one_payload_copy(tmp_path):
+    """The read buffer is the corpus: each modality is one view of it,
+    equal to the entries stacked."""
     p = str(tmp_path / "c.dape")
     gen_corpus(80, 7, (1, 1, 1), p, DapeConfig())
     load_corpus(p)
     corpus, peak = traced_peak(lambda: load_corpus(p))
     payload = corpus.images.nbytes + corpus.texts.nbytes
-    assert peak < 2.3 * payload
+    assert peak < 1.2 * payload
+    _, tensors = load_tensors(p)
+    for kind, got in (("img", corpus.images), ("txt", corpus.texts)):
+        assert np.array_equal(got, np.stack([tensors[f"{kind}/{i:04d}"] for i in range(80)]))
+        assert not got.flags.writeable
+
+
+def write_corpus(path, entries):
+    """A corpus container holding `entries` (name, array) in the given
+    order, back to back, whatever order save_tensors would choose."""
+    n = len(entries) // 2
+    manifest, payload = [], b""
+    for name, arr in entries:
+        manifest.append({"name": name, "shape": list(arr.shape), "offset": len(payload)})
+        payload += arr.astype("<f8").tobytes()
+    meta = {"kind": "corpus", "n": n, "train_ids": list(range(1, n)), "eval_ids": [0]}
+    write_raw(path, {"meta": meta, "manifest": manifest}, payload)
+
+
+def scene_entries(n):
+    img = [(f"img/{i:04d}", np.full((2, 2, 3), float(i))) for i in range(n)]
+    txt = [(f"txt/{i:04d}", np.full((4, 3), -float(i))) for i in range(n)]
+    return img, txt
+
+
+def test_hand_laid_corpus_in_save_order_loads(tmp_path):
+    p = tmp_path / "c.dape"
+    img, txt = scene_entries(3)
+    write_corpus(p, img + txt)
+    corpus = load_corpus(str(p))
+    assert np.array_equal(corpus.images, np.stack([a for _, a in img]))
+    assert np.array_equal(corpus.texts, np.stack([a for _, a in txt]))
+
+
+@pytest.mark.parametrize("layout", ["swapped", "interleaved", "shapes_differ"])
+def test_corpus_entries_not_laid_out_as_saved_rejected(tmp_path, layout):
+    p = tmp_path / "c.dape"
+    img, txt = scene_entries(3)
+    if layout == "swapped":
+        entries = [img[1], img[0], img[2]] + txt
+    elif layout == "interleaved":
+        entries = [e for pair in zip(img, txt) for e in pair]
+    else:
+        entries = txt[:2] + [("txt/0002", np.zeros((5, 3)))] + img
+    write_corpus(p, entries)
+    assert len(load_tensors(p)[1]) == 6  # a sound container, a malformed corpus
+    with pytest.raises(FileFormatError, match="corpus entry"):
+        load_corpus(str(p))
+
+
+def test_corpus_past_ten_thousand_scenes_loads_in_index_order(tmp_path):
+    """save_tensors stores "img/10000" between "img/1000" and "img/1001"."""
+    p = tmp_path / "big.dape"
+    n = 10_002
+    tensors = {f"img/{i:04d}": np.full((1, 1, 1), float(i)) for i in range(n)}
+    tensors.update({f"txt/{i:04d}": np.full((1, 1), -float(i)) for i in range(n)})
+    save_tensors(p, {"kind": "corpus", "n": n, "train_ids": [0], "eval_ids": [1]}, tensors)
+    corpus = load_corpus(str(p))
+    assert np.array_equal(corpus.images.reshape(-1), np.arange(n))
+    assert np.array_equal(corpus.texts.reshape(-1), -np.arange(n))

@@ -151,6 +151,38 @@ def test_attention_equals_the_op_chain_bit_for_bit(shapes, masked, sources):
         assert np.any(got != 0.0), name
 
 
+@pytest.mark.parametrize("sources", [INPUTS, ("wq",), ("xkv", "wv"), ("wk", "xq"), ("wv",)])
+@pytest.mark.parametrize("live", [0, 1], ids=["all_zero", "one_entry"])
+@pytest.mark.parametrize("shapes", list(ATTENTION_SHAPES))
+def test_attention_with_an_all_zero_mask_is_a_constant(shapes, live, sources):
+    """An all-zero mask gives exact zeros, billed as the chain bills them,
+    with no tape entry: every gradient is the chain's, which is that of a
+    constant output. One nonzero mask entry puts the op back on the tape."""
+    inputs, mask = attention_inputs(shapes, True)
+    mask = np.zeros(mask.shape)
+    mask[(0,) * (mask.ndim - 2) + (1, 2)] = live * 2 / 7
+    out, macs, n_fused, grads = billed_run(T.attention, inputs, mask, sources)
+    want, want_macs, n_chain, want_grads = billed_run(
+        oracles.attention_chain, inputs, mask, sources
+    )
+    assert (n_fused, n_chain) == (live, 9)
+    assert np.array_equal(out, want)
+    assert macs == want_macs
+    for name, got, exp in zip(sources, grads, want_grads):
+        assert np.array_equal(got, exp), name
+    if not live:
+        assert not out.any()
+
+        def constant(*args):
+            return T.Tensor(np.zeros(out.shape))
+
+        _, _, _, const_grads = billed_run(constant, inputs, mask, sources)
+        for name, got, exp in zip(sources, grads, const_grads):
+            assert np.array_equal(got, exp), name
+            # xkv keeps only the gradient of billed_run's own xkv term
+            assert name == "xkv" or not got.any(), name
+
+
 @pytest.mark.parametrize("masked", [True, False], ids=["mask", "no_mask"])
 @pytest.mark.parametrize("shapes", list(ATTENTION_SHAPES))
 def test_attention_gradients_match_finite_differences(shapes, masked):
