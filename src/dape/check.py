@@ -150,7 +150,8 @@ def check_nfa() -> list[CheckResult]:
     mmap = Tensor(g.standard_normal((8, 8, 8)))
     ttok = coarse.tokenize_text(Tensor(g.standard_normal((16, 8))), 4)
     trace = costs.Trace()
-    hier, _, _ = nfa.build_hierarchy(mmap, ttok, cfg, weights, trace=trace)
+    branches = nfa.prepare_branches(mmap, cfg.mu, cfg.kernels, weights.conv_kernels)
+    hier, _, _ = nfa.build_hierarchy(branches, ttok, cfg, weights, trace=trace)
     lattice = nfa.mask_lattice(*cfg.mu)
     out.append(_result("mu lattice membership", bool(np.isin(hier.a_prime, lattice).all())))
     out.append(_result("mask max at most one", hier.a_prime.max() <= 1.0 + 1e-12))

@@ -21,7 +21,7 @@ from .config import DapeConfig, mu_partition
 from .costs import Replay, Trace, cost_scope
 from .cwa import ChannelGate, cwa_block, fuse_text
 from .errors import ConfigurationError, NumericError
-from .nfa import NfaWeights, build_hierarchy, nfa_attention
+from .nfa import NfaWeights, build_hierarchy, nfa_attention, prepare_branches
 from .phi import DetailState, LearnableTokens, PhiWeights, phi_inject
 from .tensor import GradTape, Tensor
 
@@ -177,6 +177,9 @@ def forward(
     m_stream: Tensor = raw_map
     t_stream = Tensor(batch.texts)
     detail: DetailState | Tensor | None = raw_map
+    if _nfa_per_layer(cfg):
+        # the raw map's branch slices, layouts and bands are the same in every layer
+        branches = prepare_branches(raw_map, cfg.mu, cfg.kernels, model.nfa.conv_kernels)
     layer = 0
     try:
         for layer in range(cfg.n_layers):
@@ -207,7 +210,7 @@ def forward(
                     with T.no_recording():  # base text tokens feed only the masks
                         txt_base = tokenize_text(t_stream, rows // 4)
                     hier, q3, txt3 = build_hierarchy(
-                        raw_map, txt_base, cfg, model.nfa, trace=record, replay=replay,
+                        branches, txt_base, cfg, model.nfa, trace=record, replay=replay,
                     )
                     m2 = nfa_attention(
                         q3, txt3, hier.a_prime,

@@ -7,6 +7,11 @@ density-triggered: level l+1 is evaluated only under rows of level l whose
 nonzero fill exceeds tau_d. Upscaled masks sum into a single weight matrix
 whose entries live on the subset-sum lattice of mu.
 
+The channel split and each convolution's padded input layout and banded
+tap operators do not change between layers: `prepare_branches` builds
+them once per forward, and every layer's `build_hierarchy` runs the
+convolutions from them, then pools and projects.
+
 Token rows are ordered parent-major (the 2 halves, then the 4 quadrants of
 parent p occupy rows 2p+dy and 4p+2dy+dx), which makes block-replication
 upscaling coincide exactly with the refinement tree.
@@ -94,7 +99,8 @@ def mask_lattice(mu1: float, mu2: float, mu3: float) -> np.ndarray:
 @lru_cache(maxsize=128)
 def parent_major_perm(gy: int, gx: int, fy: int, fx: int) -> np.ndarray:
     """Row permutation taking row-major (fy*gy, fx*gx) cells to parent-major
-    order: children of parent (a, b) become consecutive rows."""
+    order: children of parent (a, b) become consecutive rows; read-only,
+    since it is cached."""
     perm = np.empty(gy * gx * fy * fx, dtype=np.intp)
     i = 0
     for a in range(gy):
@@ -103,19 +109,44 @@ def parent_major_perm(gy: int, gx: int, fy: int, fx: int) -> np.ndarray:
                 for dx in range(fx):
                     perm[i] = (fy * a + dy) * (fx * gx) + (fx * b + dx)
                     i += 1
+    perm.flags.writeable = False
     return perm
 
 
-def multiscale_tokens(
+def prepare_branches(
     m: Tensor,
-    grid: tuple[int, int],
     mu: tuple[float, float, float],
     kernels: tuple[int, int, int],
     conv_kernels: tuple[Tensor, Tensor, Tensor],
+) -> tuple[T.DepthwiseConv, T.DepthwiseConv, T.DepthwiseConv]:
+    """Split the channels of an (..., h, w, c) map by largest-remainder mu
+    widths and prepare each part's depthwise convolution with its own
+    kernel: the half of the fine-alignment path that does not change
+    between layers, built once per forward and billed nothing.
+
+    Only the level-3 slice rides the tape, as levels 1 and 2 feed only
+    mask construction.
+    """
+    widths = mu_partition(m.shape[-1], mu)
+    if min(widths) < 1:
+        raise ConfigurationError(f"mu split {widths} leaves an empty branch (c={m.shape[-1]})")
+
+    def branch(b: int) -> T.DepthwiseConv:
+        lo = sum(widths[:b])
+        part = T.slice_last(m, lo, lo + widths[b])
+        return T.conv2d_prepare(part, kernels[b], conv_kernels[b])
+
+    with T.no_recording():
+        b1, b2 = branch(0), branch(1)
+    return b1, b2, branch(2)
+
+
+def multiscale_tokens(
+    branches: tuple[T.DepthwiseConv, T.DepthwiseConv, T.DepthwiseConv],
+    grid: tuple[int, int],
 ) -> tuple[Tensor, Tensor, Tensor]:
-    """Split channels by largest-remainder mu widths, convolve each part
-    with its own depthwise kernel, and pool the branches at 1:2:4 token
-    granularity, rows parent-major.
+    """Run the prepared branch convolutions and pool the branches at 1:2:4
+    token granularity, rows parent-major.
 
     Level 1 pools whole cells of the base grid (I tokens); level 2 pools
     the two vertical halves of each cell (2I); level 3 its four quadrants
@@ -123,20 +154,14 @@ def multiscale_tokens(
     run off-tape; gradient reaches the branch-3 kernel through level 3.
     """
     gy, gx = grid
-    h, w, c = m.shape[-3:]
+    h, w = branches[0].x.shape[-3:-1]
     if h % (4 * gy) or w % (4 * gx):
         raise DimensionError(
             f"grid {grid} needs map sides divisible by {4 * gy}x{4 * gx}, got {h}x{w}"
         )
-    widths = mu_partition(c, mu)
-    if min(widths) < 1:
-        raise ConfigurationError(f"mu split {widths} leaves an empty branch (c={c})")
 
     def level(b: int, fy: int, fx: int) -> Tensor:
-        lo = sum(widths[:b])
-        part = T.slice_last(m, lo, lo + widths[b])
-        branch = T.conv2d_local(part, kernels[b], conv_kernels[b])
-        return T.pool_parent_major(branch, gy, gx, fy, fx)
+        return T.pool_parent_major(T.conv2d_apply(branches[b]), gy, gx, fy, fx)
 
     with T.no_recording():
         l1 = level(0, 1, 1)
@@ -272,7 +297,7 @@ def text_pyramid(t_tokens: TokenSet) -> tuple[Tensor, Tensor, Tensor]:
 
 
 def build_hierarchy(
-    m: Tensor,
+    branches: tuple[T.DepthwiseConv, T.DepthwiseConv, T.DepthwiseConv],
     t_tokens: TokenSet,
     cfg,
     weights: NfaWeights,
@@ -280,7 +305,8 @@ def build_hierarchy(
     replay=None,
     density_rule=None,
 ):
-    """Full fine-alignment mask build from a feature map.
+    """Full fine-alignment mask build from a feature map's branches, as
+    `prepare_branches` made them from the map and `weights.conv_kernels`.
 
     Returns (HierarchicalMask, level-3 image tokens projected to d,
     level-3 text tokens) so the caller can run the masked update.
@@ -289,7 +315,7 @@ def build_hierarchy(
     off-tape like their branches; gradient reaches the branch-3 kernel and
     projection through the masked update's queries.
     """
-    tokens = multiscale_tokens(m, cfg.grid, cfg.mu, cfg.kernels, weights.conv_kernels)
+    tokens = multiscale_tokens(branches, cfg.grid)
     with T.no_recording():
         p1 = T.matmul(tokens[0], weights.branch_projs[0])
         p2 = T.matmul(tokens[1], weights.branch_projs[1])

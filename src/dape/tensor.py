@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -741,6 +741,13 @@ def downsample_avg(x: Tensor, s: int) -> Tensor:
 KERNEL_SIZES = (3, 5, 7)
 
 
+def _read_only(arr: Array) -> Array:
+    # a cached or prepared array is shared by all its readers: a write
+    # would persist into every later read
+    arr.flags.writeable = False
+    return arr
+
+
 def _conv_rows(a: Array, p: int) -> Array:
     """An (..., h, w, c) map zero-padded by p and laid out (c, h+2p, N,
     w+2p), N the flattened leading axes, so that the rows [di, di+h) of
@@ -768,17 +775,23 @@ def _conv_bands(weights: Array, w: int) -> Array:
     return band
 
 
-def conv2d_local(x: Tensor, kernel_size: int, weights: Tensor) -> Tensor:
-    """Depthwise 2-D cross-correlation with zero padding, shape-preserving,
-    over an (..., h, w, c) tensor.
+class DepthwiseConv(NamedTuple):
+    """A depthwise convolution prepared by `conv2d_prepare`: its input, its
+    (c, k, k) weights, the input's padded row layout (`_conv_rows`) and the
+    weights' banded tap operators (`_conv_bands`), both read-only. The
+    weights must not change while a tape holds an apply of it."""
 
-    weights has shape (c, k, k): one k*k filter per channel, shared by
-    every sample of the leading axes. Each tap row di is one banded
-    (w+k-1, w) operator per channel, so the forward pass is k matmuls
-    batched over channels, y = sum_di rows_di @ band_di, and so is the
-    weight gradient: tap (di, dj) sums the dj-th diagonal of rows_di^T @ g.
-    The MAC count bills the k*k taps per output, not the band's zeros.
-    """
+    x: Tensor
+    weights: Tensor
+    xp: Array
+    band: Array
+
+
+def conv2d_prepare(x: Tensor, kernel_size: int, weights: Tensor) -> DepthwiseConv:
+    """Validate a depthwise convolution and build what every run of it
+    reads: the zero-padded row layout of x and the banded operators of
+    the weights. Bills nothing and records nothing; `conv2d_apply` runs
+    it as often as needed."""
     if kernel_size % 2 == 0:
         raise ConfigurationError(f"kernel size must be odd, got {kernel_size}")
     if kernel_size not in KERNEL_SIZES:
@@ -788,45 +801,51 @@ def conv2d_local(x: Tensor, kernel_size: int, weights: Tensor) -> Tensor:
     if x.a.ndim < 3:
         raise DimensionError(f"conv2d_local expects (..., h, w, c), got {x.shape}")
     h, w, c = x.shape[-3:]
-    k = kernel_size
-    if weights.shape != (c, k, k):
+    if weights.shape != (c, kernel_size, kernel_size):
         raise DimensionError(
             f"conv weights shape {weights.shape} incompatible with input {x.shape}"
         )
+    xp = _conv_rows(x.a, kernel_size // 2)
+    band = _conv_bands(weights.a, w)
+    return DepthwiseConv(x, weights, _read_only(xp), _read_only(band))
+
+
+def conv2d_apply(conv: DepthwiseConv) -> Tensor:
+    """Run a prepared depthwise convolution: k matmuls batched over
+    channels, y = sum_di rows_di @ band_di. Bills and records one tape
+    entry per call, as `conv2d_local` does."""
+    x, weights, xp, band = conv
+    h, w, c = x.shape[-3:]
+    k = band.shape[0]
     p = k // 2
     n = x.size // (h * w * c)
     wp = w + 2 * p
 
-    def rows(xp: Array, di: int) -> Array:
+    def rows(di: int) -> Array:
         return xp[:, di : di + h].reshape(c, h * n, wp)
 
-    xp = _conv_rows(x.a, p)
-    band = _conv_bands(weights.a, w)
-    y = rows(xp, 0) @ band[0]
+    y = rows(0) @ band[0]
     for di in range(1, k):
-        y += rows(xp, di) @ band[di]
+        y += rows(di) @ band[di]
     _count("mac", x.size * k * k)
     out = _out(y.reshape(c, h, n, w).transpose(2, 1, 3, 0).reshape(x.shape), "conv2d_local")
-    # backward rebuilds the padded map and the bands rather than keep them alive
-    del xp, band
 
     def backward(g, acc):
         gt = np.ascontiguousarray(g.reshape(n, h, w, c).transpose(3, 1, 0, 2))
         gt = gt.reshape(c, h * n, w)
         if _wants(acc, x):
             # a contiguous transpose runs the faster non-transposed kernel
-            band_t = np.ascontiguousarray(_conv_bands(weights.a, w).transpose(0, 1, 3, 2))
+            band_t = np.ascontiguousarray(band.transpose(0, 1, 3, 2))
             gxp = np.zeros((c, h + 2 * p, n, wp))
             for di in range(k):
                 gxp[:, di : di + h] += (gt @ band_t[di]).reshape(c, h, n, wp)
             ga = gxp[:, p : p + h, :, p : p + w].transpose(2, 1, 3, 0)
             _acc(acc, x, ga.reshape(x.shape))
         if _wants(acc, weights):
-            xp = _conv_rows(x.a, p)
             diag_rows, diag_cols = _band_index(k, w)
             gw = np.empty_like(weights.a)
             for di in range(k):
-                prod = rows(xp, di).transpose(0, 2, 1) @ gt  # (c, w+2p, w)
+                prod = rows(di).transpose(0, 2, 1) @ gt  # (c, w+2p, w)
                 gw[:, di] = prod[:, diag_rows, diag_cols].sum(axis=-1)
             _acc(acc, weights, gw)
 
@@ -834,10 +853,27 @@ def conv2d_local(x: Tensor, kernel_size: int, weights: Tensor) -> Tensor:
     return out
 
 
+def conv2d_local(x: Tensor, kernel_size: int, weights: Tensor) -> Tensor:
+    """Depthwise 2-D cross-correlation with zero padding, shape-preserving,
+    over an (..., h, w, c) tensor: `conv2d_prepare`, then `conv2d_apply`
+    once.
+
+    weights has shape (c, k, k): one k*k filter per channel, shared by
+    every sample of the leading axes. Each tap row di is one banded
+    (w+k-1, w) operator per channel, so the forward pass is k matmuls
+    batched over channels, y = sum_di rows_di @ band_di, and so is the
+    weight gradient: tap (di, dj) sums the dj-th diagonal of rows_di^T @ g.
+    The backward reads the layout and bands kept from the preparation
+    instead of rebuilding them. The MAC count bills the k*k taps per
+    output, not the band's zeros.
+    """
+    return conv2d_apply(conv2d_prepare(x, kernel_size, weights))
+
+
 @lru_cache(maxsize=32)
 def _dft_matrix(n: int) -> Array:
     k = np.arange(n)
-    return np.exp(-2j * np.pi * np.outer(k, k) / n)
+    return _read_only(np.exp(-2j * np.pi * np.outer(k, k) / n))
 
 
 @lru_cache(maxsize=32)
@@ -846,7 +882,7 @@ def _highpass_keep(h: int, w: int, cutoff_frac: float) -> Array:
     fv = np.minimum(np.arange(w), w - np.arange(w))
     radius = np.hypot(fu[:, None], fv[None, :])
     max_radius = math.hypot(h // 2, w // 2)
-    return radius >= cutoff_frac * max_radius
+    return _read_only(radius >= cutoff_frac * max_radius)
 
 
 @lru_cache(maxsize=8)
@@ -878,7 +914,7 @@ def _highpass_operator(h: int, w: int, cutoff_frac: float, pool: int = 1) -> Arr
         # sums run in the cell's row-major pixel order
         for dx in range(pool):
             op[y // pool] += scale * cells[:, dx]
-    return op.reshape(-1, h * w)
+    return _read_only(op.reshape(-1, h * w))
 
 
 def pooled_highpass_cells(arr: Array, cutoff_frac: float, pool: int) -> Array:

@@ -6,8 +6,11 @@ exceptions are `attention_chain`, which pins the fused attention op to the
 chain of primitive tape ops it replaces, `highpass_operator_oneshot` and
 `pooled_highpass_operator_matmul`, which pin the row-by-row, pool-as-you-go
 build of the high-pass operator to the one-shot einsum and the pooling
-matmul it replaces, and `save_tensors_blobs`, which pins the container
-writer's bytes to the blob-per-tensor writer it replaces.
+matmul it replaces, `save_tensors_blobs`, which pins the container
+writer's bytes to the blob-per-tensor writer it replaces, and
+`per_layer_hierarchy`, which pins the fine-alignment build over branches
+prepared once per forward to the build that convolved the raw map anew in
+every layer.
 """
 
 import json
@@ -227,6 +230,32 @@ def attention_chain(xq, xkv, wq, wk, wv, mask):
     if mask is not None:
         weights = T.mul(weights, T.Tensor(mask))
     return T.matmul(weights, v)
+
+
+def per_layer_hierarchy(m, t_tokens, cfg, weights, trace=None, replay=None, density_rule=None):
+    """`nfa.build_hierarchy` as it ran from the raw map m itself: every
+    call slices m and runs each branch through `conv2d_local`, preparing
+    its layout and bands anew, before the pooling, the projections and the
+    level masks."""
+    from dape import tensor as T
+    from dape.config import mu_partition
+    from dape.nfa import build_level_masks, text_pyramid
+
+    widths = mu_partition(m.shape[-1], cfg.mu)
+    gy, gx = cfg.grid
+
+    def level(b, fy, fx):
+        lo = sum(widths[:b])
+        part = T.slice_last(m, lo, lo + widths[b])
+        branch = T.conv2d_local(part, cfg.kernels[b], weights.conv_kernels[b])
+        return T.matmul(T.pool_parent_major(branch, gy, gx, fy, fx), weights.branch_projs[b])
+
+    with T.no_recording():
+        p1, p2 = level(0, 1, 1), level(1, 2, 1)
+    p3 = level(2, 2, 2)
+    txt_levels = text_pyramid(t_tokens)
+    hier = build_level_masks((p1, p2, p3), txt_levels, cfg, trace, replay, density_rule)
+    return hier, p3, txt_levels[2]
 
 
 def span_mean_rows(seq, spans):

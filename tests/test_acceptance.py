@@ -210,7 +210,7 @@ def test_acceptance_2_gradient_fidelity(tmp_path):
 def test_acceptance_3_mask_algebra(tmp_path):
     t0 = time.perf_counter()
     from dape.coarse import binarize
-    from dape.nfa import build_hierarchy, mask_lattice, NfaWeights
+    from dape.nfa import build_hierarchy, mask_lattice, NfaWeights, prepare_branches
     from dape.coarse import ProjectionSet, tokenize_text
     from dape.config import mu_partition
     from dape.tensor import Tensor
@@ -236,7 +236,8 @@ def test_acceptance_3_mask_algebra(tmp_path):
         )
         m = Tensor(g.standard_normal((cfg.image_size, cfg.image_size, cfg.d)))
         t = tokenize_text(Tensor(g.standard_normal((cfg.text_len, cfg.d))), cfg.j_text)
-        hier, _, _ = build_hierarchy(m, t, cfg, weights)
+        branches = prepare_branches(m, cfg.mu, cfg.kernels, weights.conv_kernels)
+        hier, _, _ = build_hierarchy(branches, t, cfg, weights)
         if not np.isin(hier.a_prime, lattice).all() or hier.a_prime.max() > 1.0 + 1e-12:
             ok, detail = False, f"lattice violated at seed {seed}"
             break

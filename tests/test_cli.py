@@ -8,6 +8,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+import oracles
 import dape.coarse
 import dape.cwa
 import dape.nfa
@@ -349,6 +350,31 @@ def test_bench_counts_match_closed_form(tmp_path, run_root):
         want = i1 * j1 + 2 * d1 * 2 * j1 + 2 * d2 * 4 * j1
         assert row.cosines == want
         assert row.uniform == 21 * i1 * j1
+
+
+def test_bench_rows_match_the_per_layer_conv_oracle(tmp_path, run_root, monkeypatch):
+    """`dape bench` prepares the branches once for all densities and writes
+    the rows of the build that convolved the map anew for each density."""
+    cfg = tiny_cfg(tmp_path)
+    prepared_corpus(tmp_path, cfg)
+    densities = [0, 10, 25, 50, 75, 100]
+    prepared, prepare = [], dape.tensor.conv2d_prepare
+
+    def counted(x, kernel_size, weights):
+        prepared.append(kernel_size)
+        return prepare(x, kernel_size, weights)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(dape.tensor, "conv2d_prepare", counted)
+        rows = cmd_bench(cfg, densities)
+    got = (run_root / cfg.hash() / "bench.csv").read_bytes()
+    assert prepared == list(cfg.kernels)
+    with monkeypatch.context() as mp:
+        mp.setattr(dape.nfa, "prepare_branches", lambda m, *_: m)
+        mp.setattr(dape.nfa, "build_hierarchy", oracles.per_layer_hierarchy)
+        want_rows = cmd_bench(cfg, densities)
+    assert rows == want_rows
+    assert got == (run_root / cfg.hash() / "bench.csv").read_bytes()
 
 
 @pytest.mark.parametrize("value", ["nan", "-5", "250", "inf"])

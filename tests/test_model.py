@@ -491,10 +491,12 @@ def test_overflow_names_layer_module_and_sample(weight, module, corpus_batch):
 # when its mask is all zero. At the defaults that holds for CWA's 6 (k_c
 # 0.5) and PHI's nested fine-alignment attention (k_thr 0.6), so 13 of the
 # 71 entries are attentions: coarse 12 and PHI's slot attention. At k_thr
-# 0.1 the nested one is live and CWA's 6 are still off.
+# 0.1 the nested one is live and CWA's 6 are still off; pool_add slices the
+# raw map's level-3 channels once per forward, not once in each of the 6
+# layers, so its per-layer NFA path records 5 entries fewer.
 @pytest.mark.parametrize(
     "over, entries",
-    [({}, 71), ({"nfa_merge": "pool_add", "k_thr": 0.1}, 114)],
+    [({}, 71), ({"nfa_merge": "pool_add", "k_thr": 0.1}, 109)],
     ids=["default", "pool_add_k_thr_0.1"],
 )
 def test_train_step_records_one_tape_entry_per_live_attention(
@@ -511,6 +513,61 @@ def test_train_step_records_one_tape_entry_per_live_attention(
     monkeypatch.setattr(T.GradTape, "gradients", counted)
     train_step(init_model(cfg), batch, cfg)
     assert lengths == [entries]
+
+
+@pytest.mark.parametrize("n_layers", [2, 6])
+def test_pool_add_forward_prepares_each_branch_once(n_layers, monkeypatch, corpus_batch):
+    cfg = DapeConfig(nfa_merge="pool_add", k_thr=0.1, n_layers=n_layers)
+    prepared, prepare = [], T.conv2d_prepare
+
+    def counted(x, kernel_size, weights):
+        prepared.append(kernel_size)
+        return prepare(x, kernel_size, weights)
+
+    monkeypatch.setattr(T, "conv2d_prepare", counted)
+    forward(init_model(cfg), corpus_batch(cfg, n=2), cfg)
+    assert prepared == list(cfg.kernels)
+
+
+def test_pool_add_steps_match_the_per_layer_conv_oracle(monkeypatch, corpus_batch):
+    """Two pool_add train steps over branches prepared once per forward
+    match, bit for bit, the steps that convolve the raw map anew in every
+    layer: losses, gradient norms and the fine-alignment gradients."""
+    import dape.model as model_module
+
+    cfg = DapeConfig(nfa_merge="pool_add", k_thr=0.1)
+    batch = corpus_batch(cfg, n=8)
+
+    def run():
+        model = init_model(cfg)
+        names = [name for name, _ in model.params()]
+        steps, gradients = [], T.GradTape.gradients
+
+        def kept(tape, target, sources):
+            grads = gradients(tape, target, sources)
+            steps[-1].append({
+                n: g for n, g in zip(names, grads) if n.startswith(("nfa.conv", "nfa.proj"))
+            })
+            return grads
+
+        with monkeypatch.context() as mp:
+            mp.setattr(T.GradTape, "gradients", kept)
+            for _ in range(2):
+                steps.append([])
+                loss, gnorm, _ = train_step(model, batch, cfg)
+                steps[-1] += [loss, gnorm]
+        return steps
+
+    got = run()
+    with monkeypatch.context() as mp:
+        mp.setattr(model_module, "prepare_branches", lambda m, *_: m)
+        mp.setattr(model_module, "build_hierarchy", oracles.per_layer_hierarchy)
+        want = run()
+    for (grads, loss, gnorm), (want_grads, want_loss, want_gnorm) in zip(got, want):
+        assert (loss, gnorm) == (want_loss, want_gnorm)
+        assert sorted(grads) == sorted(want_grads) and len(grads) == 6
+        for name, g in grads.items():
+            assert np.array_equal(g, want_grads[name]), name
 
 
 def test_init_model_bit_reproducible():
@@ -562,7 +619,7 @@ def test_blocks_bill_their_cosines_to_the_active_scope(corpus_batch):
     from dape.coarse import coarse_align_block, tokenize_text
     from dape.costs import CostCounter, cost_scope
     from dape.cwa import cwa_block
-    from dape.nfa import build_hierarchy
+    from dape.nfa import build_hierarchy, prepare_branches
 
     cfg = oracle_cfg(k_thr=-1.0, tau_d=0.0)  # every row refines: 21*I*J fine cosines
     model = init_model(cfg)
@@ -575,7 +632,8 @@ def test_blocks_bill_their_cosines_to_the_active_scope(corpus_batch):
     with cost_scope(counter, "cwa"):
         cwa_block(m1, t1, model.gate, model.cwa_proj, (lp.txt, lp.img), cfg)
     with cost_scope(counter, "nfa"):
-        build_hierarchy(images, tokenize_text(texts, cfg.j_text), cfg, model.nfa)
+        branches = prepare_branches(images, cfg.mu, cfg.kernels, model.nfa.conv_kernels)
+        build_hierarchy(branches, tokenize_text(texts, cfg.j_text), cfg, model.nfa)
     b, i, j = 2, cfg.n_img_tokens, cfg.j_text
     assert dict(counter.cosines) == {"coarse": b * i * j, "cwa": b * cfg.L * j, "nfa": b * 21 * i * j}
 

@@ -86,9 +86,8 @@ def test_split_identity_kernels_copy_channels():
     m = g.standard_normal((4, 4, 3))
     mu = (1 / 3, 1 / 3, 1 / 3)
     widths = mu_partition(3, mu)
-    levels = N.multiscale_tokens(
-        Tensor(m), (1, 1), mu, (3, 5, 7), identity_kernels(widths, (3, 5, 7))
-    )
+    branches = N.prepare_branches(Tensor(m), mu, (3, 5, 7), identity_kernels(widths, (3, 5, 7)))
+    levels = N.multiscale_tokens(branches, (1, 1))
     assert [t.shape[1] for t in levels] == [1, 1, 1]
     for i, (tokens, (fy, fx)) in enumerate(zip(levels, LEVEL_FACTORS)):
         copied = T.pool_parent_major(Tensor(m[..., i : i + 1]), 1, 1, fy, fx)
@@ -97,9 +96,8 @@ def test_split_identity_kernels_copy_channels():
 
 def test_split_empty_branch_rejected():
     with pytest.raises(ConfigurationError):
-        N.multiscale_tokens(
-            Tensor(np.zeros((4, 4, 2))), (1, 1), MU, (3, 5, 7),
-            identity_kernels((1, 1, 0), (3, 5, 7)),
+        N.prepare_branches(
+            Tensor(np.zeros((4, 4, 2))), MU, (3, 5, 7), identity_kernels((1, 1, 0), (3, 5, 7))
         )
 
 
@@ -108,7 +106,9 @@ def make_levels(g, h=8, w=8, c=7):
     branches those kernels copy out of the map."""
     widths = mu_partition(c, MU)
     m = Tensor(g.standard_normal((h, w, c)))
-    levels = N.multiscale_tokens(m, (2, 2), MU, (3, 5, 7), identity_kernels(widths, (3, 5, 7)))
+    levels = N.multiscale_tokens(
+        N.prepare_branches(m, MU, (3, 5, 7), identity_kernels(widths, (3, 5, 7))), (2, 2)
+    )
     bounds = np.cumsum((0,) + widths)
     return levels, [m.a[..., lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
@@ -123,7 +123,9 @@ def test_multiscale_constant_map_tokens_identical_within_level():
     c = 7
     m = Tensor(np.ones((8, 8, c)) * 2.5)
     widths = mu_partition(c, MU)
-    levels = N.multiscale_tokens(m, (2, 2), MU, (3, 5, 7), identity_kernels(widths, (3, 5, 7)))
+    levels = N.multiscale_tokens(
+        N.prepare_branches(m, MU, (3, 5, 7), identity_kernels(widths, (3, 5, 7))), (2, 2)
+    )
     for tokens in levels:
         # interior cells match exactly; padding-affected border cells of a
         # constant map still agree within each level for identity kernels
@@ -134,6 +136,24 @@ def test_multiscale_tokens_match_region_means():
     levels, branches = make_levels(rng(3))
     for tokens, branch, (fy, fx) in zip(levels, branches, LEVEL_FACTORS):
         assert np.max(np.abs(tokens.a - region_means(branch, (2, 2), fy, fx))) < 1e-12
+
+
+def test_prepare_branches_records_only_the_level3_slice():
+    g = rng(6)
+    widths = mu_partition(7, MU)
+    m = Tensor(g.standard_normal((8, 8, 7)))
+    with T.GradTape() as tape:
+        branches = N.prepare_branches(m, MU, (3, 5, 7), identity_kernels(widths, (3, 5, 7)))
+    assert [b.x.shape[-1] for b in branches] == list(widths)
+    assert [id(out) for out, _, _ in tape.entries] == [id(branches[2].x)]
+
+
+def test_parent_major_perm_is_read_only():
+    perm = N.parent_major_perm(2, 2, 2, 2)
+    assert not perm.flags.writeable
+    with pytest.raises(ValueError):
+        perm[0] = 1
+    assert perm[0] == 0
 
 
 def test_multiscale_divisibility_error():
@@ -284,6 +304,12 @@ def build_case(seed, k_thr=None, tau_d=None, c=7):
     return cfg, m, t, weights
 
 
+def hierarchy(m, t_tokens, cfg, weights, **kw):
+    """`build_hierarchy` over the branches prepared from map m."""
+    branches = N.prepare_branches(m, cfg.mu, cfg.kernels, weights.conv_kernels)
+    return N.build_hierarchy(branches, t_tokens, cfg, weights, **kw)
+
+
 def full_materialization_oracle(cfg, m, t_tokens, weights):
     """Materialize every level everywhere, then zero inactive rows."""
     widths = oracles.largest_remainder_widths(m.shape[2], cfg.mu)
@@ -343,7 +369,7 @@ def full_materialization_oracle(cfg, m, t_tokens, weights):
 
 def test_hierarchy_no_dense_rows_collapses_to_level1():
     cfg, m, t, weights = build_case(20, tau_d=1.0)  # nothing can exceed fill 1.0
-    hier, _, _ = N.build_hierarchy(m, t, cfg, weights)
+    hier, _, _ = hierarchy(m, t, cfg, weights)
     assert np.flatnonzero(hier.dense_l1).size == 0
     assert np.array_equal(hier.a2.weights, np.zeros_like(hier.a2.weights))
     assert np.array_equal(hier.a3.weights, np.zeros_like(hier.a3.weights))
@@ -353,14 +379,14 @@ def test_hierarchy_no_dense_rows_collapses_to_level1():
 def test_hierarchy_saturated_case_all_ones():
     cfg, m, t, weights = build_case(21, k_thr=-1.0, tau_d=0.0)
     # threshold -1 passes every cosine; tau 0 makes every row dense
-    hier, _, _ = N.build_hierarchy(m, t, cfg, weights)
+    hier, _, _ = hierarchy(m, t, cfg, weights)
     assert np.allclose(hier.a_prime, 1.0, atol=1e-12)
 
 
 def test_hierarchy_matches_full_materialization_oracle():
     for seed in (22, 23, 24):
         cfg, m, t, weights = build_case(seed, k_thr=0.1)
-        hier, _, _ = N.build_hierarchy(m, t, cfg, weights)
+        hier, _, _ = hierarchy(m, t, cfg, weights)
         want, dense1, dense2 = full_materialization_oracle(cfg, m, t, weights)
         assert np.array_equal(np.flatnonzero(hier.dense_l1), dense1)
         assert np.max(np.abs(hier.a_prime - want)) < 1e-12
@@ -368,7 +394,7 @@ def test_hierarchy_matches_full_materialization_oracle():
 
 def test_hierarchy_lattice_and_bounds():
     cfg, m, t, weights = build_case(25, k_thr=0.0, tau_d=0.0)
-    hier, _, _ = N.build_hierarchy(m, t, cfg, weights)
+    hier, _, _ = hierarchy(m, t, cfg, weights)
     lattice = N.mask_lattice(*cfg.mu)
     assert np.isin(hier.a_prime, lattice).all()
     assert hier.a_prime.max() <= 1.0 + 1e-12
@@ -378,16 +404,16 @@ def test_hierarchy_lattice_and_bounds():
 @given(st.integers(0, 5000))
 def test_hierarchy_monotonicity_in_tau_and_threshold(seed):
     cfg, m, t, weights = build_case(seed, k_thr=0.1, tau_d=0.1)
-    base, _, _ = N.build_hierarchy(m, t, cfg, weights)
+    base, _, _ = hierarchy(m, t, cfg, weights)
     cfg_hi_tau = nfa_cfg()
     cfg_hi_tau.k_thr = 0.1
     cfg_hi_tau.tau_d = 0.5
-    hi_tau, _, _ = N.build_hierarchy(m, t, cfg_hi_tau, weights)
+    hi_tau, _, _ = hierarchy(m, t, cfg_hi_tau, weights)
     assert set(np.flatnonzero(hi_tau.dense_l1)) <= set(np.flatnonzero(base.dense_l1))
     cfg_hi_thr = nfa_cfg()
     cfg_hi_thr.k_thr = 0.4
     cfg_hi_thr.tau_d = 0.1
-    hi_thr, _, _ = N.build_hierarchy(m, t, cfg_hi_thr, weights)
+    hi_thr, _, _ = hierarchy(m, t, cfg_hi_thr, weights)
     assert np.all((hi_thr.a1.weights > 0) <= (base.a1.weights > 0))
 
 
@@ -395,28 +421,28 @@ def test_hierarchy_cost_dominance_and_counts():
     cfg, m, t, weights = build_case(26, k_thr=0.1)
     trace = Trace()
     with cost_scope(trace.counter, "nfa"):
-        N.build_hierarchy(m, t, cfg, weights, trace=trace)
+        hierarchy(m, t, cfg, weights, trace=trace)
     (hc,) = trace.hierarchy
     assert hc.cosines <= hc.full_cosines
     assert hc.cosines == trace.counter.total_cosines()
     # saturated build reaches the full-materialization count exactly
     cfg2, m2, t2, weights2 = build_case(26, k_thr=-1.0, tau_d=0.0)
     trace2 = Trace()
-    N.build_hierarchy(m2, t2, cfg2, weights2, trace=trace2)
+    hierarchy(m2, t2, cfg2, weights2, trace=trace2)
     (hc2,) = trace2.hierarchy
     assert hc2.cosines == hc2.full_cosines
 
 
 def test_hierarchy_deterministic():
-    a = N.build_hierarchy(*build_case(27)[1:3], nfa_cfg(), build_case(27)[3])
-    b = N.build_hierarchy(*build_case(27)[1:3], nfa_cfg(), build_case(27)[3])
+    a = hierarchy(*build_case(27)[1:3], nfa_cfg(), build_case(27)[3])
+    b = hierarchy(*build_case(27)[1:3], nfa_cfg(), build_case(27)[3])
     # identical inputs, bit-identical masks
     assert np.array_equal(a[0].a_prime, b[0].a_prime)
 
 
 def test_hierarchy_structure_checker_catches_violation():
     cfg, m, t, weights = build_case(28, k_thr=0.1)
-    hier, _, _ = N.build_hierarchy(m, t, cfg, weights)
+    hier, _, _ = hierarchy(m, t, cfg, weights)
     bad = N.HierarchicalMask(
         hier.a1, hier.a2, hier.a3, hier.a_prime + 1e-9, hier.dense_l1, hier.dense_l2
     )

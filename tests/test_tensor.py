@@ -320,6 +320,42 @@ def test_conv_at_benchmark_shape_matches_tap_loop():
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("lead", [(), (2,)], ids=["unbatched", "batched"])
+@pytest.mark.parametrize("k", [3, 5, 7])
+def test_conv_apply_of_one_preparation_equals_conv2d_local_calls(k, lead):
+    """Three applies of one prepared convolution match three conv2d_local
+    calls bit for bit: values, billed MACs, and the gradients of x and
+    the weights through the tape."""
+    g = rng(60 + k)
+    x = T.Tensor(g.standard_normal(lead + (6, 9, 3)))
+    w = T.Tensor(g.standard_normal((3, k, k)))
+    ups = [T.Tensor(g.standard_normal(x.shape)) for _ in range(3)]
+
+    def run(conv):
+        counter = CostCounter()
+        with T.GradTape() as tape:
+            with cost_scope(counter, "conv"):
+                ys = [conv() for _ in ups]
+            loss = T.tsum(T.add(T.add(T.mul(ys[0], ups[0]), T.mul(ys[1], ups[1])),
+                                T.mul(ys[2], ups[2])))
+        return [y.a for y in ys], dict(counter.macs), tape.gradients(loss, [x, w])
+
+    prepared = T.conv2d_prepare(x, k, w)
+    got = run(lambda: T.conv2d_apply(prepared))
+    want = run(lambda: T.conv2d_local(x, k, w))
+    assert got[1] == want[1] == {"conv": 3 * x.size * k * k}
+    for a, b in zip(got[0] + got[2], want[0] + want[2]):
+        assert np.array_equal(a, b)
+
+
+def test_conv_preparation_is_read_only():
+    x = T.Tensor(rng(70).standard_normal((6, 9, 3)))
+    prepared = T.conv2d_prepare(x, 5, T.Tensor(rng(71).standard_normal((3, 5, 5))))
+    for arr in (prepared.xp, prepared.band):
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1.0
+
+
 def test_conv_even_kernel_rejected():
     x = T.Tensor(np.zeros((4, 4, 1)))
     with pytest.raises(ConfigurationError):
@@ -455,6 +491,24 @@ def test_pooled_highpass_operator_odd_pool_within_rounding():
     got = T._highpass_operator(12, 12, 0.25, 3)
     want = oracles.pooled_highpass_operator_matmul(12, 12, 0.25, 3)
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "cached",
+    [
+        lambda: T._dft_matrix(8),
+        lambda: T._highpass_keep(8, 8, 0.25),
+        lambda: T._highpass_operator(8, 8, 0.25, 2),
+    ],
+    ids=["dft_matrix", "highpass_keep", "highpass_operator"],
+)
+def test_cached_operators_are_read_only(cached):
+    arr = cached()
+    before = arr.copy()
+    assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        arr[(0,) * arr.ndim] = 1
+    assert np.array_equal(cached(), before)
 
 
 def test_pooled_highpass_build_never_holds_the_unpooled_operator():
