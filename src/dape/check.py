@@ -50,8 +50,8 @@ def check_tensor_core() -> list[CheckResult]:
     c2 = T.cosine(Tensor(3.0 * u), Tensor(v)).item()
     out.append(_result("cosine scale invariance", abs(c1 - c2) < 1e-12))
     x = g.standard_normal((4, 4, 2))
-    ds = T.downsample_avg(Tensor(x), 2).a
-    out.append(_result("downsample preserves mean", abs(ds.mean() - x.mean()) < 1e-12))
+    pooled = T.pool_parent_major(Tensor(x), 2, 2, 1, 1).a
+    out.append(_result("grid pooling preserves mean", abs(pooled.mean() - x.mean()) < 1e-12))
     hp = T.pooled_highpass_cells(g.standard_normal((8, 8))[..., None], 0.3, 1)
     out.append(_result("highpass zero mean", abs(hp.mean()) < 1e-9))
     p = Tensor(g.standard_normal(4))
@@ -137,7 +137,7 @@ def check_nfa() -> list[CheckResult]:
     ok = all(up[i, j] == m.weights[i // 2, j // 2] for i in range(4) for j in range(4))
     out.append(_result("upscale block replication", ok))
     cfg = DapeConfig(
-        d=8, s=2, grid=(2, 2), j_text=4, text_len=16, image_size=8, L=2, k1=2,
+        d=8, grid=(2, 2), j_text=4, text_len=16, image_size=8, L=2, k1=2,
         enable_phi=False, k_thr=0.1,
     )
     widths = mu_partition(8, cfg.mu)
@@ -148,10 +148,10 @@ def check_nfa() -> list[CheckResult]:
         coarse.KeyValueProjection(Tensor(np.eye(8)), Tensor(np.eye(8))),
     )
     mmap = Tensor(g.standard_normal((8, 8, 8)))
-    ttok = coarse.tokenize_text(Tensor(g.standard_normal((16, 8))), 4)
+    text = Tensor(g.standard_normal((16, 8)))
     trace = costs.Trace()
     branches = nfa.prepare_branches(mmap, cfg.mu, cfg.kernels, weights.conv_kernels)
-    hier, _, _ = nfa.build_hierarchy(branches, ttok, cfg, weights, trace=trace)
+    hier, _, _ = nfa.build_hierarchy(branches, text, cfg, weights, trace=trace)
     lattice = nfa.mask_lattice(*cfg.mu)
     out.append(_result("mu lattice membership", bool(np.isin(hier.a_prime, lattice).all())))
     out.append(_result("mask max at most one", hier.a_prime.max() <= 1.0 + 1e-12))
@@ -173,7 +173,7 @@ def check_phi() -> list[CheckResult]:
     slot_tokens = Tensor(g.standard_normal((2, d)))
     _, _, _, padded, _, slots = coarse.coarse_align_block(
         Tensor(g.standard_normal((4, 4, d))), Tensor(g.standard_normal((2, d))),
-        eye, eye, DapeConfig(d=d, s=1, grid=(2, 2), j_text=2), pad_tokens=slot_tokens,
+        eye, eye, DapeConfig(d=d, grid=(2, 2), j_text=2), pad_tokens=slot_tokens,
     )
     out.append(_result("pad appends slots", padded.shape[-2] == 6 and list(slots) == [4, 5]))
     back = phi.extract_slots(padded, slots)
@@ -191,7 +191,7 @@ def check_phi() -> list[CheckResult]:
 def check_model_stack() -> list[CheckResult]:
     out = []
     cfg = DapeConfig(
-        d=8, n_layers=2, s=2, grid=(2, 2), j_text=4, text_len=16, image_size=8,
+        d=8, n_layers=2, grid=(2, 2), j_text=4, text_len=16, image_size=8,
         L=2, k1=2, phi_period=2, detail_pool=1, seed=2,
     )
     m = model_mod.init_model(cfg)

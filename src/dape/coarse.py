@@ -24,15 +24,6 @@ from .tensor import Tensor
 # Domain types
 
 
-@dataclass
-class TokenSet:
-    """(..., J, d) text tokens, each the mean of an equal run of rows of the
-    (..., l, d) `source` sequence, which finer text levels re-pool."""
-
-    tokens: Tensor
-    source: Tensor
-
-
 def on_alphabet(values: np.ndarray, alphabet) -> bool:
     """Whether every entry of `values` is one of the sorted `alphabet`."""
     alphabet = np.asarray(alphabet)
@@ -124,25 +115,20 @@ class KeyValueProjection(_SquareProjections):
 
 
 def tokenize_image(m0: Tensor, grid: tuple[int, int]) -> Tensor:
-    """Mean-pool an (..., h, w, d) map into gy*gx cell tokens, row-major."""
-    if m0.a.ndim < 3:
-        raise DimensionError(f"expected (..., h, w, d) map, got {m0.shape}")
-    h, w, d = m0.shape[-3:]
+    """Mean-pool an (..., h, w, d) map into gy*gx cell tokens, row-major
+    (parent-major pooling with one child per cell)."""
     gy, gx = grid
-    if gy < 1 or gx < 1 or h % gy or w % gx:
-        raise DimensionError(f"grid {grid} does not divide map {h}x{w}")
-    pooled = T.block_mean_2d(m0, h // gy, w // gx)
-    return T.reshape(pooled, m0.shape[:-3] + (gy * gx, d))
+    return T.pool_parent_major(m0, gy, gx, 1, 1)
 
 
-def tokenize_text(t: Tensor, j: int) -> TokenSet:
+def tokenize_text(t: Tensor, j: int) -> Tensor:
     """Split l positions into j equal contiguous spans; token = span mean."""
     if t.a.ndim < 2:
         raise DimensionError(f"expected (..., l, d) sequence, got {t.shape}")
     l = t.shape[-2]
     if j < 1 or l % j:
         raise ConfigurationError(f"j={j} must divide l={l}")
-    return TokenSet(T.pool_rows(t, l // j), t)
+    return T.pool_rows(t, l // j)
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +198,12 @@ def coarse_align_block(
     trace=None,
     replay=None,
 ):
-    """Downsample -> tokenize -> affinity -> binarize -> the two masked
-    attentions. Returns (t1, m1, a0_mask, img_tokens, txt_tokens, slots).
+    """Tokenize -> affinity -> binarize -> the two masked attentions.
+    Returns (t1, m1, a0_mask, img_tokens, txt_tokens, slots).
 
     The text input `t_seq` is (..., l, d); its leading axes are the batch's.
-    `m_map` is either the (..., h, w, d) input map (first layer: downsampled
-    by `cfg.s`, tokenized on `cfg.grid`) or an (..., N, d) token stream
+    `m_map` is either the (..., h, w, d) input map (first layer: pooled
+    onto `cfg.grid`) or an (..., N, d) token stream
     whose rows are the tokens. `pad_tokens` appends learnable slots, shared by
     every sample, to the image side before alignment; `slots` gives their
     row indices. The mask is decided once per sample.
@@ -228,8 +214,7 @@ def coarse_align_block(
         raise DimensionError(f"text input must be (..., l, d), got {t_seq.shape}")
     lead = t_seq.shape[:-2]
     if m_map.a.ndim == len(lead) + 3 and m_map.shape[:-3] == lead:
-        m0 = T.downsample_avg(m_map, cfg.s) if cfg.s > 1 else m_map
-        img_tokens = tokenize_image(m0, cfg.grid)
+        img_tokens = tokenize_image(m_map, cfg.grid)
     elif m_map.a.ndim == len(lead) + 2 and m_map.shape[:-2] == lead:
         img_tokens = m_map
     else:
@@ -244,7 +229,7 @@ def coarse_align_block(
         slots = np.arange(n_real, n_real + pad_tokens.shape[0])
 
     # later layers carry j_text rows already: pooling at width 1 keeps them
-    txt_tokens = tokenize_text(t_seq, cfg.j_text).tokens
+    txt_tokens = tokenize_text(t_seq, cfg.j_text)
 
     a0 = decide(
         trace,

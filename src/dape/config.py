@@ -21,7 +21,6 @@ class DapeConfig:
     # embedding / geometry
     d: int = 64                      # feature dimension (also featurizer output)
     n_layers: int = 6
-    s: int = 2                       # coarse downsample factor (first layer)
     grid: tuple[int, int] = (4, 4)   # coarse image token grid -> I = gy*gx
     j_text: int = 8                  # coarse text token count J
     text_len: int = 32               # featurized caption length l
@@ -38,7 +37,6 @@ class DapeConfig:
     k_thr: float = 0.6               # fine-alignment threshold
     tau_d: float = 0.25              # dense-row fill fraction
     phi_period: int = 4              # inject detail every K layers
-    p_slots: int = 0                 # learnable slot count; 0 -> ceil(I/4)
     cutoff_frac: float = 0.25        # high-pass radial cutoff
     detail_pool: int = 2             # cell size pooled into one detail token
                                      # (high-pass runs at full resolution first)
@@ -71,7 +69,7 @@ class DapeConfig:
 
     @property
     def slot_count(self) -> int:
-        return self.p_slots if self.p_slots > 0 else -(-self.n_img_tokens // 4)
+        return -(-self.n_img_tokens // 4)
 
     def validate(self) -> None:
         err = ConfigurationError
@@ -82,7 +80,7 @@ class DapeConfig:
         for name in _POSITIVE:
             if getattr(self, name) < 1:
                 raise err(f"{name}={getattr(self, name)} must be >= 1")
-        for name in ("p_slots", "seed", "steps"):
+        for name in ("seed", "steps"):
             if getattr(self, name) < 0:
                 raise err(f"{name}={getattr(self, name)} must be >= 0")
         for name, top in LIMITS.items():
@@ -112,11 +110,8 @@ class DapeConfig:
             raise err(f"mu must sum to 1, got {sum(self.mu)}")
         gy, gx = self.grid
         h = self.image_size
-        if h % self.s:
-            raise err(f"s={self.s} does not divide image_size={h}")
-        hp = h // self.s
-        if hp % gy or hp % gx:
-            raise err(f"grid {self.grid} does not divide downsampled map {hp}x{hp}")
+        if h % gy or h % gx:
+            raise err(f"grid {self.grid} does not divide image_size={h}")
         if self.text_len % self.j_text:
             raise err(f"j_text={self.j_text} does not divide text_len={self.text_len}")
         if self.text_len % 4:
@@ -171,7 +166,7 @@ class DapeConfig:
 
 # int fields that must be >= 1 (batch_size has its own bound below)
 _POSITIVE = (
-    "d", "n_layers", "s", "j_text", "text_len", "image_size", "canvas", "L", "k1",
+    "d", "n_layers", "j_text", "text_len", "image_size", "canvas", "L", "k1",
     "phi_period", "detail_pool", "eval_interval",
 )
 
@@ -180,10 +175,9 @@ _POSITIVE = (
 # defaults, each keeps what it allocates (the (h*w)^2 high-pass operator,
 # 6*n_layers d*d projections, the rendered canvases) to a few hundred MB.
 LIMITS = {
-    "d": 512, "n_layers": 64, "s": 8, "j_text": 256, "text_len": 512,
+    "d": 512, "n_layers": 64, "j_text": 256, "text_len": 512,
     "image_size": 64, "canvas": 1024, "L": 64, "k1": 64, "phi_period": 64,
-    "detail_pool": 8, "eval_interval": 10**6, "batch_size": 1024, "p_slots": 256,
-    "steps": 10**6,
+    "detail_pool": 8, "eval_interval": 10**6, "batch_size": 1024, "steps": 10**6,
 }
 
 

@@ -108,7 +108,11 @@ class Trace:
     hierarchy: list[HierarchyCost] = field(default_factory=list)
     injections: int = 0
     injection_macs: list[int] = field(default_factory=list)
-    fine_macs: int = 0
+
+    @property
+    def fine_macs(self) -> int:
+        """MACs billed to the fine-alignment scope."""
+        return self.counter.macs.get("nfa", 0)
 
     def record(self, kind: str, value, lead: tuple[int, ...]) -> None:
         """One decision point's value for a batch of leading shape `lead`."""

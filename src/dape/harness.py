@@ -285,7 +285,6 @@ def bench_densities(cfg: DapeConfig, densities, corpus: Corpus | None = None) ->
     scenes; the dense-row sets are overridden to exact fractions (ranked by
     measured fill) so the sweep hits the requested densities precisely.
     """
-    from .coarse import tokenize_text
     from .nfa import build_hierarchy, prepare_branches
 
     bad = [p for p in densities if not 0.0 <= p <= 100.0]
@@ -305,13 +304,12 @@ def bench_densities(cfg: DapeConfig, densities, corpus: Corpus | None = None) ->
     rows = []
     img = Tensor(corpus.images[0])
     txt = Tensor(corpus.texts[0])
-    t_tokens = tokenize_text(txt, txt.shape[0] // 4)
     branches = prepare_branches(img, cfg.mu, cfg.kernels, model.nfa.conv_kernels)
     for density in densities:
         frac = float(density) / 100.0
         trace = Trace()
         build_hierarchy(
-            branches, t_tokens, cfg, model.nfa, trace=trace,
+            branches, txt, cfg, model.nfa, trace=trace,
             density_rule=forced_density_rule(frac),
         )
         hc = trace.hierarchy[0]

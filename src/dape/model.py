@@ -15,8 +15,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import tensor as T
-from .coarse import (KeyValueProjection, ProjectionSet, QueryProjection, coarse_align_block,
-                     tokenize_text)
+from .coarse import KeyValueProjection, ProjectionSet, QueryProjection, coarse_align_block
 from .config import DapeConfig, mu_partition
 from .costs import Replay, Trace, cost_scope
 from .cwa import ChannelGate, cwa_block, fuse_text
@@ -206,15 +205,11 @@ def forward(
             m_next = m1
             if _nfa_per_layer(cfg):
                 with cost_scope(counter, "nfa"):
-                    rows = t_stream.shape[-2]
-                    with T.no_recording():  # base text tokens feed only the masks
-                        txt_base = tokenize_text(t_stream, rows // 4)
                     hier, q3, txt3 = build_hierarchy(
-                        branches, txt_base, cfg, model.nfa, trace=record, replay=replay,
+                        branches, t_stream, cfg, model.nfa, trace=record, replay=replay,
                     )
                     m2 = nfa_attention(
-                        q3, txt3, hier.a_prime,
-                        (model.nfa.img_ps, model.nfa.txt_ps), cfg,
+                        q3, txt3, hier.a_prime, (model.nfa.img_ps, model.nfa.txt_ps)
                     )
                     # each parent's update is the mean of its four quadrant rows
                     m_next = T.add_rows(m_next, image_rows, T.pool_rows(m2, 4))
@@ -244,8 +239,6 @@ def forward(
         replay.check_consumed()
     img_emb = T.l2_normalize_rows(T.tmean(m_stream, axis=-2))
     txt_emb = T.l2_normalize_rows(T.tmean(t_stream, axis=-2))
-    if record is not None:
-        trace.fine_macs = counter.macs.get("nfa", 0)
     return img_emb, txt_emb, trace
 
 

@@ -31,8 +31,7 @@ from itertools import combinations
 import numpy as np
 
 from . import tensor as T
-from .coarse import (AffinityMask, KeyValueProjection, QueryProjection, TokenSet,
-                     masked_cross_attention, on_alphabet)
+from .coarse import AffinityMask, KeyValueProjection, QueryProjection, on_alphabet
 from .config import mu_partition
 from .costs import HierarchyCost, cosine_matrix, decide
 from .errors import ConfigurationError, DimensionError
@@ -281,24 +280,20 @@ def build_level_masks(
     return hier
 
 
-def text_pyramid(t_tokens: TokenSet) -> tuple[Tensor, Tensor, Tensor]:
-    """Base text tokens plus their 2x and 4x refinements: the source pooled
-    at half and a quarter of the base tokens' row width.
+def text_pyramid(t: Tensor) -> tuple[Tensor, Tensor, Tensor]:
+    """An (..., l, d) text stream's base tokens (runs of 4 rows pooled) and
+    their 2x and 4x refinements (runs of 2, and the rows themselves).
 
     Only the finest level feeds the masked update's keys/values; the
     coarser two exist for mask construction and stay off-tape.
     """
-    width = t_tokens.source.shape[-2] // t_tokens.tokens.shape[-2]
-    if width % 4:
-        raise ConfigurationError(f"text tokens {width} rows wide cannot refine to quarters")
     with T.no_recording():
-        l2 = T.pool_rows(t_tokens.source, width // 2)
-    return t_tokens.tokens, l2, T.pool_rows(t_tokens.source, width // 4)
+        return T.pool_rows(t, 4), T.pool_rows(t, 2), t
 
 
 def build_hierarchy(
     branches: tuple[T.DepthwiseConv, T.DepthwiseConv, T.DepthwiseConv],
-    t_tokens: TokenSet,
+    t_stream: Tensor,
     cfg,
     weights: NfaWeights,
     trace=None,
@@ -306,7 +301,8 @@ def build_hierarchy(
     density_rule=None,
 ):
     """Full fine-alignment mask build from a feature map's branches, as
-    `prepare_branches` made them from the map and `weights.conv_kernels`.
+    `prepare_branches` made them from the map and `weights.conv_kernels`,
+    against the (..., l, d) text stream's `text_pyramid`.
 
     Returns (HierarchicalMask, level-3 image tokens projected to d,
     level-3 text tokens) so the caller can run the masked update.
@@ -320,7 +316,7 @@ def build_hierarchy(
         p1 = T.matmul(tokens[0], weights.branch_projs[0])
         p2 = T.matmul(tokens[1], weights.branch_projs[1])
     p3 = T.matmul(tokens[2], weights.branch_projs[2])
-    txt_levels = text_pyramid(t_tokens)
+    txt_levels = text_pyramid(t_stream)
     hier = build_level_masks((p1, p2, p3), txt_levels, cfg, trace, replay, density_rule)
     return hier, p3, txt_levels[2]
 
@@ -328,13 +324,14 @@ def build_hierarchy(
 def build_hierarchy_from_tokens(
     tokens: Tensor,
     grid: tuple[int, int],
-    t_tokens: TokenSet,
+    t_stream: Tensor,
     cfg,
     trace=None,
     replay=None,
     max_level: int = 3,
 ):
-    """Fine-alignment mask build over an (..., N, d) token grid (detail path).
+    """Fine-alignment mask build over an (..., N, d) token grid (detail
+    path) against the (..., l, d) text stream's `text_pyramid`.
 
     Levels 1 and 2 (both modalities) feed only mask construction and stay
     off the tape; only the finest level rides it as the masked update's
@@ -352,10 +349,10 @@ def build_hierarchy_from_tokens(
     # A half (row 2p+dy) is the mean of quadrant rows 4p+2dy+{0,1}, a whole
     # cell (row p) the mean of its two halves: every block pools equally
     # many tokens, so one pool of the map serves all three levels.
-    lead = q3.shape[:-2]
-    img_l2 = Tensor(q3.a.reshape(lead + (2 * gy * gx, 2, d)).mean(axis=-2), check=False)
-    img_l1 = Tensor(img_l2.a.reshape(lead + (gy * gx, 2, d)).mean(axis=-2), check=False)
-    txt_levels = text_pyramid(t_tokens)
+    with T.no_recording():
+        img_l2 = T.pool_rows(q3, 2)
+        img_l1 = T.pool_rows(img_l2, 2)
+    txt_levels = text_pyramid(t_stream)
     hier = build_level_masks(
         (img_l1, img_l2, q3), txt_levels, cfg, trace, replay, None, max_level
     )
@@ -367,16 +364,9 @@ def nfa_attention(
     t_tokens: Tensor,
     a_prime: np.ndarray,
     projections: tuple[QueryProjection, KeyValueProjection],
-    cfg,
 ) -> Tensor:
     """Masked update over the finest tokens: softmaxed scores scaled by the
-    combined lattice mask, then the text value sum."""
-    if a_prime.shape[-2:] != (m_tokens.shape[-2], t_tokens.shape[-2]):
-        raise DimensionError(
-            f"combined mask {a_prime.shape} vs tokens "
-            f"({m_tokens.shape[-2]}, {t_tokens.shape[-2]})"
-        )
-    lattice = mask_lattice(*cfg.mu)
-    mask = AffinityMask(a_prime, tuple(lattice))
-    return masked_cross_attention(m_tokens, t_tokens, mask, projections)
-
+    combined lattice mask (already checked by `check_structure`), then the
+    text value sum."""
+    q_proj, kv_proj = projections
+    return T.attention(m_tokens, t_tokens, q_proj.wq, kv_proj.wk, kv_proj.wv, a_prime)

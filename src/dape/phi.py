@@ -18,7 +18,7 @@ from math import prod
 import numpy as np
 
 from . import tensor as T
-from .coarse import KeyValueProjection, QueryProjection, masked_cross_attention, tokenize_text
+from .coarse import KeyValueProjection, QueryProjection, masked_cross_attention
 from .costs import cost_scope
 from .errors import ConfigurationError, ContractError, IndexRangeError
 from .nfa import build_hierarchy_from_tokens, nfa_attention, parent_major_perm
@@ -119,16 +119,14 @@ def phi_inject(
     det_tokens, det_grid = make_detail_tokens(
         detail, weights.detail_proj, cfg.cutoff_frac, cfg.detail_pool
     )
-    with T.no_recording():  # base text tokens feed only the masks
-        txt_base = tokenize_text(t_prev, t_prev.shape[-2] // 4)
     # the nested fine-alignment build bills to its own module, whichever
     # counter the caller installed
     with cost_scope(T._COST_SINK, "nfa"):
         hier, q3, txt3 = build_hierarchy_from_tokens(
-            det_tokens, det_grid, txt_base, cfg, trace, replay,
+            det_tokens, det_grid, t_prev, cfg, trace, replay,
             max_level=3 if cfg.enable_nfa else 1,
         )
-        m2 = nfa_attention(q3, txt3, hier.a_prime, nfa_projections, cfg)
+        m2 = nfa_attention(q3, txt3, hier.a_prime, nfa_projections)
 
     m_in = extract_slots(m1_plus, slots)
     m3 = masked_cross_attention(m_in, m2, None, (weights.q_ps, weights.kv_ps))

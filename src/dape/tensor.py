@@ -681,24 +681,6 @@ def pool_rows(a: Tensor, width: int) -> Tensor:
 # --- spatial ops ------------------------------------------------------------
 
 
-def block_mean_2d(x: Tensor, sy: int, sx: int) -> Tensor:
-    """Mean over non-overlapping sy*sx blocks of an (..., h, w, c) tensor."""
-    if x.a.ndim < 3:
-        raise DimensionError(f"block_mean_2d expects (..., h, w, c), got {x.shape}")
-    h, w, c = x.shape[-3:]
-    if h % sy or w % sx:
-        raise DimensionError(f"block {sy}x{sx} does not divide {h}x{w}")
-    y = x.a.reshape(x.shape[:-3] + (h // sy, sy, w // sx, sx, c)).mean(axis=(-4, -2))
-    out = _out(y, "block_mean_2d")
-
-    def backward(g, acc):
-        if _wants(acc, x):
-            _acc(acc, x, np.repeat(np.repeat(g, sy, axis=-3), sx, axis=-2) / (sy * sx))
-
-    _rec(out, backward, x)
-    return out
-
-
 def pool_parent_major(x: Tensor, gy: int, gx: int, fy: int, fx: int) -> Tensor:
     """Mean-pool an (..., h, w, c) map on the (fy*gy, fx*gx) cell grid into
     (..., gy*gx*fy*fx, c) tokens, rows parent-major: the fy*fx children of
@@ -707,7 +689,7 @@ def pool_parent_major(x: Tensor, gy: int, gx: int, fy: int, fx: int) -> Tensor:
     if x.a.ndim < 3:
         raise DimensionError(f"pool_parent_major expects (..., h, w, c), got {x.shape}")
     h, w, c = x.shape[-3:]
-    if h % (fy * gy) or w % (fx * gx):
+    if min(gy, gx, fy, fx) < 1 or h % (fy * gy) or w % (fx * gx):
         raise DimensionError(f"cell grid {fy * gy}x{fx * gx} does not divide {h}x{w}")
     cy, cx = h // (fy * gy), w // (fx * gx)
     lead = x.shape[:-3]
@@ -729,13 +711,6 @@ def pool_parent_major(x: Tensor, gy: int, gx: int, fy: int, fx: int) -> Tensor:
 
     _rec(out, backward, x)
     return out
-
-
-def downsample_avg(x: Tensor, s: int) -> Tensor:
-    """Average-pool downsampling by factor s on both spatial axes."""
-    if s < 1:
-        raise ConfigurationError(f"downsample factor must be >= 1, got {s}")
-    return block_mean_2d(x, s, s)
 
 
 KERNEL_SIZES = (3, 5, 7)
@@ -792,8 +767,6 @@ def conv2d_prepare(x: Tensor, kernel_size: int, weights: Tensor) -> DepthwiseCon
     reads: the zero-padded row layout of x and the banded operators of
     the weights. Bills nothing and records nothing; `conv2d_apply` runs
     it as often as needed."""
-    if kernel_size % 2 == 0:
-        raise ConfigurationError(f"kernel size must be odd, got {kernel_size}")
     if kernel_size not in KERNEL_SIZES:
         raise ConfigurationError(
             f"kernel size must be one of {KERNEL_SIZES}, got {kernel_size}"

@@ -179,9 +179,8 @@ def straight_line_forward(params, images, texts, cfg):
 
             # --- coarse tokens
             if m_stream.ndim == 3:
-                m0 = _block_mean(m_stream, cfg.s, cfg.s) if cfg.s > 1 else m_stream
-                h0, w0, _ = m0.shape
-                img_tok = _block_mean(m0, h0 // gy, w0 // gx).reshape(n_tok, d)
+                h0, w0, _ = m_stream.shape
+                img_tok = _block_mean(m_stream, h0 // gy, w0 // gx).reshape(n_tok, d)
             else:
                 img_tok = m_stream
             slots = None

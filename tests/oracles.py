@@ -232,7 +232,7 @@ def attention_chain(xq, xkv, wq, wk, wv, mask):
     return T.matmul(weights, v)
 
 
-def per_layer_hierarchy(m, t_tokens, cfg, weights, trace=None, replay=None, density_rule=None):
+def per_layer_hierarchy(m, t_stream, cfg, weights, trace=None, replay=None, density_rule=None):
     """`nfa.build_hierarchy` as it ran from the raw map m itself: every
     call slices m and runs each branch through `conv2d_local`, preparing
     its layout and bands anew, before the pooling, the projections and the
@@ -253,7 +253,7 @@ def per_layer_hierarchy(m, t_tokens, cfg, weights, trace=None, replay=None, dens
     with T.no_recording():
         p1, p2 = level(0, 1, 1), level(1, 2, 1)
     p3 = level(2, 2, 2)
-    txt_levels = text_pyramid(t_tokens)
+    txt_levels = text_pyramid(t_stream)
     hier = build_level_masks((p1, p2, p3), txt_levels, cfg, trace, replay, density_rule)
     return hier, p3, txt_levels[2]
 

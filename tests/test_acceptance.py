@@ -43,7 +43,7 @@ def mixed_corpus(tmp_path_factory):
 
 def oracle_cfg(**over):
     base = dict(
-        d=16, n_layers=2, s=2, grid=(4, 4), j_text=4, text_len=16,
+        d=16, n_layers=2, grid=(4, 4), j_text=4, text_len=16,
         image_size=16, L=4, k1=2, phi_period=2, detail_pool=2,
         nfa_merge="pool_add", k0=0.3, k_thr=0.3, tau_d=0.2, seed=11,
     )
@@ -86,7 +86,7 @@ def test_acceptance_1_oracle_equivalence(tmp_path):
 
 def d8_cfg():
     cfg = DapeConfig(
-        d=8, n_layers=2, s=2, grid=(2, 2), j_text=4, text_len=16,
+        d=8, n_layers=2, grid=(2, 2), j_text=4, text_len=16,
         image_size=8, L=2, k1=2, phi_period=2, detail_pool=1,
         nfa_merge="pool_add", k0=0.2, k_thr=0.2, tau_d=0.1, seed=3,
     )
@@ -211,7 +211,7 @@ def test_acceptance_3_mask_algebra(tmp_path):
     t0 = time.perf_counter()
     from dape.coarse import binarize
     from dape.nfa import build_hierarchy, mask_lattice, NfaWeights, prepare_branches
-    from dape.coarse import ProjectionSet, tokenize_text
+    from dape.coarse import ProjectionSet
     from dape.config import mu_partition
     from dape.tensor import Tensor
 
@@ -235,7 +235,7 @@ def test_acceptance_3_mask_algebra(tmp_path):
             ProjectionSet(Tensor(np.eye(cfg.d)), Tensor(np.eye(cfg.d)), Tensor(np.eye(cfg.d))),
         )
         m = Tensor(g.standard_normal((cfg.image_size, cfg.image_size, cfg.d)))
-        t = tokenize_text(Tensor(g.standard_normal((cfg.text_len, cfg.d))), cfg.j_text)
+        t = Tensor(g.standard_normal((cfg.text_len, cfg.d)))
         branches = prepare_branches(m, cfg.mu, cfg.kernels, weights.conv_kernels)
         hier, _, _ = build_hierarchy(branches, t, cfg, weights)
         if not np.isin(hier.a_prime, lattice).all() or hier.a_prime.max() > 1.0 + 1e-12:

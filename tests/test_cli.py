@@ -29,7 +29,7 @@ def run_root(tmp_path, monkeypatch):
 
 def tiny_cfg(tmp_path, **over):
     base = dict(
-        d=16, n_layers=2, s=2, grid=(4, 4), j_text=4, text_len=16,
+        d=16, n_layers=2, grid=(4, 4), j_text=4, text_len=16,
         image_size=16, L=4, k1=2, phi_period=2, detail_pool=2,
         steps=4, eval_interval=2, batch_size=4, seed=1,
         corpus=str(tmp_path / "corpus.dape"),
@@ -67,6 +67,18 @@ def test_unknown_config_key_rejected(tmp_path):
     p.write_text(json.dumps({"d": 16, "learnig_rate": 0.1}))
     with pytest.raises(ConfigurationError, match="learnig_rate"):
         DapeConfig.from_file(str(p))
+
+
+@pytest.mark.parametrize("removed", [{"s": 2}, {"p_slots": 0}])
+def test_removed_field_is_an_unknown_key_before_a_run_dir(tmp_path, run_root, removed):
+    """The first-layer downsample `s` and the slot count `p_slots` are gone:
+    a config naming either is a usage error."""
+    with pytest.raises(ConfigurationError, match="unknown config keys"):
+        DapeConfig.from_dict(removed)
+    p = tmp_path / "old.json"
+    p.write_text(json.dumps(dict(removed, corpus=str(tmp_path / "none.dape"))))
+    assert main(["train", "--config", str(p)]) == 2
+    assert not run_root.exists()
 
 
 def test_cli_bad_config_is_usage_error(tmp_path, run_root, capsys):
@@ -110,7 +122,6 @@ def test_cli_bad_field_is_usage_error_before_a_run_dir(tmp_path, run_root, over)
 OVER_LIMIT = {
     "d": {"d": 1024},
     "n_layers": {"n_layers": 65},
-    "s": {"s": 16, "image_size": 64},
     "j_text": {"j_text": 512, "text_len": 512},
     "text_len": {"text_len": 1024},
     "image_size": {"image_size": 128},
@@ -121,7 +132,6 @@ OVER_LIMIT = {
     "detail_pool": {"detail_pool": 16, "image_size": 64},
     "eval_interval": {"eval_interval": 10**6 + 1},
     "batch_size": {"batch_size": 1025},
-    "p_slots": {"p_slots": 257},
     "steps": {"steps": 10**6 + 1},
 }
 

@@ -19,7 +19,7 @@ def rng(seed=0):
 
 def small_cfg(**over):
     base = dict(
-        d=4, n_layers=1, s=1, grid=(2, 2), j_text=2, text_len=4,
+        d=4, n_layers=1, grid=(2, 2), j_text=2, text_len=4,
         image_size=2, L=2, k1=1, enable_phi=False, enable_nfa=False,
         enable_cwa=False,
     )
@@ -63,11 +63,37 @@ def test_tokenize_image_non_divisible_grid():
         C.tokenize_image(Tensor(np.zeros((4, 4, 1))), (3, 2))
 
 
+def test_tokenize_image_empty_grid():
+    with pytest.raises(DimensionError):
+        C.tokenize_image(Tensor(np.zeros((4, 4, 1))), (0, 2))
+
+
 def test_tokenize_image_cells_partition_map():
     x = rng(4).standard_normal((4, 6, 2))
     ts = C.tokenize_image(Tensor(x), (2, 3))
     want = [x[y:y + 2, c:c + 2].reshape(-1, 2).mean(axis=0) for y in (0, 2) for c in (0, 2, 4)]
     assert np.allclose(ts.a, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["unbatched", "batched"])
+@pytest.mark.parametrize("s", [1, 2, 4])
+def test_first_layer_tokens_equal_a_downsample_then_grid_pooling(s, lead):
+    """A mean of block means is the block mean: the first layer's image
+    tokens, pooled straight onto the grid, are the tokens a downsample of
+    the map by s followed by grid pooling gives."""
+    cfg = small_cfg(image_size=8)
+    g = rng(20 + s)
+    m = g.standard_normal(lead + (8, 8, cfg.d))
+    t = g.standard_normal(lead + (cfg.text_len, cfg.d))
+    *_, img_tokens, _, _ = C.coarse_align_block(
+        Tensor(m), Tensor(t), eye_proj(cfg.d), eye_proj(cfg.d), cfg
+    )
+    got = img_tokens.a.reshape(-1, cfg.n_img_tokens, cfg.d)
+    gy, gx = cfg.grid
+    for i, sample in enumerate(m.reshape(-1, 8, 8, cfg.d)):
+        m0 = oracles.block_mean(sample, s, s)
+        want = oracles.block_mean(m0, m0.shape[0] // gy, m0.shape[1] // gx)
+        assert np.max(np.abs(got[i] - want.reshape(-1, cfg.d))) < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -77,21 +103,20 @@ def test_tokenize_image_cells_partition_map():
 def test_tokenize_text_identity():
     x = rng(5).standard_normal((3, 4))
     ts = C.tokenize_text(Tensor(x), 3)
-    assert np.array_equal(ts.tokens.a, x)
+    assert np.array_equal(ts.a, x)
 
 
 def test_tokenize_text_pair_means():
     x = Tensor(rng(6).standard_normal((4, 3)))
     ts = C.tokenize_text(x, 2)
     want = oracles.span_mean_rows(x.a, [(0, 2), (2, 4)])
-    assert np.max(np.abs(ts.tokens.a - want)) < 1e-12
-    assert ts.source is x
+    assert np.max(np.abs(ts.a - want)) < 1e-12
 
 
 def test_tokenize_text_single_token():
     x = rng(7).standard_normal((5, 3))
     ts = C.tokenize_text(Tensor(x), 1)
-    assert np.allclose(ts.tokens.a[0], x.mean(axis=0), atol=1e-12)
+    assert np.allclose(ts.a[0], x.mean(axis=0), atol=1e-12)
 
 
 def test_tokenize_text_too_many_tokens():
@@ -289,7 +314,7 @@ def test_block_orthogonal_tokens_zero_everything():
 
 
 def test_block_matches_composed_oracles():
-    cfg = small_cfg(d=4, image_size=4, s=2)
+    cfg = small_cfg(d=4, image_size=4)
     g = rng(14)
     m = g.standard_normal((4, 4, 4))
     t = g.standard_normal((4, 4))
@@ -299,8 +324,7 @@ def test_block_matches_composed_oracles():
     t1, m1, a0, *_ = C.coarse_align_block(Tensor(m), Tensor(t), img_ps, txt_ps, cfg)
 
     # Oracle: independent block means, pairwise cosine, threshold, loops.
-    m0 = oracles.block_mean(m, 2, 2)
-    img_tok = oracles.block_mean(m0, 1, 1).reshape(4, 4)
+    img_tok = oracles.block_mean(m, 2, 2).reshape(4, 4)
     txt_tok = oracles.span_mean_rows(t, [(0, 2), (2, 4)])
     aff = np.array(
         [[oracles.cosine_direct(img_tok[i], txt_tok[j]) for j in range(2)] for i in range(4)]

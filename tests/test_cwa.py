@@ -182,7 +182,7 @@ def test_topk_permutation_stability_within_segment(seed):
 
 def small_cfg(**over):
     base = dict(
-        d=4, n_layers=1, s=1, grid=(2, 2), j_text=2, text_len=4,
+        d=4, n_layers=1, grid=(2, 2), j_text=2, text_len=4,
         image_size=2, L=2, k1=1, enable_phi=False, enable_nfa=False,
     )
     base.update(over)

@@ -1,7 +1,8 @@
 """Guard against dead code: every top-level function or class in
 `src/dape`, and every method or property of such a class, must be
-referenced somewhere in `src/dape` other than its own definition. Names
-read only from outside the package are allowlisted."""
+referenced somewhere in `src/dape` other than its own definition, and
+every config field must be read outside `config.py`. Names read only from
+outside the package are allowlisted."""
 
 import ast
 from collections import Counter
@@ -89,3 +90,19 @@ def test_every_class_member_is_read():
     assert not unread, f"class members never read in src/dape: {unread}"
     stale = set(ALLOWED_MEMBERS) - {f"{cls}.{node.name}" for cls, node in members}
     assert not stale, f"stale member allowlist entries: {sorted(stale)}"
+
+
+def test_every_config_field_is_read_outside_config():
+    """A `DapeConfig` field that no other module of `src/dape` reads as an
+    attribute (`cfg.name`) is a knob that changes nothing."""
+    from dataclasses import fields
+
+    from dape.config import DapeConfig
+
+    reads = Counter()
+    for p in sorted(SRC.glob("*.py")):
+        if p.name != "config.py":
+            tree = ast.parse(p.read_text(), p.name)
+            reads.update(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute))
+    unread = [f.name for f in fields(DapeConfig) if not reads[f.name]]
+    assert not unread, f"config fields never read outside config.py: {unread}"

@@ -33,7 +33,7 @@ def rng(seed=0):
 def oracle_cfg(**over):
     """The d=16, I=16, J=4, 2-layer seeded config with every path active."""
     base = dict(
-        d=16, n_layers=2, s=2, grid=(4, 4), j_text=4, text_len=16,
+        d=16, n_layers=2, grid=(4, 4), j_text=4, text_len=16,
         image_size=16, L=4, k1=2, phi_period=2, detail_pool=2,
         nfa_merge="pool_add", k0=0.3, k_thr=0.3, tau_d=0.2, seed=11,
     )
@@ -189,7 +189,7 @@ def test_training_determinism_bit_identical_losses(corpus_batch):
 def test_gradient_norm_matches_finite_differences_d8(corpus_batch):
     """Sampled-coordinate check on a d=8 full model, masks frozen."""
     cfg = DapeConfig(
-        d=8, n_layers=2, s=2, grid=(2, 2), j_text=4, text_len=16,
+        d=8, n_layers=2, grid=(2, 2), j_text=4, text_len=16,
         image_size=8, L=2, k1=2, phi_period=2, detail_pool=1,
         nfa_merge="pool_add", k0=0.2, k_thr=0.2, tau_d=0.1, seed=3,
     )
@@ -490,13 +490,14 @@ def test_overflow_names_layer_module_and_sample(weight, module, corpus_batch):
 # Tape entries of one b=8 step. Each fused attention is one entry, or none
 # when its mask is all zero. At the defaults that holds for CWA's 6 (k_c
 # 0.5) and PHI's nested fine-alignment attention (k_thr 0.6), so 13 of the
-# 71 entries are attentions: coarse 12 and PHI's slot attention. At k_thr
+# 69 entries are attentions: coarse 12 and PHI's slot attention. At k_thr
 # 0.1 the nested one is live and CWA's 6 are still off; pool_add slices the
 # raw map's level-3 channels once per forward, not once in each of the 6
-# layers, so its per-layer NFA path records 5 entries fewer.
+# layers, so its per-layer NFA path records 5 entries fewer. The first
+# layer pools the raw map onto the grid as one entry (`pool_parent_major`).
 @pytest.mark.parametrize(
     "over, entries",
-    [({}, 71), ({"nfa_merge": "pool_add", "k_thr": 0.1}, 109)],
+    [({}, 69), ({"nfa_merge": "pool_add", "k_thr": 0.1}, 107)],
     ids=["default", "pool_add_k_thr_0.1"],
 )
 def test_train_step_records_one_tape_entry_per_live_attention(
@@ -616,7 +617,7 @@ def test_cost_report_aggregates_trace(corpus_batch):
 def test_blocks_bill_their_cosines_to_the_active_scope(corpus_batch):
     """Called without a trace, each block bills its mask cosines to the
     scope it runs in, as it does its MACs."""
-    from dape.coarse import coarse_align_block, tokenize_text
+    from dape.coarse import coarse_align_block
     from dape.costs import CostCounter, cost_scope
     from dape.cwa import cwa_block
     from dape.nfa import build_hierarchy, prepare_branches
@@ -633,7 +634,7 @@ def test_blocks_bill_their_cosines_to_the_active_scope(corpus_batch):
         cwa_block(m1, t1, model.gate, model.cwa_proj, (lp.txt, lp.img), cfg)
     with cost_scope(counter, "nfa"):
         branches = prepare_branches(images, cfg.mu, cfg.kernels, model.nfa.conv_kernels)
-        build_hierarchy(branches, tokenize_text(texts, cfg.j_text), cfg, model.nfa)
+        build_hierarchy(branches, texts, cfg, model.nfa)
     b, i, j = 2, cfg.n_img_tokens, cfg.j_text
     assert dict(counter.cosines) == {"coarse": b * i * j, "cwa": b * cfg.L * j, "nfa": b * 21 * i * j}
 

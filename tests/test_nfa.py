@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 import oracles
 from dape import nfa as N
 from dape import tensor as T
-from dape.coarse import AffinityMask, ProjectionSet, tokenize_text
+from dape.coarse import AffinityMask, ProjectionSet
 from dape.config import DapeConfig, mu_partition
-from dape.costs import Trace, cost_scope
+from dape.costs import Trace, cost_report, cost_scope
 from dape.errors import ConfigurationError, DimensionError
 from dape.tensor import Tensor
 
@@ -24,7 +24,7 @@ def rng(seed=0):
 
 def nfa_cfg(**over):
     base = dict(
-        d=8, n_layers=1, s=2, grid=(2, 2), j_text=4, text_len=16,
+        d=8, n_layers=1, grid=(2, 2), j_text=4, text_len=16,
         image_size=8, L=2, k1=2, enable_phi=False, enable_cwa=False,
     )
     base.update(over)
@@ -181,32 +181,36 @@ def test_parent_major_order_alternates_halves():
 
 
 def test_refine_factor_one_is_identity():
-    t = tokenize_text(Tensor(rng(6).standard_normal((8, 3))), 2)
-    assert N.text_pyramid(t)[0] is t.tokens
+    """The finest text level is the stream itself; the coarser two, which
+    only build masks, record nothing."""
+    t = Tensor(rng(6).standard_normal((8, 3)))
+    with T.GradTape() as tape:
+        levels = N.text_pyramid(t)
+    assert levels[2] is t and not tape.entries
 
 
 def test_refine_single_span_of_four():
     seq = Tensor(rng(7).standard_normal((4, 3)))
-    _, halves, quarters = N.text_pyramid(tokenize_text(seq, 1))
+    base, halves, quarters = N.text_pyramid(seq)
+    assert np.allclose(base.a, seq.a.mean(axis=0, keepdims=True), atol=1e-15)
     assert np.allclose(halves.a, oracles.span_mean_rows(seq.a, [(0, 2), (2, 4)]), atol=1e-15)
     assert quarters is seq  # one-row spans are the rows themselves
 
 
 def test_refine_seeded_matches_span_split_oracle():
-    """The three levels are the source's span means at widths w, w/2, w/4."""
+    """The three levels are the stream's span means at widths 4, 2 and 1."""
     seq = rng(8).standard_normal((16, 3))
-    levels = N.text_pyramid(tokenize_text(Tensor(seq), 2))
-    for level, w in zip(levels, (8, 4, 2)):
+    levels = N.text_pyramid(Tensor(seq))
+    for level, w in zip(levels, (4, 2, 1)):
         spans = [(s, s + w) for s in range(0, 16, w)]
         assert np.max(np.abs(level.a - oracles.span_mean_rows(seq, spans))) < 1e-12
 
 
 def test_refine_span_too_short():
-    """Base tokens whose row width is not a multiple of 4 cannot refine."""
-    seq = Tensor(rng(9).standard_normal((12, 3)))
-    for j in (12, 6, 2):  # widths 1, 2 and 6
-        with pytest.raises(ConfigurationError):
-            N.text_pyramid(tokenize_text(seq, j))
+    """A stream whose row count is not a multiple of 4 cannot refine."""
+    for rows in (2, 6, 10):
+        with pytest.raises(DimensionError):
+            N.text_pyramid(Tensor(rng(9).standard_normal((rows, 3))))
 
 
 # ---------------------------------------------------------------------------
@@ -299,18 +303,18 @@ def build_case(seed, k_thr=None, tau_d=None, c=7):
         cfg.tau_d = tau_d
     g = rng(seed)
     m = Tensor(g.standard_normal((cfg.image_size, cfg.image_size, c)))
-    t = tokenize_text(Tensor(g.standard_normal((cfg.text_len, cfg.d))), cfg.j_text)
+    t = Tensor(g.standard_normal((cfg.text_len, cfg.d)))
     weights = seeded_weights(g, c, cfg.d)
     return cfg, m, t, weights
 
 
-def hierarchy(m, t_tokens, cfg, weights, **kw):
+def hierarchy(m, t_stream, cfg, weights, **kw):
     """`build_hierarchy` over the branches prepared from map m."""
     branches = N.prepare_branches(m, cfg.mu, cfg.kernels, weights.conv_kernels)
-    return N.build_hierarchy(branches, t_tokens, cfg, weights, **kw)
+    return N.build_hierarchy(branches, t_stream, cfg, weights, **kw)
 
 
-def full_materialization_oracle(cfg, m, t_tokens, weights):
+def full_materialization_oracle(cfg, m, t_stream, weights):
     """Materialize every level everywhere, then zero inactive rows."""
     widths = oracles.largest_remainder_widths(m.shape[2], cfg.mu)
     branches, lo = [], 0
@@ -321,8 +325,8 @@ def full_materialization_oracle(cfg, m, t_tokens, weights):
         region_means(branches[lvl], cfg.grid, fy, fx) @ weights.branch_projs[lvl].a
         for lvl, (fy, fx) in enumerate(LEVEL_FACTORS)
     ]
-    seq = t_tokens.source.a
-    width = seq.shape[0] // t_tokens.tokens.shape[0]
+    seq = t_stream.a
+    width = 4  # base text tokens pool runs of 4 rows
     spans1 = [(s, s + width) for s in range(0, seq.shape[0], width)]
 
     def split_spans(spans, f):
@@ -425,6 +429,8 @@ def test_hierarchy_cost_dominance_and_counts():
     (hc,) = trace.hierarchy
     assert hc.cosines <= hc.full_cosines
     assert hc.cosines == trace.counter.total_cosines()
+    # a trace billed outside `forward` reports its fine MACs all the same
+    assert cost_report(trace).fine_macs == trace.counter.macs["nfa"] > 0
     # saturated build reaches the full-materialization count exactly
     cfg2, m2, t2, weights2 = build_case(26, k_thr=-1.0, tau_d=0.0)
     trace2 = Trace()
@@ -460,7 +466,7 @@ def test_nfa_attention_zero_mask_zero_output():
     m_tok = Tensor(g.standard_normal((8, cfg.d)))
     t_tok = Tensor(g.standard_normal((4, cfg.d)))
     eye = ProjectionSet(Tensor(np.eye(cfg.d)), Tensor(np.eye(cfg.d)), Tensor(np.eye(cfg.d)))
-    out = N.nfa_attention(m_tok, t_tok, np.zeros((8, 4)), (eye, eye), cfg)
+    out = N.nfa_attention(m_tok, t_tok, np.zeros((8, 4)), (eye, eye))
     assert np.array_equal(out.a, np.zeros((8, cfg.d)))
 
 
@@ -470,7 +476,7 @@ def test_nfa_attention_single_token_scalar_chain():
     m_tok = Tensor(g.standard_normal((1, cfg.d)))
     t_tok = Tensor(g.standard_normal((1, cfg.d)))
     eye = ProjectionSet(Tensor(np.eye(cfg.d)), Tensor(np.eye(cfg.d)), Tensor(np.eye(cfg.d)))
-    out = N.nfa_attention(m_tok, t_tok, np.full((1, 1), 1 / 7), (eye, eye), cfg)
+    out = N.nfa_attention(m_tok, t_tok, np.full((1, 1), 1 / 7), (eye, eye))
     # softmax of a single score is 1; the mask scales the value row
     assert np.max(np.abs(out.a - t_tok.a / 7)) < 1e-12
 
@@ -486,7 +492,7 @@ def test_nfa_attention_matches_explicit_loop_oracle():
     wq, wk, wv = (g.standard_normal((d, d)) for _ in range(3))
     img = ProjectionSet(Tensor(wq), Tensor(np.eye(d)), Tensor(np.eye(d)))
     txt = ProjectionSet(Tensor(np.eye(d)), Tensor(wk), Tensor(wv))
-    got = N.nfa_attention(Tensor(m_tok), Tensor(t_tok), mask, (img, txt), cfg)
+    got = N.nfa_attention(Tensor(m_tok), Tensor(t_tok), mask, (img, txt))
     want = oracles.masked_attention_loops(m_tok, t_tok, mask, wq, wk, wv)
     assert np.max(np.abs(got.a - want)) < 1e-10
 
@@ -504,7 +510,7 @@ def test_token_grid_hierarchy_matches_map_pooling():
     cfg = nfa_cfg()
     g = rng(35)
     tokens = g.standard_normal((64, cfg.d))
-    t = tokenize_text(Tensor(g.standard_normal((cfg.text_len, cfg.d))), cfg.j_text)
+    t = Tensor(g.standard_normal((cfg.text_len, cfg.d)))
     hier, q3, txt3 = N.build_hierarchy_from_tokens(Tensor(tokens), (8, 8), t, cfg)
     assert hier.a_prime.shape == (4 * 4, 4 * cfg.j_text)
     assert q3.shape == (16, cfg.d)

@@ -20,7 +20,7 @@ def rng(seed=0):
 
 def phi_cfg(**over):
     base = dict(
-        d=8, n_layers=2, s=2, grid=(2, 2), j_text=4, text_len=16,
+        d=8, n_layers=2, grid=(2, 2), j_text=4, text_len=16,
         image_size=8, L=2, k1=2, phi_period=2, enable_cwa=False,
         nfa_merge="slots_only", detail_pool=1,
     )
@@ -55,7 +55,7 @@ def pad_case(seed, pad_tokens):
     m = Tensor(g.standard_normal((4, 4, 3)))
     t = Tensor(g.standard_normal((2, 3)))
     _, _, _, img_tokens, _, slots = coarse_align_block(
-        m, t, eye_ps(3), eye_ps(3), DapeConfig(d=3, s=1, grid=(2, 2), j_text=2),
+        m, t, eye_ps(3), eye_ps(3), DapeConfig(d=3, grid=(2, 2), j_text=2),
         pad_tokens=pad_tokens,
     )
     return img_tokens, slots, m
@@ -192,7 +192,7 @@ def test_inject_touches_only_slot_rows():
 def test_inject_matches_composed_pipeline_oracle():
     """Steps 1-5 recomposed from the package's own verified parts."""
     from dape.nfa import build_hierarchy_from_tokens, nfa_attention
-    from dape.coarse import masked_cross_attention, tokenize_text
+    from dape.coarse import masked_cross_attention
 
     cfg, g, m1p, slots, src, t_prev, weights = inject_case(14)
     m_out, state = P.phi_inject(
@@ -200,9 +200,8 @@ def test_inject_matches_composed_pipeline_oracle():
         cfg, layer_index=1,
     )
     det, grid = P.make_detail_tokens(src, weights.detail_proj, cfg.cutoff_frac)
-    txt_base = tokenize_text(t_prev, cfg.j_text // 4)
-    hier, q3, txt3 = build_hierarchy_from_tokens(det, grid, txt_base, cfg)
-    m2 = nfa_attention(q3, txt3, hier.a_prime, (eye_ps(cfg.d), eye_ps(cfg.d)), cfg)
+    hier, q3, txt3 = build_hierarchy_from_tokens(det, grid, t_prev, cfg)
+    m2 = nfa_attention(q3, txt3, hier.a_prime, (eye_ps(cfg.d), eye_ps(cfg.d)))
     m_in = m1p.a[slots]
     m3 = masked_cross_attention(Tensor(m_in), m2, None, (weights.q_ps, weights.kv_ps))
     assert np.max(np.abs(m_out.a[slots] - (m_in + m3.a))) < 1e-12

@@ -335,6 +335,15 @@ def test_checkpoint_with_invalid_config_is_a_file_format_error(tmp_path):
         load_checkpoint(str(tmp_path / "ck.dape"))
 
 
+@pytest.mark.parametrize("removed", [{"s": 2}, {"p_slots": 0}])
+def test_checkpoint_naming_a_removed_field_is_a_file_format_error(tmp_path, removed):
+    cfg = DapeConfig()
+    meta = {"kind": "checkpoint", "config": dict(asdict(cfg), **removed)}
+    save_tensors(tmp_path / "ck.dape", meta, {n: t.a for n, t in init_model(cfg).params()})
+    with pytest.raises(FileFormatError, match="invalid config.*unknown config keys"):
+        load_checkpoint(str(tmp_path / "ck.dape"))
+
+
 # ---------------------------------------------------------------------------
 # pinned bytes and memory: one payload copy at a time
 

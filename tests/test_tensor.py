@@ -363,36 +363,7 @@ def test_conv_even_kernel_rejected():
 
 
 # ---------------------------------------------------------------------------
-# downsample_avg
-
-
-def test_downsample_s1_is_noop():
-    x = rng(6).standard_normal((4, 4, 2))
-    assert np.array_equal(T.downsample_avg(T.Tensor(x), 1).a, x)
-
-
-def test_downsample_2x2_mean():
-    x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(2, 2, 1)
-    assert T.downsample_avg(T.Tensor(x), 2).a.reshape(-1)[0] == pytest.approx(2.5)
-
-
-def test_downsample_matches_block_mean_oracle():
-    x = rng(7).standard_normal((4, 4, 3))
-    got = T.downsample_avg(T.Tensor(x), 2).a
-    assert np.max(np.abs(got - oracles.block_mean(x, 2, 2))) < 1e-12
-
-
-def test_downsample_non_divisible_rejected():
-    with pytest.raises(DimensionError):
-        T.downsample_avg(T.Tensor(np.zeros((5, 4, 1))), 2)
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.integers(0, 10_000))
-def test_downsample_preserves_global_mean(seed):
-    x = rng(seed).standard_normal((8, 8, 2))
-    out = T.downsample_avg(T.Tensor(x), 2).a
-    assert abs(out.mean() - x.mean()) < 1e-12
+# pool_parent_major
 
 
 def test_pool_parent_major_matches_block_mean_then_reorder():
@@ -571,12 +542,16 @@ def test_grad_check_each_op():
     kw = T.Tensor(g.standard_normal((2, 3, 3)))
     m = T.Tensor(g.standard_normal((4, 4)))
     r = T.Tensor([0.3])
+
+    def grid_pool():
+        return T.pool_parent_major(x, 2, 2, 1, 1)
+
     cases = {
         "matmul": (lambda: T.tsum(T.matmul(a, b)), [a, b]),
         "softmax": (lambda: T.tsum(T.mul(T.row_softmax(a), a)), [a]),
         "cosine": (lambda: T.cosine(v, w), [v, w]),
         "conv": (lambda: T.tsum(T.mul(T.conv2d_local(x, 3, kw), x)), [x, kw]),
-        "downsample": (lambda: T.tsum(T.mul(T.downsample_avg(x, 2), T.downsample_avg(x, 2))), [x]),
+        "grid_pool": (lambda: T.tsum(T.mul(grid_pool(), grid_pool())), [x]),
         "attention": (lambda: T.tsum(T.mul(T.attention(a, a, m, m, m, None), a)), [a, m]),
         "logsumexp": (lambda: T.tsum(T.row_logsumexp(a)), [a]),
         "l2norm": (lambda: T.tsum(T.mul(T.l2_normalize_rows(a), a)), [a]),
