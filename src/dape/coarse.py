@@ -10,8 +10,7 @@ Token tensors are (..., N, d) and masks (..., N_q, N_kv): the leading axes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from math import prod
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,68 +23,8 @@ from .tensor import Tensor
 # Domain types
 
 
-def on_alphabet(values: np.ndarray, alphabet) -> bool:
-    """Whether every entry of `values` is one of the sorted `alphabet`."""
-    alphabet = np.asarray(alphabet)
-    if alphabet.size == 2:
-        lo, hi = alphabet
-        return bool(((values == lo) | (values == hi)).all())
-    at = np.minimum(np.searchsorted(alphabet, values), alphabet.size - 1)
-    return bool((alphabet[at] == values).all())
-
-
 @dataclass
-class AffinityMask:
-    """Non-negative (..., n, m) mask whose entries come from a declared value
-    alphabet."""
-
-    weights: np.ndarray
-    alphabet: tuple[float, ...]
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.alphabet = tuple(sorted(set(float(v) for v in self.alphabet)))
-        if any(v < 0 for v in self.alphabet):
-            raise ConfigurationError("mask alphabet must be non-negative")
-        if not on_alphabet(self.weights, self.alphabet):
-            raise ConfigurationError(
-                f"mask contains values outside alphabet {self.alphabet}"
-            )
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.weights.shape
-
-    @classmethod
-    def _unchecked(cls, weights, alphabet) -> "AffinityMask":
-        # fast path for values already known to sit in the alphabet
-        m = object.__new__(cls)
-        m.weights = weights
-        m.alphabet = alphabet
-        return m
-
-    def transposed(self) -> "AffinityMask":
-        """Each sample's mask transposed: (..., m, n)."""
-        return AffinityMask._unchecked(np.swapaxes(self.weights, -1, -2), self.alphabet)
-
-    def split(self, lead: tuple[int, ...]) -> list["AffinityMask"]:
-        """One (n, m) mask per sample of the leading axes `lead`."""
-        w = self.weights.reshape((prod(lead),) + self.weights.shape[len(lead):])
-        return [AffinityMask._unchecked(x, self.alphabet) for x in w]
-
-
-class _SquareProjections:
-    """Checks on construction that every field is a square matrix."""
-
-    def __post_init__(self):
-        for f in fields(self):
-            w = getattr(self, f.name)
-            if w.a.ndim != 2 or w.shape[0] != w.shape[1]:
-                raise DimensionError(f"projection must be square, got {w.shape}")
-
-
-@dataclass
-class ProjectionSet(_SquareProjections):
+class ProjectionSet:
     """Query/key/value projections for one modality in one block whose
     attentions read the set in both roles (coarse, CWA)."""
 
@@ -95,14 +34,14 @@ class ProjectionSet(_SquareProjections):
 
 
 @dataclass
-class QueryProjection(_SquareProjections):
+class QueryProjection:
     """The query side of an attention that reads its set only as queries."""
 
     wq: Tensor
 
 
 @dataclass
-class KeyValueProjection(_SquareProjections):
+class KeyValueProjection:
     """The key/value side of an attention that reads its set only as keys
     and values."""
 
@@ -149,38 +88,11 @@ def affinity(imgs: Tensor, txts: Tensor) -> np.ndarray:
     return cosine_matrix(imgs.a, txts.a)
 
 
-def binarize(a: np.ndarray, threshold: float, hi: float = 1.0) -> AffinityMask:
-    """Entries strictly above `threshold` map to `hi`, others to 0."""
+def binarize(a: np.ndarray, threshold: float) -> np.ndarray:
+    """Entries strictly above `threshold` map to 1, others to 0."""
     if not np.isfinite(threshold):
         raise ConfigurationError("threshold must be finite")
-    if hi <= 0:
-        raise ConfigurationError(f"hi must be positive, got {hi}")
-    a = np.asarray(a, dtype=np.float64)
-    weights = np.where(a > threshold, hi, 0.0)
-    return AffinityMask(weights, (0.0, hi))
-
-
-# ---------------------------------------------------------------------------
-# Masked cross-attention
-
-
-def masked_cross_attention(
-    q_tokens: Tensor,
-    kv_tokens: Tensor,
-    mask: AffinityMask | None,
-    projections: tuple[QueryProjection | ProjectionSet, KeyValueProjection | ProjectionSet],
-) -> Tensor:
-    """softmax(Q K^T / sqrt(d)) scaled entrywise by the mask, times V.
-
-    The caller passes the mask oriented (..., N_q, N_kv). `mask=None` runs
-    unmasked attention. Only `wq` of the query set and `wk`, `wv` of the
-    key/value set are read.
-    """
-    q_proj, kv_proj = projections
-    return T.attention(
-        q_tokens, kv_tokens, q_proj.wq, kv_proj.wk, kv_proj.wv,
-        None if mask is None else mask.weights,
-    )
+    return np.where(np.asarray(a, dtype=np.float64) > threshold, 1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +111,8 @@ def coarse_align_block(
     replay=None,
 ):
     """Tokenize -> affinity -> binarize -> the two masked attentions.
-    Returns (t1, m1, a0_mask, img_tokens, txt_tokens, slots).
+    Returns (t1, m1, a0, img_tokens, txt_tokens, slots), where a0 is the
+    (..., I, J) {0, 1} mask.
 
     The text input `t_seq` is (..., l, d); its leading axes are the batch's.
     `m_map` is either the (..., h, w, d) input map (first layer: pooled
@@ -208,7 +121,10 @@ def coarse_align_block(
     every sample, to the image side before alignment; `slots` gives their
     row indices. The mask is decided once per sample.
     """
-    from .costs import decide  # local import to keep module deps one-way
+    # Looked up on `costs` at call time, not bound at import: a wrapper
+    # installed on `dape.costs.decide` (the benchmark's tracer) then sees
+    # coarse's decisions too. Do not hoist this import.
+    from .costs import decide
 
     if t_seq.a.ndim < 2:
         raise DimensionError(f"text input must be (..., l, d), got {t_seq.shape}")
@@ -242,6 +158,9 @@ def coarse_align_block(
     # Text update: text queries over image keys/values, mask transposed to
     # (..., J, I). Image update: image queries over text, mask as stored
     # (..., I, J).
-    t1 = masked_cross_attention(txt_tokens, img_tokens, a0.transposed(), (txt_proj, img_proj))
-    m1 = masked_cross_attention(img_tokens, txt_tokens, a0, (img_proj, txt_proj))
+    t1 = T.attention(
+        txt_tokens, img_tokens, txt_proj.wq, img_proj.wk, img_proj.wv,
+        np.swapaxes(a0, -1, -2),
+    )
+    m1 = T.attention(img_tokens, txt_tokens, img_proj.wq, txt_proj.wk, txt_proj.wv, a0)
     return t1, m1, a0, img_tokens, txt_tokens, slots

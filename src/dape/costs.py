@@ -173,20 +173,18 @@ class Replay:
             )
 
 
-def _split(value, lead: tuple[int, ...]) -> list:
+def _split(value: np.ndarray, lead: tuple[int, ...]) -> list:
     """A batched decision as its per-sample values (leading axes flattened)."""
-    if isinstance(value, np.ndarray):
-        return list(value.reshape((prod(lead),) + value.shape[len(lead):]))
-    return value.split(lead)
+    return list(value.reshape((prod(lead),) + value.shape[len(lead):]))
 
 
 def decide(trace: Trace | None, replay: Replay | None, kind: str,
            lead: tuple[int, ...], compute):
     """Compute a batch's discrete decision, or replay the recorded one.
 
-    `lead` is the batch's leading shape. Values are arrays whose leading
-    axes are `lead`, or objects with a `split(lead)` method giving the
-    per-sample values `Trace.decisions` lists.
+    `lead` is the batch's leading shape. Values are arrays (masks,
+    selections, dense-row flags) whose leading axes are `lead`;
+    `Trace.decisions` lists them per sample.
     """
     if replay is not None:
         return replay.take(kind, lead)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .coarse import AffinityMask, ProjectionSet, binarize, masked_cross_attention
+from .coarse import ProjectionSet, binarize
 from .costs import cosine_matrix, decide
 from .errors import ConfigurationError, DimensionError
 from .tensor import Tensor
@@ -75,9 +75,10 @@ def cwa_block(
     cfg,
     trace=None,
     replay=None,
-) -> tuple[Tensor, AffinityMask]:
+) -> tuple[Tensor, np.ndarray]:
     """Channel-first view -> gate -> top-k per segment -> project to d ->
-    binarized affinity against the text tokens -> masked attention giving t2."""
+    binarized affinity against the text tokens -> masked attention giving t2.
+    Returns t2 and the (..., L, J) {0, 1} mask."""
     c = T.transpose(m_spatial)  # (..., d, P): one row per channel
     lead = c.shape[:-2]
     if chan_proj.shape[0] != c.shape[-1]:
@@ -102,7 +103,9 @@ def cwa_block(
         lambda: binarize(cosine_matrix(b_proj.a, t1.a), cfg.k_c),
     )
     txt_proj, img_proj = projections
-    t2 = masked_cross_attention(t1, b_proj, a_c.transposed(), (txt_proj, img_proj))
+    t2 = T.attention(
+        t1, b_proj, txt_proj.wq, img_proj.wk, img_proj.wv, np.swapaxes(a_c, -1, -2)
+    )
     return t2, a_c
 
 

@@ -261,7 +261,7 @@ def forced_density_rule(fraction: float):
     def rule(mask, level, active):
         active = np.asarray(active, dtype=bool)
         k = np.ceil(fraction * np.count_nonzero(active, axis=-1))
-        fill = np.where(active, np.count_nonzero(mask.weights, axis=-1), -1)
+        fill = np.where(active, np.count_nonzero(mask, axis=-1), -1)
         order = np.argsort(-fill, axis=-1, kind="stable")
         flags = np.zeros_like(active)
         np.put_along_axis(flags, order, np.arange(active.shape[-1]) < k[..., None], axis=-1)

@@ -27,11 +27,11 @@ from .tensor import GradTape, Tensor
 
 @dataclass
 class Batch:
-    """Featurized image maps, text sequences and their pairing labels."""
+    """Featurized image maps and text sequences; row i of each modality is
+    a pair."""
 
     images: np.ndarray   # (b, h, w, d)
     texts: np.ndarray    # (b, l, d)
-    labels: np.ndarray   # (b,) scene ids; row i of each modality is a pair
 
     @property
     def size(self) -> int:
@@ -267,8 +267,6 @@ def train_step(model: DapeModel, batch: Batch, cfg: DapeConfig) -> tuple[float, 
     with GradTape() as tape:
         img_emb, txt_emb, trace = forward(model, batch, cfg)
         loss = contrastive_loss(img_emb, txt_emb, model.temperature)
-    if not np.isfinite(loss.a).all():
-        raise NumericError("non-finite loss")
     grads = tape.gradients(loss, params)
     sq = 0.0
     for g in grads:

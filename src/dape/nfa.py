@@ -31,7 +31,7 @@ from itertools import combinations
 import numpy as np
 
 from . import tensor as T
-from .coarse import AffinityMask, KeyValueProjection, QueryProjection, on_alphabet
+from .coarse import KeyValueProjection, QueryProjection
 from .config import mu_partition
 from .costs import HierarchyCost, cosine_matrix, decide
 from .errors import ConfigurationError, DimensionError
@@ -52,29 +52,29 @@ class NfaWeights:
 
 @dataclass
 class HierarchicalMask:
-    """The three upscaled level masks, their sum, and the dense-row flags
-    ((..., I) at level 1, (..., 2I) at level 2)."""
+    """The three upscaled level masks ({0, mu_k} each), their sum, the
+    dense-row flags ((..., I) at level 1, (..., 2I) at level 2) and the
+    level weights mu."""
 
-    a1: AffinityMask
-    a2: AffinityMask
-    a3: AffinityMask
+    a1: np.ndarray
+    a2: np.ndarray
+    a3: np.ndarray
     a_prime: np.ndarray
     dense_l1: np.ndarray
     dense_l2: np.ndarray
+    mu: tuple[float, float, float]
 
     def check_structure(self) -> None:
-        total = self.a1.weights + self.a2.weights + self.a3.weights
-        if not np.array_equal(total, self.a_prime):
+        if not np.array_equal(self.a1 + self.a2 + self.a3, self.a_prime):
             raise ConfigurationError("combined mask is not the sum of its levels")
-        lattice = mask_lattice(
-            self.a1.alphabet[-1], self.a2.alphabet[-1], self.a3.alphabet[-1]
-        )
-        if not on_alphabet(self.a_prime, lattice):
+        lattice = mask_lattice(*self.mu)
+        at = np.minimum(np.searchsorted(lattice, self.a_prime), lattice.size - 1)
+        if not (lattice[at] == self.a_prime).all():
             raise ConfigurationError("combined mask leaves the mu lattice")
         # a level-1 row covers 4 rows of the upscaled (4I) grid, a level-2 row 2
-        if (self.a2.weights.any(axis=-1) & ~np.repeat(self.dense_l1, 4, axis=-1)).any():
+        if (self.a2.any(axis=-1) & ~np.repeat(self.dense_l1, 4, axis=-1)).any():
             raise ConfigurationError("level-2 weight outside a dense level-1 row")
-        if (self.a3.weights.any(axis=-1) & ~np.repeat(self.dense_l2, 2, axis=-1)).any():
+        if (self.a3.any(axis=-1) & ~np.repeat(self.dense_l2, 2, axis=-1)).any():
             raise ConfigurationError("level-3 weight outside a dense level-2 row")
 
 
@@ -178,7 +178,7 @@ def level_mask(
     k_thr: float,
     mu_k: float,
     active: np.ndarray | None = None,
-) -> AffinityMask:
+) -> np.ndarray:
     """Binarized {0, mu_k} affinity of each sample's (..., n, d) image rows
     against its (..., m, d) text tokens, evaluated only on active rows.
 
@@ -189,8 +189,7 @@ def level_mask(
     xa, ta = xk.a, tk.a
     n, m = xa.shape[-2], ta.shape[-2]
     if active is None:
-        sims = cosine_matrix(xa, ta)
-        return AffinityMask._unchecked(np.where(sims > k_thr, mu_k, 0.0), (0.0, mu_k))
+        return np.where(cosine_matrix(xa, ta) > k_thr, mu_k, 0.0)
     weights = np.zeros(xa.shape[:-1] + (m,))
     sample, row = np.nonzero(active.reshape(-1, n))
     if sample.size:
@@ -198,26 +197,25 @@ def level_mask(
         t = ta.reshape((-1,) + ta.shape[-2:])[sample]
         sims = cosine_matrix(x, t)[:, 0, :]
         weights.reshape(-1, n, m)[sample, row] = np.where(sims > k_thr, mu_k, 0.0)
-    return AffinityMask._unchecked(weights, (0.0, mu_k))
+    return weights
 
 
-def density_flag(mask: AffinityMask, tau_d: float) -> np.ndarray:
-    """Flags (..., n) of the rows whose nonzero fill fraction strictly
-    exceeds tau_d."""
+def density_flag(mask: np.ndarray, tau_d: float) -> np.ndarray:
+    """Flags (..., n) of the rows of an (..., n, m) mask whose nonzero fill
+    fraction strictly exceeds tau_d."""
     if not 0.0 <= tau_d <= 1.0:
         raise ConfigurationError(f"tau_d={tau_d} outside [0, 1]")
-    fill = (mask.weights != 0.0).sum(axis=-1) / mask.weights.shape[-1]
+    fill = (mask != 0.0).sum(axis=-1) / mask.shape[-1]
     return fill > tau_d
 
 
-def upscale_mask(mask: AffinityMask, target: tuple[int, int]) -> AffinityMask:
+def upscale_mask(mask: np.ndarray, target: tuple[int, int]) -> np.ndarray:
     """Nearest-neighbor block replication of each sample to the target shape."""
     rows, cols = mask.shape[-2:]
     tr, tc = target
     if tr % rows or tc % cols:
         raise DimensionError(f"target {target} not a multiple of {mask.shape}")
-    w = np.repeat(np.repeat(mask.weights, tr // rows, axis=-2), tc // cols, axis=-1)
-    return AffinityMask._unchecked(w, mask.alphabet)
+    return np.repeat(np.repeat(mask, tr // rows, axis=-2), tc // cols, axis=-1)
 
 
 def build_level_masks(
@@ -262,8 +260,7 @@ def build_level_masks(
             )
 
     a1u, a2u, a3u = masks
-    a_prime = a1u.weights + a2u.weights + a3u.weights
-    hier = HierarchicalMask(a1u, a2u, a3u, a_prime, *dense_flags)
+    hier = HierarchicalMask(a1u, a2u, a3u, a1u + a2u + a3u, *dense_flags, cfg.mu)
     hier.check_structure()
     if trace is not None and replay is None:
         per_sample = zip(*(f.reshape(-1, f.shape[-1]).sum(axis=1).tolist() for f in refined))

@@ -18,7 +18,7 @@ from math import prod
 import numpy as np
 
 from . import tensor as T
-from .coarse import KeyValueProjection, QueryProjection, masked_cross_attention
+from .coarse import KeyValueProjection, QueryProjection
 from .costs import cost_scope
 from .errors import ConfigurationError, ContractError, IndexRangeError
 from .nfa import build_hierarchy_from_tokens, nfa_attention, parent_major_perm
@@ -129,7 +129,7 @@ def phi_inject(
         m2 = nfa_attention(q3, txt3, hier.a_prime, nfa_projections)
 
     m_in = extract_slots(m1_plus, slots)
-    m3 = masked_cross_attention(m_in, m2, None, (weights.q_ps, weights.kv_ps))
+    m3 = T.attention(m_in, m2, weights.q_ps.wq, weights.kv_ps.wk, weights.kv_ps.wv, None)
     m_out = T.add_rows(m1_plus, slots, m3)  # the residual, on the slot rows only
     if trace is not None and replay is None:
         trace.injections += prod(t_prev.shape[:-2])

@@ -239,7 +239,7 @@ class Corpus:
 
     def batch(self, ids) -> Batch:
         ids = list(ids)
-        return Batch(self.images[ids], self.texts[ids], np.asarray(ids))
+        return Batch(self.images[ids], self.texts[ids])
 
 
 def load_corpus(path: str) -> Corpus:

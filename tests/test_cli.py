@@ -208,12 +208,8 @@ def test_check_unknown_suite_is_usage_error(run_root):
 
 def test_mutation_flipped_binarize_comparison_caught(monkeypatch):
     """Fault: '>' becomes '>=' in the threshold rule."""
-    real = dape.coarse.binarize
-
-    def flipped(a, threshold, hi=1.0):
-        a = np.asarray(a, dtype=np.float64)
-        weights = np.where(a >= threshold, hi, 0.0)
-        return dape.coarse.AffinityMask(weights, (0.0, hi))
+    def flipped(a, threshold):
+        return np.where(np.asarray(a, dtype=np.float64) >= threshold, 1.0, 0.0)
 
     monkeypatch.setattr(dape.coarse, "binarize", flipped)
     report = run_checks("coarse-align")
@@ -239,7 +235,7 @@ def test_mutation_noncommutative_fuse_caught(monkeypatch):
 def test_mutation_flipped_density_rule_caught(monkeypatch):
     """Fault: dense iff fill >= tau_d instead of strictly greater."""
     def flipped(mask, tau_d):
-        fill = np.count_nonzero(mask.weights, axis=-1) / mask.weights.shape[-1]
+        fill = np.count_nonzero(mask, axis=-1) / mask.shape[-1]
         return fill >= tau_d
 
     monkeypatch.setattr(dape.nfa, "density_flag", flipped)
@@ -251,13 +247,10 @@ def test_mutation_flipped_density_rule_caught(monkeypatch):
 
 def test_mutation_transposed_upscale_caught(monkeypatch):
     """Fault: the upscale replicates the transposed source."""
-    real_mask = dape.coarse.AffinityMask
-
     def transposed(mask, target):
         rows, cols = mask.shape
         tr, tc = target
-        w = np.repeat(np.repeat(mask.weights.T, tr // cols, axis=0), tc // rows, axis=1)
-        return real_mask._unchecked(w, mask.alphabet)
+        return np.repeat(np.repeat(mask.T, tr // cols, axis=0), tc // rows, axis=1)
 
     monkeypatch.setattr(dape.nfa, "upscale_mask", transposed)
     report = run_checks("nfa")

@@ -200,7 +200,7 @@ def test_cwa_block_orthogonal_gives_zero_t2():
     t2, a_c = W.cwa_block(
         Tensor(m), Tensor(t1), zero_gate(d), proj, (eye_proj(d), eye_proj(d)), cfg
     )
-    assert np.array_equal(a_c.weights, np.zeros((cfg.L, 2)))
+    assert np.array_equal(a_c, np.zeros((cfg.L, 2)))
     assert np.array_equal(t2.a, np.zeros((2, d)))
 
 
@@ -221,7 +221,7 @@ def test_cwa_block_single_segment_matches_composed_oracle():
     cos = oracles.cosine_direct(bp, t1[0])
     mask = np.array([[1.0 if cos > cfg.k_c else 0.0]])
     want = oracles.masked_attention_loops(t1, bp[None, :], mask.T, np.eye(d), np.eye(d), np.eye(d))
-    assert a_c.weights[0, 0] == mask[0, 0]
+    assert a_c[0, 0] == mask[0, 0]
     assert np.max(np.abs(t2.a - want)) < 1e-10
 
 
@@ -232,7 +232,7 @@ def test_cwa_mask_alphabet_binary():
     t1 = Tensor(g.standard_normal((2, cfg.d)))
     proj = Tensor(g.standard_normal((4, cfg.d)))
     _, a_c = W.cwa_block(m, t1, zero_gate(cfg.d), proj, (eye_proj(cfg.d), eye_proj(cfg.d)), cfg)
-    assert set(np.unique(a_c.weights)) <= {0.0, 1.0}
+    assert set(np.unique(a_c)) <= {0.0, 1.0}
     assert a_c.shape == (cfg.L, 2)
 
 

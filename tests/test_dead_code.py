@@ -1,6 +1,7 @@
 """Guard against dead code: every top-level function or class in
 `src/dape`, and every method or property of such a class, must be
-referenced somewhere in `src/dape` other than its own definition, and
+referenced somewhere in `src/dape` other than its own definition, every
+dataclass field must be read as an attribute somewhere in `src/dape`, and
 every config field must be read outside `config.py`. Names read only from
 outside the package are allowlisted."""
 
@@ -18,6 +19,16 @@ ALLOWED = {
 # Class.member -> why it may have no read inside the package
 ALLOWED_MEMBERS = {
     "Trace.decisions": "perfbench's pinned decision count and the tests read it",
+}
+
+# Class.field -> why a dataclass field may have no attribute read inside the package
+ALLOWED_FIELDS = {
+    "HierarchyCost.active_l2": "perfbench's nfa.refined_rows sums it (perfbench/bench.py)",
+    "HierarchyCost.active_l3": "perfbench's nfa.refined_rows sums it (perfbench/bench.py)",
+    "CostReport.per_module_macs": "perfbench reports per-module MACs from it",
+    "CostReport.fine_cosines": "perfbench reports it as nfa.cosines",
+    "CostReport.fine_cosines_uniform": "fine_ratio's denominator, reported; the tests read it",
+    "CostReport.fine_ratio": "perfbench reports it as nfa.fine_ratio",
 }
 
 
@@ -106,3 +117,38 @@ def test_every_config_field_is_read_outside_config():
             reads.update(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute))
     unread = [f.name for f in fields(DapeConfig) if not reads[f.name]]
     assert not unread, f"config fields never read outside config.py: {unread}"
+
+
+def is_dataclass_def(cls: ast.ClassDef) -> bool:
+    """Decorated `@dataclass` or `@dataclass(...)`."""
+    for d in cls.decorator_list:
+        target = d.func if isinstance(d, ast.Call) else d
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def test_every_dataclass_field_is_read():
+    """A dataclass field that nothing in `src/dape` reads as an attribute
+    (`obj.name`) is carried for nothing."""
+    trees = [ast.parse(p.read_text(), p.name) for p in sorted(SRC.glob("*.py"))]
+    reads = Counter(
+        n.attr
+        for tree in trees
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    )
+    declared = [
+        f"{cls.name}.{node.target.id}"
+        for tree in trees
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and is_dataclass_def(cls)
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+    ]
+    unread = [
+        f for f in declared if f not in ALLOWED_FIELDS and not reads[f.split(".")[1]]
+    ]
+    assert not unread, f"dataclass fields never read in src/dape: {unread}"
+    stale = set(ALLOWED_FIELDS) - set(declared)
+    assert not stale, f"stale field allowlist entries: {sorted(stale)}"

@@ -88,11 +88,7 @@ def test_forward_batch_symmetry(corpus_batch):
     cfg = oracle_cfg()
     model = init_model(cfg)
     batch = corpus_batch(cfg, n=2)
-    dup = Batch(
-        np.stack([batch.images[0]] * 3),
-        np.stack([batch.texts[0]] * 3),
-        np.zeros(3, dtype=int),
-    )
+    dup = Batch(np.stack([batch.images[0]] * 3), np.stack([batch.texts[0]] * 3))
     ie, te, _ = forward(model, dup, cfg)
     assert np.max(np.abs(ie.a - ie.a[0])) < 1e-12
     assert np.max(np.abs(te.a - te.a[0])) < 1e-12
@@ -167,6 +163,20 @@ def test_train_step_zero_lr_keeps_parameters_bit_exact(corpus_batch):
         assert np.array_equal(b, t.a)
 
 
+def test_train_step_with_non_finite_loss_raises_before_any_update(corpus_batch):
+    """A temperature whose reciprocal overflows makes the loss non-finite:
+    the loss's own ops raise, so no parameter moves."""
+    cfg = oracle_cfg()
+    model = init_model(cfg)
+    batch = corpus_batch(cfg, n=2)
+    model.temperature.a[...] = 1e-320
+    before = [t.a.copy() for _, t in model.params()]
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="reciprocal"):
+        train_step(model, batch, cfg)
+    for b, (_, t) in zip(before, model.params()):
+        assert np.array_equal(b, t.a)
+
+
 def test_repeated_step_on_fixed_batch_nonincreasing(corpus_batch):
     cfg = oracle_cfg(learning_rate=1e-3)
     model = init_model(cfg)
@@ -218,7 +228,7 @@ def test_replay_leaving_decisions_unconsumed_is_rejected(corpus_batch):
     model = init_model(cfg)
     batch = corpus_batch(cfg, n=3)
     _, _, trace = forward(model, batch, cfg)
-    short = Batch(batch.images[:2], batch.texts[:2], batch.labels[:2])
+    short = Batch(batch.images[:2], batch.texts[:2])
     with pytest.raises(ContractError, match="unconsumed"):
         forward(model, short, cfg, replay=Replay(trace))
 
@@ -233,9 +243,9 @@ def test_replay_over_another_batch_size_is_rejected_before_consuming(replay_n, c
     cfg = oracle_cfg()
     model = init_model(cfg)
     batch = corpus_batch(cfg, n=4)
-    three = Batch(batch.images[:3], batch.texts[:3], batch.labels[:3])
+    three = Batch(batch.images[:3], batch.texts[:3])
     ie, te, trace = forward(model, three, cfg)
-    other = Batch(batch.images[:replay_n], batch.texts[:replay_n], batch.labels[:replay_n])
+    other = Batch(batch.images[:replay_n], batch.texts[:replay_n])
     replay = Replay(trace)
     with pytest.raises(ContractError, match="unconsumed"):
         forward(model, other, cfg, replay=replay)
@@ -266,7 +276,7 @@ def test_batched_forward_equals_forward_per_sample(tmp_path, over, density_mix):
     sums = None
     injection_macs = []
     for i in range(batch.size):
-        one = Batch(batch.images[i : i + 1], batch.texts[i : i + 1], batch.labels[i : i + 1])
+        one = Batch(batch.images[i : i + 1], batch.texts[i : i + 1])
         ie1, te1, tr1 = forward(model, one, cfg)
         injection_macs.append(tr1.injection_macs)
         assert np.max(np.abs(ie1.a[0] - ie.a[i])) < 1e-12
@@ -331,7 +341,7 @@ def test_disabling_nfa_collapses_hierarchy_to_level1(corpus_batch):
     batch = corpus_batch(cfg, n=2)
     _, _, trace = forward(model, batch, cfg)
     masks = [v for k, v in trace.decisions if k in ("nfa_mask_l2", "nfa_mask_l3")]
-    assert masks and all(np.array_equal(m.weights, np.zeros_like(m.weights)) for m in masks)
+    assert masks and all(np.array_equal(m, np.zeros_like(m)) for m in masks)
 
 
 def test_disabling_phi_zeroes_generation_count(corpus_batch):

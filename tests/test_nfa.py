@@ -1,6 +1,8 @@
 """Non-uniform fine-grained alignment: channel split, multiscale tokens,
 density-triggered masks, and the combined lattice update."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from dape import nfa as N
 from dape import tensor as T
-from dape.coarse import AffinityMask, ProjectionSet
+from dape.coarse import ProjectionSet
 from dape.config import DapeConfig, mu_partition
 from dape.costs import Trace, cost_report, cost_scope
 from dape.errors import ConfigurationError, DimensionError
@@ -225,7 +227,7 @@ def test_level_mask_empty_active_set():
     g = rng(10)
     m = N.level_mask(Tensor(g.standard_normal((3, 4))), Tensor(g.standard_normal((2, 4))),
                      0.6, 0.5, np.zeros(3, dtype=bool))
-    assert np.array_equal(m.weights, np.zeros((3, 2)))
+    assert np.array_equal(m, np.zeros((3, 2)))
 
 
 def test_level_mask_matches_per_entry_oracle():
@@ -236,26 +238,25 @@ def test_level_mask_matches_per_entry_oracle():
     for i in range(2):
         for j in range(2):
             want = (2 / 7) if oracles.cosine_direct(x[i], t[j]) > 0.2 else 0.0
-            assert m.weights[i, j] == want
+            assert m[i, j] == want
 
 
 def test_level_mask_inactive_rows_exactly_zero():
     g = rng(12)
     m = N.level_mask(Tensor(g.standard_normal((4, 3))), Tensor(g.standard_normal((2, 3))),
                      -1.0, 1 / 7, np.array([False, True, False, True]))
-    assert np.array_equal(m.weights[[0, 2]], np.zeros((2, 2)))
-    assert np.all(m.weights[[1, 3]] == 1 / 7)  # threshold -1 catches all
+    assert np.array_equal(m[[0, 2]], np.zeros((2, 2)))
+    assert np.all(m[[1, 3]] == 1 / 7)  # threshold -1 catches all
 
 
 def test_density_all_zero_mask():
-    m = AffinityMask(np.zeros((3, 4)), (0.0, 1.0))
-    assert np.flatnonzero(N.density_flag(m, 0.5)).size == 0
+    assert np.flatnonzero(N.density_flag(np.zeros((3, 4)), 0.5)).size == 0
 
 
 def test_density_tau_zero_any_hit():
     w = np.zeros((3, 4))
     w[1, 2] = 1.0
-    assert list(np.flatnonzero(N.density_flag(AffinityMask(w, (0.0, 1.0)), 0.0))) == [1]
+    assert list(np.flatnonzero(N.density_flag(w, 0.0))) == [1]
 
 
 def test_density_hand_counting_case():
@@ -263,24 +264,23 @@ def test_density_hand_counting_case():
     w[0, 0] = 1.0            # 25% fill: not > 0.25
     w[1, :2] = 1.0           # 50%
     w[2, :] = 1.0            # 100%
-    assert list(np.flatnonzero(N.density_flag(AffinityMask(w, (0.0, 1.0)), 0.25))) == [1, 2]
+    assert list(np.flatnonzero(N.density_flag(w, 0.25))) == [1, 2]
 
 
 def test_upscale_single_cell():
-    m = AffinityMask(np.array([[1 / 7]]), (0.0, 1 / 7))
-    up = N.upscale_mask(m, (4, 4))
-    assert np.all(up.weights == 1 / 7)
+    up = N.upscale_mask(np.array([[1 / 7]]), (4, 4))
+    assert up.shape == (4, 4) and np.all(up == 1 / 7)
 
 
 def test_upscale_identity():
     w = rng(13).uniform(size=(4, 4)) > 0.5
-    m = AffinityMask(w.astype(float), (0.0, 1.0))
-    assert np.array_equal(N.upscale_mask(m, (4, 4)).weights, m.weights)
+    m = w.astype(float)
+    assert np.array_equal(N.upscale_mask(m, (4, 4)), m)
 
 
 def test_upscale_replication_index_oracle():
     w = np.array([[0.0, 1.0], [1.0, 0.0]])
-    up = N.upscale_mask(AffinityMask(w, (0.0, 1.0)), (4, 4)).weights
+    up = N.upscale_mask(w, (4, 4))
     for i in range(4):
         for j in range(4):
             assert up[i, j] == w[i // 2, j // 2]
@@ -288,7 +288,7 @@ def test_upscale_replication_index_oracle():
 
 def test_upscale_non_multiple_rejected():
     with pytest.raises(DimensionError):
-        N.upscale_mask(AffinityMask(np.zeros((2, 2)), (0.0, 1.0)), (5, 4))
+        N.upscale_mask(np.zeros((2, 2)), (5, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +375,9 @@ def test_hierarchy_no_dense_rows_collapses_to_level1():
     cfg, m, t, weights = build_case(20, tau_d=1.0)  # nothing can exceed fill 1.0
     hier, _, _ = hierarchy(m, t, cfg, weights)
     assert np.flatnonzero(hier.dense_l1).size == 0
-    assert np.array_equal(hier.a2.weights, np.zeros_like(hier.a2.weights))
-    assert np.array_equal(hier.a3.weights, np.zeros_like(hier.a3.weights))
-    assert np.array_equal(hier.a_prime, hier.a1.weights)
+    assert np.array_equal(hier.a2, np.zeros_like(hier.a2))
+    assert np.array_equal(hier.a3, np.zeros_like(hier.a3))
+    assert np.array_equal(hier.a_prime, hier.a1)
 
 
 def test_hierarchy_saturated_case_all_ones():
@@ -418,7 +418,7 @@ def test_hierarchy_monotonicity_in_tau_and_threshold(seed):
     cfg_hi_thr.k_thr = 0.4
     cfg_hi_thr.tau_d = 0.1
     hi_thr, _, _ = hierarchy(m, t, cfg_hi_thr, weights)
-    assert np.all((hi_thr.a1.weights > 0) <= (base.a1.weights > 0))
+    assert np.all((hi_thr.a1 > 0) <= (base.a1 > 0))
 
 
 def test_hierarchy_cost_dominance_and_counts():
@@ -447,13 +447,36 @@ def test_hierarchy_deterministic():
 
 
 def test_hierarchy_structure_checker_catches_violation():
+    """Each of the four structural checks fires on its own violation: the
+    other three hold in every case."""
     cfg, m, t, weights = build_case(28, k_thr=0.1)
     hier, _, _ = hierarchy(m, t, cfg, weights)
-    bad = N.HierarchicalMask(
-        hier.a1, hier.a2, hier.a3, hier.a_prime + 1e-9, hier.dense_l1, hier.dense_l2
-    )
-    with pytest.raises(ConfigurationError):
-        bad.check_structure()
+    hier.check_structure()
+    _, mu2, mu3 = cfg.mu
+
+    def levels(a1=hier.a1, a2=hier.a2, a3=hier.a3, **flags):
+        # the sum stays consistent, so only the targeted check can fire
+        return replace(hier, a1=a1, a2=a2, a3=a3, a_prime=a1 + a2 + a3, **flags)
+
+    def with_entry(a, value):
+        a = a.copy()
+        a[0, 0] = value
+        return a
+
+    n1, n2 = hier.dense_l1.size, hier.dense_l2.size
+    cases = [
+        (replace(hier, a_prime=hier.a_prime + 1e-9), "not the sum of its levels"),
+        # 1/2 = 3.5/7: off the lattice of sevenths whatever a2 and a3 add
+        (levels(a1=with_entry(hier.a1, 0.5)), "leaves the mu lattice"),
+        (levels(a2=with_entry(hier.a2, mu2), dense_l1=np.zeros(n1, bool)),
+         "level-2 weight outside a dense level-1 row"),
+        (levels(a3=with_entry(hier.a3, mu3), dense_l1=np.ones(n1, bool),
+                dense_l2=np.zeros(n2, bool)),
+         "level-3 weight outside a dense level-2 row"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(ConfigurationError, match=message):
+            bad.check_structure()
 
 
 # ---------------------------------------------------------------------------

@@ -192,7 +192,6 @@ def test_inject_touches_only_slot_rows():
 def test_inject_matches_composed_pipeline_oracle():
     """Steps 1-5 recomposed from the package's own verified parts."""
     from dape.nfa import build_hierarchy_from_tokens, nfa_attention
-    from dape.coarse import masked_cross_attention
 
     cfg, g, m1p, slots, src, t_prev, weights = inject_case(14)
     m_out, state = P.phi_inject(
@@ -203,7 +202,9 @@ def test_inject_matches_composed_pipeline_oracle():
     hier, q3, txt3 = build_hierarchy_from_tokens(det, grid, t_prev, cfg)
     m2 = nfa_attention(q3, txt3, hier.a_prime, (eye_ps(cfg.d), eye_ps(cfg.d)))
     m_in = m1p.a[slots]
-    m3 = masked_cross_attention(Tensor(m_in), m2, None, (weights.q_ps, weights.kv_ps))
+    m3 = T.attention(
+        Tensor(m_in), m2, weights.q_ps.wq, weights.kv_ps.wk, weights.kv_ps.wv, None
+    )
     assert np.max(np.abs(m_out.a[slots] - (m_in + m3.a))) < 1e-12
 
 

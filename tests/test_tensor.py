@@ -208,6 +208,8 @@ def test_attention_shape_mismatch():
         T.attention(xq, xkv, wq, wk, wv, mask[..., :-1])
     with pytest.raises(DimensionError):
         T.attention(xq, xkv, wq, wk, T.Tensor(np.eye(3)), mask)
+    with pytest.raises(DimensionError):  # a non-square (d, d') projection
+        T.attention(xq, xkv, wq, T.Tensor(np.ones((6, 5))), wv, mask)
     with pytest.raises(DimensionError):
         T.attention(xq, T.Tensor(np.ones((3, 5, 6))), wq, wk, wv, None)
 
