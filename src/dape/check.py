@@ -57,7 +57,28 @@ def check_tensor_core() -> list[CheckResult]:
     p = Tensor(g.standard_normal(4))
     err = T.grad_check(lambda: T.tsum(T.mul(p, p)), [p])
     out.append(_result("gradient check quadratic", err < 1e-6, f"err={err:.2e}"))
+    out.append(_shared_conv_backward(g))
     return out
+
+
+def _shared_conv_backward(g) -> CheckResult:
+    """Three applies of one prepared convolution share one backward; their
+    weight gradient must be that of three separate convolutions."""
+    x, w = Tensor(g.standard_normal((2, 6, 9, 3))), Tensor(g.standard_normal((3, 5, 5)))
+    ups = [Tensor(g.standard_normal(x.shape)) for _ in range(3)]
+
+    def weight_grad(conv) -> np.ndarray:
+        with T.GradTape() as tape:
+            ys = [conv() for _ in ups]
+            loss = T.tsum(T.add(T.add(T.mul(ys[0], ups[0]), T.mul(ys[1], ups[1])),
+                                T.mul(ys[2], ups[2])))
+        return tape.gradients(loss, [w])[0]
+
+    prepared = T.conv2d_prepare(x, 5, w)
+    got = weight_grad(lambda: T.conv2d_apply(prepared))
+    want = weight_grad(lambda: T.conv2d_local(x, 5, w))
+    err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+    return _result("shared conv backward", err <= 1e-12, f"rel err={err:.2e}")
 
 
 def check_coarse_align() -> list[CheckResult]:

@@ -112,7 +112,7 @@ def _dispatch(args) -> int:
         from .harness import cmd_train
 
         summary = cmd_train(_load_config(args.config))
-        print(json.dumps(summary, indent=2))
+        print(json.dumps(summary, indent=2, allow_nan=False))
         return 0
 
     if args.command == "ablate":

@@ -9,7 +9,6 @@ sidecar `runinfo.json`, keeping the CSVs byte-stable across reruns.
 from __future__ import annotations
 
 import json
-import math
 import os
 import time
 from dataclasses import asdict, dataclass, field
@@ -187,8 +186,8 @@ def cmd_train(cfg: DapeConfig) -> dict:
     )
     return {
         "run_dir": str(out),
-        "final_loss": rows[-1].loss if rows else math.nan,
-        "r_at_1": rows[-1].r_at_1 if rows else math.nan,
+        "final_loss": rows[-1].loss if rows else None,
+        "r_at_1": rows[-1].r_at_1 if rows else None,
         "steps_per_sec": sps,
     }
 

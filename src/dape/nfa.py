@@ -10,7 +10,9 @@ whose entries live on the subset-sum lattice of mu.
 The channel split and each convolution's padded input layout and banded
 tap operators do not change between layers: `prepare_branches` builds
 them once per forward, and every layer's `build_hierarchy` runs the
-convolutions from them, then pools and projects.
+convolutions from them, then pools and projects. The layers' applies of
+the level-3 convolution share one backward (`tensor.conv2d_apply`), so
+its weight gradient is contracted once per step, not once per layer.
 
 Token rows are ordered parent-major (the 2 halves, then the 4 quadrants of
 parent p occupy rows 2p+dy and 4p+2dy+dx), which makes block-replication

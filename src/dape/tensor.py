@@ -102,6 +102,10 @@ class GradTape:
         # The closure receives the output gradient and an id-keyed
         # accumulator dict; it keeps its inputs alive, so their ids hold.
         self.entries: list[tuple[Tensor, Callable[[Array, dict], None], tuple[int, ...]]] = []
+        # id of a prepared convolution -> (the convolution, the output of its
+        # first apply on this tape). Holding the convolution keeps its id
+        # from being reused while the tape lives.
+        self.conv_firsts: dict[int, tuple[DepthwiseConv, Tensor]] = {}
 
     def __enter__(self) -> "GradTape":
         _TAPE_STACK.append(self)
@@ -754,7 +758,8 @@ class DepthwiseConv(NamedTuple):
     """A depthwise convolution prepared by `conv2d_prepare`: its input, its
     (c, k, k) weights, the input's padded row layout (`_conv_rows`) and the
     weights' banded tap operators (`_conv_bands`), both read-only. The
-    weights must not change while a tape holds an apply of it."""
+    weights must not change while a tape holds an apply of it. A tape runs
+    its backward once, however often it is applied (`conv2d_apply`)."""
 
     x: Tensor
     weights: Tensor
@@ -786,7 +791,15 @@ def conv2d_prepare(x: Tensor, kernel_size: int, weights: Tensor) -> DepthwiseCon
 def conv2d_apply(conv: DepthwiseConv) -> Tensor:
     """Run a prepared depthwise convolution: k matmuls batched over
     channels, y = sum_di rows_di @ band_di. Bills and records one tape
-    entry per call, as `conv2d_local` does."""
+    entry per call, as `conv2d_local` does.
+
+    Every apply has the same input and weights, so the backward is linear
+    in the summed output gradient: only the first apply recorded on a tape
+    keeps the real backward. A later apply's entry adds its output
+    gradient to the first apply's output, whose entry the reverse sweep
+    reaches last, so the weight (and input) gradient is contracted once
+    per tape, from the sum.
+    """
     x, weights, xp, band = conv
     h, w, c = x.shape[-3:]
     k = band.shape[0]
@@ -802,6 +815,13 @@ def conv2d_apply(conv: DepthwiseConv) -> Tensor:
         y += rows(di) @ band[di]
     _count("mac", x.size * k * k)
     out = _out(y.reshape(c, h, n, w).transpose(2, 1, 3, 0).reshape(x.shape), "conv2d_local")
+    tape = _tape()
+    if tape is None:
+        return out
+    first = tape.conv_firsts.setdefault(id(conv), (conv, out))[1]
+    if first is not out:
+        _rec(out, lambda g, acc: _acc(acc, first, g), first)
+        return out
 
     def backward(g, acc):
         gt = np.ascontiguousarray(g.reshape(n, h, w, c).transpose(3, 1, 0, 2))
@@ -815,21 +835,31 @@ def conv2d_apply(conv: DepthwiseConv) -> Tensor:
             ga = gxp[:, p : p + h, :, p : p + w].transpose(2, 1, 3, 0)
             _acc(acc, x, ga.reshape(x.shape))
         if _wants(acc, weights):
-            diag_rows, diag_cols = _band_index(k, w)
-            gw = np.empty_like(weights.a)
-            for di in range(k):
-                prod = rows(di).transpose(0, 2, 1) @ gt  # (c, w+2p, w)
-                gw[:, di] = prod[:, diag_rows, diag_cols].sum(axis=-1)
-            _acc(acc, weights, gw)
+            _acc(acc, weights, _conv_dw(xp, gt, k))
 
     _rec(out, backward, x, weights)
     return out
 
 
+def _conv_dw(xp: Array, gt: Array, k: int) -> Array:
+    """Gradient of a depthwise convolution with respect to its (c, k, k)
+    weights, from the padded rows xp (`_conv_rows`) and the output
+    gradient gt laid out (c, h*N, w): tap (di, dj) sums the dj-th
+    diagonal of rows_di^T @ gt."""
+    c, hp, n, wp = xp.shape
+    h, w = hp - k + 1, wp - k + 1
+    diag_rows, diag_cols = _band_index(k, w)
+    gw = np.empty((c, k, k))
+    for di in range(k):
+        prod = xp[:, di : di + h].reshape(c, h * n, wp).transpose(0, 2, 1) @ gt
+        gw[:, di] = prod[:, diag_rows, diag_cols].sum(axis=-1)
+    return gw
+
+
 def conv2d_local(x: Tensor, kernel_size: int, weights: Tensor) -> Tensor:
     """Depthwise 2-D cross-correlation with zero padding, shape-preserving,
     over an (..., h, w, c) tensor: `conv2d_prepare`, then `conv2d_apply`
-    once.
+    once, so its backward is the apply's own.
 
     weights has shape (c, k, k): one k*k filter per channel, shared by
     every sample of the leading axes. Each tap row di is one banded

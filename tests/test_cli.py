@@ -265,6 +265,25 @@ def test_mutation_transposed_upscale_caught(monkeypatch):
     )
 
 
+def test_mutation_dropped_shared_conv_gradient_caught(monkeypatch):
+    """Fault: the later applies of a prepared convolution lose their
+    gradient, as if the shared backward dropped their share."""
+    real, applied = dape.tensor.conv2d_apply, []
+
+    def dropping(conv):
+        if any(c is conv for c in applied):
+            with dape.tensor.no_recording():
+                return real(conv)
+        applied.append(conv)
+        return real(conv)
+
+    monkeypatch.setattr(dape.tensor, "conv2d_apply", dropping)
+    report = run_checks("tensor-core")
+    assert not report["passed"]
+    failing = [c["name"] for c in report["suites"]["tensor-core"]["checks"] if not c["ok"]]
+    assert failing == ["shared conv backward"]
+
+
 # ---------------------------------------------------------------------------
 # train / ablate / bench artifacts
 
@@ -403,6 +422,18 @@ def test_cli_end_to_end_train(tmp_path, run_root, capsys):
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert "final_loss" in out and "steps_per_sec" in out
+
+
+def test_cli_train_zero_steps_prints_strict_json(tmp_path, run_root, capsys):
+    """No step ran, so there is no loss or R@1: they read null, never NaN."""
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+
+    cfg = tiny_cfg(tmp_path, steps=0)
+    prepared_corpus(tmp_path, cfg)
+    assert main(["train", "--config", write_cfg(tmp_path, cfg)]) == 0
+    out = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert out["final_loss"] is None and out["r_at_1"] is None
 
 
 # ---------------------------------------------------------------------------

@@ -543,7 +543,10 @@ def test_pool_add_forward_prepares_each_branch_once(n_layers, monkeypatch, corpu
 def test_pool_add_steps_match_the_per_layer_conv_oracle(monkeypatch, corpus_batch):
     """Two pool_add train steps over branches prepared once per forward
     match, bit for bit, the steps that convolve the raw map anew in every
-    layer: losses, gradient norms and the fine-alignment gradients."""
+    layer: losses, gradient norms and the fine-alignment gradients. The
+    one exception is `nfa.conv2`: its six applies per step share one
+    backward that contracts their summed gradient, so it matches to 1e-12
+    relative (measured 2.3e-16: 2.7e-19 against entries of 1.2e-3)."""
     import dape.model as model_module
 
     cfg = DapeConfig(nfa_merge="pool_add", k_thr=0.1)
@@ -578,7 +581,11 @@ def test_pool_add_steps_match_the_per_layer_conv_oracle(monkeypatch, corpus_batc
         assert (loss, gnorm) == (want_loss, want_gnorm)
         assert sorted(grads) == sorted(want_grads) and len(grads) == 6
         for name, g in grads.items():
-            assert np.array_equal(g, want_grads[name]), name
+            want_g = want_grads[name]
+            if name == "nfa.conv2":
+                assert np.max(np.abs(g - want_g)) <= 1e-12 * np.max(np.abs(want_g))
+            else:
+                assert np.array_equal(g, want_g), name
 
 
 def test_init_model_bit_reproducible():

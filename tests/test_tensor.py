@@ -326,8 +326,10 @@ def test_conv_at_benchmark_shape_matches_tap_loop():
 @pytest.mark.parametrize("k", [3, 5, 7])
 def test_conv_apply_of_one_preparation_equals_conv2d_local_calls(k, lead):
     """Three applies of one prepared convolution match three conv2d_local
-    calls bit for bit: values, billed MACs, and the gradients of x and
-    the weights through the tape."""
+    calls: values and billed MACs bit for bit, and the gradients of x and
+    the weights through the tape to 1e-12 relative. The applies share one
+    backward, which contracts the summed output gradient, so the sum is
+    taken before the product, not after; measured at most 3.2e-16."""
     g = rng(60 + k)
     x = T.Tensor(g.standard_normal(lead + (6, 9, 3)))
     w = T.Tensor(g.standard_normal((3, k, k)))
@@ -346,8 +348,106 @@ def test_conv_apply_of_one_preparation_equals_conv2d_local_calls(k, lead):
     got = run(lambda: T.conv2d_apply(prepared))
     want = run(lambda: T.conv2d_local(x, k, w))
     assert got[1] == want[1] == {"conv": 3 * x.size * k * k}
-    for a, b in zip(got[0] + got[2], want[0] + want[2]):
+    for a, b in zip(got[0], want[0]):
         assert np.array_equal(a, b)
+    for a, b in zip(got[2], want[2]):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+def _conv_case(seed, k, lead, n_ups):
+    g = rng(seed)
+    x = T.Tensor(g.standard_normal(lead + (6, 9, 3)))
+    w = T.Tensor(g.standard_normal((3, k, k)))
+    return x, w, [T.Tensor(g.standard_normal(x.shape)) for _ in range(n_ups)]
+
+
+def _weighted_sum(ys, ups):
+    total = T.mul(ys[0], ups[0])
+    for y, u in zip(ys[1:], ups[1:]):
+        total = T.add(total, T.mul(y, u))
+    return T.tsum(total)
+
+
+def _separate_conv_grads(x, k, w, ups):
+    """Gradients of x and w through one conv2d_local call per up."""
+    with T.GradTape() as tape:
+        loss = _weighted_sum([T.conv2d_local(x, k, w) for _ in ups], ups)
+    return tape.gradients(loss, [x, w])
+
+
+def _assert_close(got, want):
+    for a, b in zip(got, want):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("lead", [(), (2,)], ids=["unbatched", "batched"])
+@pytest.mark.parametrize("k", [3, 5, 7])
+def test_conv_applies_on_two_tapes_each_get_the_full_gradient(k, lead):
+    x, w, ups = _conv_case(80 + k, k, lead, 4)
+    prepared = T.conv2d_prepare(x, k, w)
+    grads = []
+    for pair in (ups[:2], ups[2:]):
+        with T.GradTape() as tape:
+            loss = _weighted_sum([T.conv2d_apply(prepared) for _ in pair], pair)
+        grads.append((tape.gradients(loss, [x, w]), pair))
+    for got, pair in grads:
+        _assert_close(got, _separate_conv_grads(x, k, w, pair))
+
+
+@pytest.mark.parametrize("lead", [(), (2,)], ids=["unbatched", "batched"])
+@pytest.mark.parametrize("k", [3, 5, 7])
+def test_conv_apply_off_the_tape_joins_no_shared_backward(k, lead):
+    """Prepared outside any tape, applied once unrecorded and twice
+    recorded: the unrecorded output is a constant, and the two recorded
+    applies get the gradient of two conv2d_local calls."""
+    x, w, ups = _conv_case(90 + k, k, lead, 3)
+    prepared = T.conv2d_prepare(x, k, w)
+    with T.GradTape() as tape:
+        with T.no_recording():
+            y0 = T.conv2d_apply(prepared)
+        loss = _weighted_sum([y0] + [T.conv2d_apply(prepared) for _ in ups[1:]], ups)
+    assert np.array_equal(y0.a, T.conv2d_local(x, k, w).a)
+    _assert_close(tape.gradients(loss, [x, w]), _separate_conv_grads(x, k, w, ups[1:]))
+
+
+@pytest.mark.parametrize("k", [3, 5, 7])
+def test_conv_prepared_after_another_is_freed_keeps_its_own_gradient(k):
+    """Two prepared convolutions of equal shapes on one tape, the first
+    dropped by its caller before the second is prepared: the second must
+    not pass for a later apply of the first."""
+    xa, wa, (ua,) = _conv_case(100 + k, k, (), 1)
+    xb, wb, (ub,) = _conv_case(110 + k, k, (), 1)
+    with T.GradTape() as tape:
+        first = T.conv2d_prepare(xa, k, wa)
+        ya = T.conv2d_apply(first)
+        del first
+        yb = T.conv2d_apply(T.conv2d_prepare(xb, k, wb))
+        loss = _weighted_sum([ya, yb], [ua, ub])
+    got = tape.gradients(loss, [xa, wa, xb, wb])
+    want = _separate_conv_grads(xa, k, wa, [ua]) + _separate_conv_grads(xb, k, wb, [ub])
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("lead", [(), (2,)], ids=["unbatched", "batched"])
+def test_conv_backward_contracts_weights_once_per_preparation(monkeypatch, lead):
+    calls = []
+    real = T._conv_dw
+
+    def counted(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(T, "_conv_dw", counted)
+    xa, wa, ups_a = _conv_case(120, 3, lead, 3)
+    xb, wb, ups_b = _conv_case(121, 7, lead, 2)
+    a, b = T.conv2d_prepare(xa, 3, wa), T.conv2d_prepare(xb, 7, wb)
+    with T.GradTape() as tape:
+        ys = [T.conv2d_apply(a) for _ in ups_a] + [T.conv2d_apply(b) for _ in ups_b]
+        loss = _weighted_sum(ys, ups_a + ups_b)
+    assert len(tape.entries) == 5 + 2 * len(ys)  # one per apply, mul and add, and the sum
+    tape.gradients(loss, [wa, wb])
+    assert sorted(calls) == [3, 7]
 
 
 def test_conv_preparation_is_read_only():
