@@ -150,10 +150,12 @@ def check_nfa() -> list[CheckResult]:
     w[2, :] = 1.0
     dense = nfa.density_flag(w, 0.25)
     out.append(_result("density fill rule", list(np.flatnonzero(dense)) == [1, 2]))
-    m = np.array([[0.0, 1/7], [0.0, 0.0]])
-    up = nfa.upscale_mask(m, (4, 4))
-    ok = all(up[i, j] == m[i // 2, j // 2] for i in range(4) for j in range(4))
-    out.append(_result("upscale block replication", ok))
+    a1, a2, a3 = np.array([[0.0, 1/7], [0.0, 0.0]]), np.zeros((4, 4)), np.zeros((8, 8))
+    a2[0, 3], a3[5, 2] = 2/7, 4/7
+    a = nfa.combine_levels((a1, a2, a3))
+    ok = all(a[i, j] == a1[i // 4, j // 4] + a2[i // 2, j // 2] + a3[i, j]
+             for i in range(8) for j in range(8))
+    out.append(_result("level composition", ok))
     cfg = DapeConfig(
         d=8, grid=(2, 2), j_text=4, text_len=16, image_size=8, L=2, k1=2,
         enable_phi=False, k_thr=0.1,
@@ -169,7 +171,8 @@ def check_nfa() -> list[CheckResult]:
     text = Tensor(g.standard_normal((16, 8)))
     trace = costs.Trace()
     branches = nfa.prepare_branches(mmap, cfg.mu, cfg.kernels, weights.conv_kernels)
-    hier, _, _ = nfa.build_hierarchy(branches, text, cfg, weights, trace=trace)
+    with costs.cost_scope(trace.counter, "nfa"):
+        hier, _, _ = nfa.build_hierarchy(branches, text, cfg, weights, trace=trace)
     lattice = nfa.mask_lattice(*cfg.mu)
     out.append(_result("mu lattice membership", bool(np.isin(hier.a_prime, lattice).all())))
     out.append(_result("mask max at most one", hier.a_prime.max() <= 1.0 + 1e-12))
@@ -178,8 +181,8 @@ def check_nfa() -> list[CheckResult]:
         out.append(_result("hierarchy consistency", True))
     except DapeError as e:
         out.append(_result("hierarchy consistency", False, str(e)))
-    hc = trace.hierarchy[0]
-    out.append(_result("cost dominance", hc.cosines <= hc.full_cosines))
+    fine = trace.counter.cosines["nfa"]
+    out.append(_result("cost dominance", fine <= trace.hierarchy[0].full_cosines))
     return out
 
 

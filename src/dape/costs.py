@@ -67,23 +67,19 @@ def cost_scope(counter: CostCounter | None, module: str):
 
 @dataclass
 class HierarchyCost:
-    """Geometry and measured counts of one fine-alignment mask build."""
+    """Geometry and refined-row counts of one fine-alignment mask build;
+    the cosines it ran are billed to the `nfa` cost scope."""
 
     n_rows_l1: int
     n_cols_l1: int
     active_l2: int
     active_l3: int
-    cosines: int
 
     @property
     def full_cosines(self) -> int:
         # Materializing every level everywhere: I*J + 2I*2J + 4I*4J.
         ij = self.n_rows_l1 * self.n_cols_l1
         return 21 * ij
-
-    @property
-    def ratio(self) -> float:
-        return self.cosines / self.full_cosines
 
 
 @dataclass
@@ -213,7 +209,7 @@ class CostReport:
 
 
 def cost_report(trace: Trace) -> CostReport:
-    fine = sum(h.cosines for h in trace.hierarchy)
+    fine = trace.counter.cosines.get("nfa", 0)
     uniform = sum(h.full_cosines for h in trace.hierarchy)
     return CostReport(
         per_module_macs=dict(trace.counter.macs),

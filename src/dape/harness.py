@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import DapeConfig
-from .costs import Trace
+from .costs import Trace, cost_scope
 from .errors import ConfigurationError
 from .model import (
     embed_corpus,
@@ -307,12 +307,13 @@ def bench_densities(cfg: DapeConfig, densities, corpus: Corpus | None = None) ->
     for density in densities:
         frac = float(density) / 100.0
         trace = Trace()
-        build_hierarchy(
-            branches, txt, cfg, model.nfa, trace=trace,
-            density_rule=forced_density_rule(frac),
-        )
-        hc = trace.hierarchy[0]
-        rows.append(BenchRow(frac, hc.cosines, hc.full_cosines, hc.ratio))
+        with cost_scope(trace.counter, "nfa"):
+            build_hierarchy(
+                branches, txt, cfg, model.nfa, trace=trace,
+                density_rule=forced_density_rule(frac),
+            )
+        cosines, uniform = trace.counter.cosines["nfa"], trace.hierarchy[0].full_cosines
+        rows.append(BenchRow(frac, cosines, uniform, cosines / uniform))
     return rows
 
 

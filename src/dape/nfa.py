@@ -4,7 +4,8 @@ Channels split in a mu-ratio feed three depthwise convolutions; each branch
 is pooled at its own granularity (whole cell, vertical halves, quadrants),
 giving affinity matrices of I x J, 2I x 2J and 4I x 4J. Refinement is
 density-triggered: level l+1 is evaluated only under rows of level l whose
-nonzero fill exceeds tau_d. Upscaled masks sum into a single weight matrix
+nonzero fill exceeds tau_d. The level masks stay at their own resolutions;
+`combine_levels` sums them on the finest grid into a single weight matrix
 whose entries live on the subset-sum lattice of mu.
 
 The channel split and each convolution's padded input layout and banded
@@ -15,8 +16,9 @@ the level-3 convolution share one backward (`tensor.conv2d_apply`), so
 its weight gradient is contracted once per step, not once per layer.
 
 Token rows are ordered parent-major (the 2 halves, then the 4 quadrants of
-parent p occupy rows 2p+dy and 4p+2dy+dx), which makes block-replication
-upscaling coincide exactly with the refinement tree.
+parent p occupy rows 2p+dy and 4p+2dy+dx): row r of a level refines row
+r // 2 of the level above, so block replication onto the finest grid
+coincides exactly with the refinement tree.
 
 Maps are (..., h, w, c), tokens (..., N, d), masks (..., N, M) and
 dense-row flags (..., N). Refinement is exact per sample: each sample
@@ -27,7 +29,7 @@ descends under its own dense rows, and cosines run only for the active
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -54,30 +56,45 @@ class NfaWeights:
 
 @dataclass
 class HierarchicalMask:
-    """The three upscaled level masks ({0, mu_k} each), their sum, the
-    dense-row flags ((..., I) at level 1, (..., 2I) at level 2) and the
-    level weights mu."""
+    """The three level masks ({0, mu_k} each) at their own resolutions,
+    (..., I, J), (..., 2I, 2J) and (..., 4I, 4J), the dense-row flags
+    ((..., I) at level 1, (..., 2I) at level 2) and the level weights mu."""
 
-    a1: np.ndarray
-    a2: np.ndarray
-    a3: np.ndarray
-    a_prime: np.ndarray
+    levels: tuple[np.ndarray, np.ndarray, np.ndarray]
     dense_l1: np.ndarray
     dense_l2: np.ndarray
     mu: tuple[float, float, float]
 
+    @cached_property
+    def a_prime(self) -> np.ndarray:
+        """The combined (..., 4I, 4J) weight matrix."""
+        return combine_levels(self.levels)
+
     def check_structure(self) -> None:
-        if not np.array_equal(self.a1 + self.a2 + self.a3, self.a_prime):
-            raise ConfigurationError("combined mask is not the sum of its levels")
         lattice = mask_lattice(*self.mu)
         at = np.minimum(np.searchsorted(lattice, self.a_prime), lattice.size - 1)
         if not (lattice[at] == self.a_prime).all():
             raise ConfigurationError("combined mask leaves the mu lattice")
-        # a level-1 row covers 4 rows of the upscaled (4I) grid, a level-2 row 2
-        if (self.a2.any(axis=-1) & ~np.repeat(self.dense_l1, 4, axis=-1)).any():
+        # row r of level l+1 sits under parent row r // 2 of level l
+        _, a2, a3 = self.levels
+        if (a2.any(axis=-1) & ~np.repeat(self.dense_l1, 2, axis=-1)).any():
             raise ConfigurationError("level-2 weight outside a dense level-1 row")
-        if (self.a3.any(axis=-1) & ~np.repeat(self.dense_l2, 2, axis=-1)).any():
+        if (a3.any(axis=-1) & ~np.repeat(self.dense_l2, 2, axis=-1)).any():
             raise ConfigurationError("level-3 weight outside a dense level-2 row")
+
+
+def combine_levels(levels: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """Block-replicate level 1 by 4 and level 2 by 2 onto level 3's
+    (..., 4I, 4J) grid and add the three, a1 then a2 then a3."""
+    a1, a2, a3 = levels
+    n, m = a1.shape[-2:]
+    if a2.shape[-2:] != (2 * n, 2 * m) or a3.shape[-2:] != (4 * n, 4 * m):
+        raise DimensionError(f"level masks {[a.shape for a in levels]} are not 1:2:4")
+    return (
+        np.repeat(np.repeat(a1, 4, axis=-2), 4, axis=-1)
+        + np.repeat(np.repeat(a2, 2, axis=-2), 2, axis=-1)
+        + a3
+    )
 
 
 @lru_cache(maxsize=16)
@@ -211,15 +228,6 @@ def density_flag(mask: np.ndarray, tau_d: float) -> np.ndarray:
     return fill > tau_d
 
 
-def upscale_mask(mask: np.ndarray, target: tuple[int, int]) -> np.ndarray:
-    """Nearest-neighbor block replication of each sample to the target shape."""
-    rows, cols = mask.shape[-2:]
-    tr, tc = target
-    if tr % rows or tc % cols:
-        raise DimensionError(f"target {target} not a multiple of {mask.shape}")
-    return np.repeat(np.repeat(mask, tr // rows, axis=-2), tc // cols, axis=-1)
-
-
 def build_level_masks(
     img_levels: tuple,
     txt_levels: tuple,
@@ -242,7 +250,6 @@ def build_level_masks(
     rule = density_rule or (lambda mask, level, active: density_flag(mask, cfg.tau_d))
     lead = img_levels[0].shape[:-2]
     n1, m1 = img_levels[0].shape[-2], txt_levels[0].shape[-2]
-    target = (4 * n1, 4 * m1)
 
     masks, dense_flags, refined = [], [], []
     active = np.ones(lead + (n1,), bool)
@@ -255,27 +262,17 @@ def build_level_masks(
             trace, replay, f"nfa_mask_l{level}", lead,
             lambda: level_mask(xk, tk, cfg.k_thr, mu_k, active if level > 1 else None),
         )
-        masks.append(upscale_mask(a, target))
+        masks.append(a)
         if level < 3:
             dense_flags.append(
                 decide(trace, replay, f"nfa_dense_l{level}", lead, lambda: rule(a, level, active))
             )
 
-    a1u, a2u, a3u = masks
-    hier = HierarchicalMask(a1u, a2u, a3u, a1u + a2u + a3u, *dense_flags, cfg.mu)
+    hier = HierarchicalMask(tuple(masks), *dense_flags, cfg.mu)
     hier.check_structure()
     if trace is not None and replay is None:
         per_sample = zip(*(f.reshape(-1, f.shape[-1]).sum(axis=1).tolist() for f in refined))
-        trace.hierarchy.extend(
-            HierarchyCost(
-                n_rows_l1=n1,
-                n_cols_l1=m1,
-                active_l2=n2,
-                active_l3=n3,
-                cosines=n1 * m1 + n2 * 2 * m1 + n3 * 4 * m1,
-            )
-            for n2, n3 in per_sample
-        )
+        trace.hierarchy.extend(HierarchyCost(n1, m1, n2, n3) for n2, n3 in per_sample)
     return hier
 
 

@@ -246,23 +246,18 @@ def test_mutation_flipped_density_rule_caught(monkeypatch):
 
 
 def test_mutation_transposed_upscale_caught(monkeypatch):
-    """Fault: the upscale replicates the transposed source."""
-    def transposed(mask, target):
-        rows, cols = mask.shape
-        tr, tc = target
-        return np.repeat(np.repeat(mask.T, tr // cols, axis=0), tc // rows, axis=1)
+    """Fault: the level composition replicates the transposed levels 1 and 2."""
+    def transposed(levels):
+        a1, a2, a3 = levels
+        a1, a2 = np.swapaxes(a1, -1, -2), np.swapaxes(a2, -1, -2)
+        return (np.repeat(np.repeat(a1, 4, axis=-2), 4, axis=-1)
+                + np.repeat(np.repeat(a2, 2, axis=-2), 2, axis=-1) + a3)
 
-    monkeypatch.setattr(dape.nfa, "upscale_mask", transposed)
+    monkeypatch.setattr(dape.nfa, "combine_levels", transposed)
     report = run_checks("nfa")
     assert not report["passed"]
-    # caught either by the replication spot check or, earlier, by the
-    # structural validator inside the hierarchy build
-    failing = [c for c in report["suites"]["nfa"]["checks"] if not c["ok"]]
-    assert any(
-        c["name"] == "upscale block replication"
-        or "dense level-1 row" in c.get("detail", "")
-        for c in failing
-    )
+    failing = [c["name"] for c in report["suites"]["nfa"]["checks"] if not c["ok"]]
+    assert "level composition" in failing
 
 
 def test_mutation_dropped_shared_conv_gradient_caught(monkeypatch):

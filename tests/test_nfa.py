@@ -216,7 +216,7 @@ def test_refine_span_too_short():
 
 
 # ---------------------------------------------------------------------------
-# level_mask / density_flag / upscale_mask
+# level_mask / density_flag / combine_levels
 
 
 def test_level_mask_default_threshold_value():
@@ -268,27 +268,41 @@ def test_density_hand_counting_case():
 
 
 def test_upscale_single_cell():
-    up = N.upscale_mask(np.array([[1 / 7]]), (4, 4))
+    """A lone level-1 cell covers the whole 4x4 finest grid."""
+    up = N.combine_levels((np.array([[1 / 7]]), np.zeros((2, 2)), np.zeros((4, 4))))
     assert up.shape == (4, 4) and np.all(up == 1 / 7)
 
 
 def test_upscale_identity():
-    w = rng(13).uniform(size=(4, 4)) > 0.5
-    m = w.astype(float)
-    assert np.array_equal(N.upscale_mask(m, (4, 4)), m)
+    """Level 3 is already on the finest grid: it passes through unchanged."""
+    m = (rng(13).uniform(size=(4, 4)) > 0.5).astype(float)
+    assert np.array_equal(N.combine_levels((np.zeros((1, 1)), np.zeros((2, 2)), m)), m)
 
 
 def test_upscale_replication_index_oracle():
-    w = np.array([[0.0, 1.0], [1.0, 0.0]])
-    up = N.upscale_mask(w, (4, 4))
-    for i in range(4):
-        for j in range(4):
-            assert up[i, j] == w[i // 2, j // 2]
+    g = rng(14)
+    a1, a2, a3 = (g.uniform(size=(2 * f, 3 * f)) for f in (1, 2, 4))
+    up = N.combine_levels((a1, a2, a3))
+    assert up.shape == (8, 12)
+    for i in range(8):
+        for j in range(12):
+            assert up[i, j] == a1[i // 4, j // 4] + a2[i // 2, j // 2] + a3[i, j]
+
+
+def test_combine_levels_batched_per_sample():
+    g = rng(15)
+    levels = tuple(g.uniform(size=(3, 2 * f, f)) for f in (1, 2, 4))
+    up = N.combine_levels(levels)
+    for s in range(3):
+        assert np.array_equal(up[s], N.combine_levels(tuple(a[s] for a in levels)))
 
 
 def test_upscale_non_multiple_rejected():
+    """Levels that are not at 1:2:4 resolutions do not combine."""
     with pytest.raises(DimensionError):
-        N.upscale_mask(np.zeros((2, 2)), (5, 4))
+        N.combine_levels((np.zeros((2, 2)), np.zeros((4, 4)), np.zeros((5, 8))))
+    with pytest.raises(DimensionError):
+        N.combine_levels((np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((8, 8))))
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +389,9 @@ def test_hierarchy_no_dense_rows_collapses_to_level1():
     cfg, m, t, weights = build_case(20, tau_d=1.0)  # nothing can exceed fill 1.0
     hier, _, _ = hierarchy(m, t, cfg, weights)
     assert np.flatnonzero(hier.dense_l1).size == 0
-    assert np.array_equal(hier.a2, np.zeros_like(hier.a2))
-    assert np.array_equal(hier.a3, np.zeros_like(hier.a3))
-    assert np.array_equal(hier.a_prime, hier.a1)
+    a1, a2, a3 = hier.levels
+    assert not a2.any() and not a3.any()
+    assert np.array_equal(hier.a_prime, np.repeat(np.repeat(a1, 4, axis=0), 4, axis=1))
 
 
 def test_hierarchy_saturated_case_all_ones():
@@ -418,7 +432,7 @@ def test_hierarchy_monotonicity_in_tau_and_threshold(seed):
     cfg_hi_thr.k_thr = 0.4
     cfg_hi_thr.tau_d = 0.1
     hi_thr, _, _ = hierarchy(m, t, cfg_hi_thr, weights)
-    assert np.all((hi_thr.a1 > 0) <= (base.a1 > 0))
+    assert np.all((hi_thr.levels[0] > 0) <= (base.levels[0] > 0))
 
 
 def test_hierarchy_cost_dominance_and_counts():
@@ -427,16 +441,20 @@ def test_hierarchy_cost_dominance_and_counts():
     with cost_scope(trace.counter, "nfa"):
         hierarchy(m, t, cfg, weights, trace=trace)
     (hc,) = trace.hierarchy
-    assert hc.cosines <= hc.full_cosines
-    assert hc.cosines == trace.counter.total_cosines()
+    rep = cost_report(trace)
+    assert 0 < rep.fine_cosines < hc.full_cosines
+    # every level-1 pair, then each refined row against its level's columns
+    n1, m1 = hc.n_rows_l1, hc.n_cols_l1
+    assert rep.fine_cosines == n1 * m1 + hc.active_l2 * 2 * m1 + hc.active_l3 * 4 * m1
     # a trace billed outside `forward` reports its fine MACs all the same
-    assert cost_report(trace).fine_macs == trace.counter.macs["nfa"] > 0
+    assert rep.fine_macs == trace.counter.macs["nfa"] > 0
     # saturated build reaches the full-materialization count exactly
     cfg2, m2, t2, weights2 = build_case(26, k_thr=-1.0, tau_d=0.0)
     trace2 = Trace()
-    hierarchy(m2, t2, cfg2, weights2, trace=trace2)
+    with cost_scope(trace2.counter, "nfa"):
+        hierarchy(m2, t2, cfg2, weights2, trace=trace2)
     (hc2,) = trace2.hierarchy
-    assert hc2.cosines == hc2.full_cosines
+    assert trace2.counter.cosines["nfa"] == hc2.full_cosines
 
 
 def test_hierarchy_deterministic():
@@ -447,16 +465,15 @@ def test_hierarchy_deterministic():
 
 
 def test_hierarchy_structure_checker_catches_violation():
-    """Each of the four structural checks fires on its own violation: the
-    other three hold in every case."""
+    """Each of the three structural checks fires on its own violation: the
+    other two hold in every case."""
     cfg, m, t, weights = build_case(28, k_thr=0.1)
     hier, _, _ = hierarchy(m, t, cfg, weights)
     hier.check_structure()
     _, mu2, mu3 = cfg.mu
 
-    def levels(a1=hier.a1, a2=hier.a2, a3=hier.a3, **flags):
-        # the sum stays consistent, so only the targeted check can fire
-        return replace(hier, a1=a1, a2=a2, a3=a3, a_prime=a1 + a2 + a3, **flags)
+    def levels(a1=hier.levels[0], a2=hier.levels[1], a3=hier.levels[2], **flags):
+        return replace(hier, levels=(a1, a2, a3), **flags)
 
     def with_entry(a, value):
         a = a.copy()
@@ -464,13 +481,13 @@ def test_hierarchy_structure_checker_catches_violation():
         return a
 
     n1, n2 = hier.dense_l1.size, hier.dense_l2.size
+    a1, a2, a3 = hier.levels
     cases = [
-        (replace(hier, a_prime=hier.a_prime + 1e-9), "not the sum of its levels"),
         # 1/2 = 3.5/7: off the lattice of sevenths whatever a2 and a3 add
-        (levels(a1=with_entry(hier.a1, 0.5)), "leaves the mu lattice"),
-        (levels(a2=with_entry(hier.a2, mu2), dense_l1=np.zeros(n1, bool)),
+        (levels(a1=with_entry(a1, 0.5)), "leaves the mu lattice"),
+        (levels(a2=with_entry(a2, mu2), dense_l1=np.zeros(n1, bool)),
          "level-2 weight outside a dense level-1 row"),
-        (levels(a3=with_entry(hier.a3, mu3), dense_l1=np.ones(n1, bool),
+        (levels(a3=with_entry(a3, mu3), dense_l1=np.ones(n1, bool),
                 dense_l2=np.zeros(n2, bool)),
          "level-3 weight outside a dense level-2 row"),
     ]
