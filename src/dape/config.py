@@ -128,6 +128,11 @@ class DapeConfig:
                 )
             if (h // self.detail_pool) % 4:
                 raise err("detail grid must be divisible by 4 when injection is on")
+            # each injection halves the carried grid, and the last one still tiles it by 4
+            k = self.n_layers // self.phi_period
+            if k >= 2 and (h // self.detail_pool) % (4 << (k - 1)):
+                raise err(f"detail grid {h // self.detail_pool} must be divisible by "
+                          f"{4 << (k - 1)} for {k} injections, which halve it")
         if self.nfa_merge not in ("slots_only", "pool_add"):
             raise err(f"nfa_merge={self.nfa_merge!r} not in {{slots_only, pool_add}}")
         if self.temperature_init <= 0:

@@ -284,7 +284,7 @@ def bench_densities(cfg: DapeConfig, densities, corpus: Corpus | None = None) ->
     scenes; the dense-row sets are overridden to exact fractions (ranked by
     measured fill) so the sweep hits the requested densities precisely.
     """
-    from .nfa import build_hierarchy, prepare_branches
+    from .nfa import build_level_masks, image_levels, prepare_branches
 
     bad = [p for p in densities if not 0.0 <= p <= 100.0]
     if bad:
@@ -303,14 +303,15 @@ def bench_densities(cfg: DapeConfig, densities, corpus: Corpus | None = None) ->
     rows = []
     img = Tensor(corpus.images[0])
     txt = Tensor(corpus.texts[0])
+    # the image levels do not depend on the density: build them once
     branches = prepare_branches(img, cfg.mu, cfg.kernels, model.nfa.conv_kernels)
+    levels = image_levels(branches, cfg.grid, model.nfa.branch_projs)
     for density in densities:
         frac = float(density) / 100.0
         trace = Trace()
         with cost_scope(trace.counter, "nfa"):
-            build_hierarchy(
-                branches, txt, cfg, model.nfa, trace=trace,
-                density_rule=forced_density_rule(frac),
+            build_level_masks(
+                levels, txt, cfg, trace=trace, density_rule=forced_density_rule(frac),
             )
         cosines, uniform = trace.counter.cosines["nfa"], trace.hierarchy[0].full_cosines
         rows.append(BenchRow(frac, cosines, uniform, cosines / uniform))

@@ -8,12 +8,13 @@ nonzero fill exceeds tau_d. The level masks stay at their own resolutions;
 `combine_levels` sums them on the finest grid into a single weight matrix
 whose entries live on the subset-sum lattice of mu.
 
-The channel split and each convolution's padded input layout and banded
-tap operators do not change between layers: `prepare_branches` builds
-them once per forward, and every layer's `build_hierarchy` runs the
-convolutions from them, then pools and projects. The layers' applies of
-the level-3 convolution share one backward (`tensor.conv2d_apply`), so
-its weight gradient is contracted once per step, not once per layer.
+Each level source has one builder: `image_levels` (a map's branches,
+convolved, pooled and projected) and `token_levels` (a detail token grid).
+`build_level_masks` is the one mask step after either. The channel split
+and each convolution's padded layout and banded taps do not change
+between layers: `prepare_branches` builds them once per forward, and the
+layers' applies of the level-3 convolution share one backward
+(`tensor.conv2d_apply`), contracted once per step.
 
 Token rows are ordered parent-major (the 2 halves, then the 4 quadrants of
 parent p occupy rows 2p+dy and 4p+2dy+dx): row r of a level refines row
@@ -111,24 +112,7 @@ def mask_lattice(mu1: float, mu2: float, mu3: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Channel split and multiscale tokens
-
-
-@lru_cache(maxsize=128)
-def parent_major_perm(gy: int, gx: int, fy: int, fx: int) -> np.ndarray:
-    """Row permutation taking row-major (fy*gy, fx*gx) cells to parent-major
-    order: children of parent (a, b) become consecutive rows; read-only,
-    since it is cached."""
-    perm = np.empty(gy * gx * fy * fx, dtype=np.intp)
-    i = 0
-    for a in range(gy):
-        for b in range(gx):
-            for dy in range(fy):
-                for dx in range(fx):
-                    perm[i] = (fy * a + dy) * (fx * gx) + (fx * b + dx)
-                    i += 1
-    perm.flags.writeable = False
-    return perm
+# Channel split and level tokens
 
 
 def prepare_branches(
@@ -159,17 +143,17 @@ def prepare_branches(
     return b1, b2, branch(2)
 
 
-def multiscale_tokens(
+def image_levels(
     branches: tuple[T.DepthwiseConv, T.DepthwiseConv, T.DepthwiseConv],
     grid: tuple[int, int],
+    projs: tuple[Tensor, Tensor, Tensor],
 ) -> tuple[Tensor, Tensor, Tensor]:
-    """Run the prepared branch convolutions and pool the branches at 1:2:4
-    token granularity, rows parent-major.
+    """Run each prepared branch convolution, pool it at its 1:2:4 token
+    granularity (rows parent-major) and project it to d.
 
     Level 1 pools whole cells of the base grid (I tokens); level 2 pools
     the two vertical halves of each cell (2I); level 3 its four quadrants
-    (4I). Levels 1 and 2 feed only mask construction, so their branches
-    run off-tape; gradient reaches the branch-3 kernel through level 3.
+    (4I). Levels 1 and 2 feed only mask construction, so they run off-tape.
     """
     gy, gx = grid
     h, w = branches[0].x.shape[-3:-1]
@@ -179,12 +163,33 @@ def multiscale_tokens(
         )
 
     def level(b: int, fy: int, fx: int) -> Tensor:
-        return T.pool_parent_major(T.conv2d_apply(branches[b]), gy, gx, fy, fx)
+        return T.matmul(T.pool_parent_major(T.conv2d_apply(branches[b]), gy, gx, fy, fx), projs[b])
 
     with T.no_recording():
         l1 = level(0, 1, 1)
         l2 = level(1, 2, 1)
     return l1, l2, level(2, 2, 2)
+
+
+def token_levels(tokens: Tensor, grid: tuple[int, int]) -> tuple[Tensor, Tensor, Tensor]:
+    """An (..., N, d) token grid pooled into the 1:2:4 levels, rows
+    parent-major: the quadrants, vertical halves and whole of each 4x4
+    block. Levels 1 and 2 feed only mask construction and stay off-tape."""
+    gy_t, gx_t = grid
+    n, d = tokens.shape[-2:]
+    if n != gy_t * gx_t:
+        raise DimensionError(f"{n} tokens do not fill grid {grid}")
+    if gy_t % 4 or gx_t % 4:
+        raise DimensionError(f"token grid {grid} must be divisible by 4")
+    as_map = T.reshape(tokens, tokens.shape[:-2] + (gy_t, gx_t, d))
+    l3 = T.pool_parent_major(as_map, gy_t // 4, gx_t // 4, 2, 2)
+    # A half (row 2p+dy) is the mean of quadrant rows 4p+2dy+{0,1}, a whole
+    # cell (row p) the mean of its two halves: every block pools equally
+    # many tokens, so one pool of the map serves all three levels.
+    with T.no_recording():
+        l2 = T.pool_rows(l3, 2)
+        l1 = T.pool_rows(l2, 2)
+    return l1, l2, l3
 
 
 # ---------------------------------------------------------------------------
@@ -228,25 +233,41 @@ def density_flag(mask: np.ndarray, tau_d: float) -> np.ndarray:
     return fill > tau_d
 
 
+def text_pyramid(t: Tensor) -> tuple[Tensor, Tensor, Tensor]:
+    """An (..., l, d) text stream's base tokens (runs of 4 rows pooled) and
+    their 2x and 4x refinements (runs of 2, and the rows themselves).
+
+    Only the finest level feeds the masked update's keys/values; the
+    coarser two exist for mask construction and stay off-tape.
+    """
+    with T.no_recording():
+        return T.pool_rows(t, 4), T.pool_rows(t, 2), t
+
+
 def build_level_masks(
     img_levels: tuple,
-    txt_levels: tuple,
+    t_stream: Tensor,
     cfg,
     trace=None,
     replay=None,
     density_rule=None,
     max_level: int = 3,
-) -> HierarchicalMask:
-    """Density-triggered three-level mask build over prepared level tokens.
+) -> tuple[HierarchicalMask, Tensor, Tensor]:
+    """Density-triggered three-level mask build over image level tokens
+    against the (..., l, d) text stream's `text_pyramid`.
 
-    `img_levels` and `txt_levels` hold the (..., I)/(2I)/(4I) image tokens
-    and (..., J)/(2J)/(4J) text tokens already in similarity space; each
-    sample refines under its own dense rows. `density_rule(mask, level,
-    active)` overrides the tau_d fill rule with flags from the level mask
-    and the (..., n) active-row flags (used by the density sweep in the
-    bench command). `max_level=1` collapses the hierarchy to its coarsest
-    level (fine-alignment toggle off).
+    `img_levels` holds the (..., I)/(2I)/(4I) image tokens already in
+    similarity space (`image_levels` or `token_levels`); each sample
+    refines under its own dense rows. `density_rule(mask, level, active)`
+    overrides the tau_d fill rule with flags from the level mask and the
+    (..., n) active-row flags (used by the density sweep in the bench
+    command). `max_level=1` collapses the hierarchy to its coarsest level
+    (fine-alignment toggle off).
+
+    Returns (HierarchicalMask, level-3 image tokens, level-3 text tokens)
+    so the caller can run the masked update.
     """
+    txt_levels = text_pyramid(t_stream)
     rule = density_rule or (lambda mask, level, active: density_flag(mask, cfg.tau_d))
     lead = img_levels[0].shape[:-2]
     n1, m1 = img_levels[0].shape[-2], txt_levels[0].shape[-2]
@@ -273,18 +294,7 @@ def build_level_masks(
     if trace is not None and replay is None:
         per_sample = zip(*(f.reshape(-1, f.shape[-1]).sum(axis=1).tolist() for f in refined))
         trace.hierarchy.extend(HierarchyCost(n1, m1, n2, n3) for n2, n3 in per_sample)
-    return hier
-
-
-def text_pyramid(t: Tensor) -> tuple[Tensor, Tensor, Tensor]:
-    """An (..., l, d) text stream's base tokens (runs of 4 rows pooled) and
-    their 2x and 4x refinements (runs of 2, and the rows themselves).
-
-    Only the finest level feeds the masked update's keys/values; the
-    coarser two exist for mask construction and stay off-tape.
-    """
-    with T.no_recording():
-        return T.pool_rows(t, 4), T.pool_rows(t, 2), t
+    return hier, img_levels[2], txt_levels[2]
 
 
 def build_hierarchy(
@@ -297,24 +307,10 @@ def build_hierarchy(
     density_rule=None,
 ):
     """Full fine-alignment mask build from a feature map's branches, as
-    `prepare_branches` made them from the map and `weights.conv_kernels`,
-    against the (..., l, d) text stream's `text_pyramid`.
-
-    Returns (HierarchicalMask, level-3 image tokens projected to d,
-    level-3 text tokens) so the caller can run the masked update.
-
-    Levels 1 and 2 feed only mask construction, so their projections run
-    off-tape like their branches; gradient reaches the branch-3 kernel and
-    projection through the masked update's queries.
-    """
-    tokens = multiscale_tokens(branches, cfg.grid)
-    with T.no_recording():
-        p1 = T.matmul(tokens[0], weights.branch_projs[0])
-        p2 = T.matmul(tokens[1], weights.branch_projs[1])
-    p3 = T.matmul(tokens[2], weights.branch_projs[2])
-    txt_levels = text_pyramid(t_stream)
-    hier = build_level_masks((p1, p2, p3), txt_levels, cfg, trace, replay, density_rule)
-    return hier, p3, txt_levels[2]
+    `prepare_branches` made them from the map and `weights.conv_kernels`:
+    `image_levels`, then `build_level_masks`."""
+    levels = image_levels(branches, cfg.grid, weights.branch_projs)
+    return build_level_masks(levels, t_stream, cfg, trace, replay, density_rule)
 
 
 def build_hierarchy_from_tokens(
@@ -327,32 +323,9 @@ def build_hierarchy_from_tokens(
     max_level: int = 3,
 ):
     """Fine-alignment mask build over an (..., N, d) token grid (detail
-    path) against the (..., l, d) text stream's `text_pyramid`.
-
-    Levels 1 and 2 (both modalities) feed only mask construction and stay
-    off the tape; only the finest level rides it as the masked update's
-    queries and keys/values.
-    """
-    gy_t, gx_t = grid
-    n, d = tokens.shape[-2:]
-    if n != gy_t * gx_t:
-        raise DimensionError(f"{n} tokens do not fill grid {grid}")
-    if gy_t % 4 or gx_t % 4:
-        raise DimensionError(f"token grid {grid} must be divisible by 4")
-    gy, gx = gy_t // 4, gx_t // 4
-    as_map = T.reshape(tokens, tokens.shape[:-2] + (gy_t, gx_t, d))
-    q3 = T.pool_parent_major(as_map, gy, gx, 2, 2)
-    # A half (row 2p+dy) is the mean of quadrant rows 4p+2dy+{0,1}, a whole
-    # cell (row p) the mean of its two halves: every block pools equally
-    # many tokens, so one pool of the map serves all three levels.
-    with T.no_recording():
-        img_l2 = T.pool_rows(q3, 2)
-        img_l1 = T.pool_rows(img_l2, 2)
-    txt_levels = text_pyramid(t_stream)
-    hier = build_level_masks(
-        (img_l1, img_l2, q3), txt_levels, cfg, trace, replay, None, max_level
-    )
-    return hier, q3, txt_levels[2]
+    path): `token_levels`, then `build_level_masks`."""
+    levels = token_levels(tokens, grid)
+    return build_level_masks(levels, t_stream, cfg, trace, replay, None, max_level)
 
 
 def nfa_attention(

@@ -21,7 +21,7 @@ from . import tensor as T
 from .coarse import KeyValueProjection, QueryProjection
 from .costs import cost_scope
 from .errors import ConfigurationError, ContractError, IndexRangeError
-from .nfa import build_hierarchy_from_tokens, nfa_attention, parent_major_perm
+from .nfa import build_hierarchy_from_tokens, nfa_attention
 from .tensor import Tensor
 
 
@@ -137,10 +137,9 @@ def phi_inject(
         return m_out, None
 
     # Carry m2 forward, reordered from parent-major quadrants to row-major
-    # on the halved grid so the next injection can re-tile it.
+    # on the halved grid so the next injection can re-tile it: row-major
+    # quadrant (a, dy, b, dx) is parent-major row ((a*gx + b)*2 + dy)*2 + dx.
     gy, gx = det_grid[0] // 4, det_grid[1] // 4
-    perm = parent_major_perm(gy, gx, 2, 2)
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(perm.size)
-    carried = T.gather_rows(m2, inv)
+    row_major = np.arange(m2.shape[-2]).reshape(gy, gx, 2, 2).transpose(0, 2, 1, 3)
+    carried = T.gather_rows(m2, row_major.reshape(-1))
     return m_out, DetailState(carried, (det_grid[0] // 2, det_grid[1] // 2))

@@ -264,7 +264,8 @@ def _stacked(path: str, tensors: dict[str, np.ndarray], kind: str, n: int) -> np
     them back to back in name order, so it is a read-only view of the
     container's buffer. Name order is index order below 10,001 scenes;
     past that ("img/10000" sorts before "img/1001") the view is put in
-    index order as a copy."""
+    index order as a copy. A scene holding a non-finite value is a format
+    error that names it."""
     names = [f"{kind}/{i:04d}" for i in range(n)]
     order = sorted(range(n), key=names.__getitem__)
     try:
@@ -285,4 +286,10 @@ def _stacked(path: str, tensors: dict[str, np.ndarray], kind: str, n: int) -> np
     block = np.lib.stride_tricks.as_strided(
         first, (n,) + first.shape, (first.nbytes,) + first.strides, writeable=False
     )
-    return block if order == list(range(n)) else block[np.argsort(order)]
+    if order != list(range(n)):
+        block = block[np.argsort(order)]
+    finite = np.isfinite(block.reshape(n, -1)).all(axis=1)
+    if not finite.all():
+        scene = int(np.argmin(finite))
+        raise FileFormatError(f"{path}: corpus {kind} scene {scene} holds a non-finite value")
+    return block

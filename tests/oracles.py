@@ -239,7 +239,7 @@ def per_layer_hierarchy(m, t_stream, cfg, weights, trace=None, replay=None, dens
     level masks."""
     from dape import tensor as T
     from dape.config import mu_partition
-    from dape.nfa import build_level_masks, text_pyramid
+    from dape.nfa import build_level_masks
 
     widths = mu_partition(m.shape[-1], cfg.mu)
     gy, gx = cfg.grid
@@ -253,9 +253,7 @@ def per_layer_hierarchy(m, t_stream, cfg, weights, trace=None, replay=None, dens
     with T.no_recording():
         p1, p2 = level(0, 1, 1), level(1, 2, 1)
     p3 = level(2, 2, 2)
-    txt_levels = text_pyramid(t_stream)
-    hier = build_level_masks((p1, p2, p3), txt_levels, cfg, trace, replay, density_rule)
-    return hier, p3, txt_levels[2]
+    return build_level_masks((p1, p2, p3), t_stream, cfg, trace, replay, density_rule)
 
 
 def span_mean_rows(seq, spans):

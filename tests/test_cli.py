@@ -156,6 +156,33 @@ def test_over_limit_size_is_a_usage_error_before_a_run_dir(tmp_path, run_root, n
     assert not run_root.exists()
 
 
+# Each injection halves the carried detail grid. At the defaults (an 8x8
+# detail grid) a third injection would have to tile a 2x2 grid by 4.
+UNCARRIABLE = [{"n_layers": 12}, {"n_layers": 6, "phi_period": 2}, {"n_layers": 8, "phi_period": 2}]
+
+
+@pytest.mark.parametrize("over", UNCARRIABLE, ids=lambda o: json.dumps(o))
+def test_detail_grid_too_small_for_a_later_injection_is_a_usage_error_before_a_run_dir(
+    tmp_path, run_root, over
+):
+    with pytest.raises(ConfigurationError, match="injections"):
+        DapeConfig.from_dict(over)
+    base = DapeConfig(steps=1, eval_interval=1, batch_size=2, corpus=str(tmp_path / "c.dape"))
+    prepared_corpus(tmp_path, base)
+    p = tmp_path / "deep.json"
+    p.write_text(json.dumps(dict(asdict(base), **over)))
+    assert main(["train", "--config", str(p)]) == 2
+    assert not run_root.exists()
+
+
+def test_two_injections_on_the_default_detail_grid_train(tmp_path, run_root):
+    cfg = DapeConfig(n_layers=4, phi_period=2, steps=1, eval_interval=1, batch_size=2,
+                     corpus=str(tmp_path / "c.dape"))
+    cfg.validate()
+    prepared_corpus(tmp_path, cfg)
+    assert main(["train", "--config", write_cfg(tmp_path, cfg)]) == 0
+
+
 def test_cli_missing_corpus_is_io_error(tmp_path, run_root):
     cfg = tiny_cfg(tmp_path, corpus=str(tmp_path / "nope.dape"))
     assert main(["train", "--config", write_cfg(tmp_path, cfg)]) == 3
@@ -370,28 +397,46 @@ def test_bench_counts_match_closed_form(tmp_path, run_root):
 
 
 def test_bench_rows_match_the_per_layer_conv_oracle(tmp_path, run_root, monkeypatch):
-    """`dape bench` prepares the branches once for all densities and writes
-    the rows of the build that convolved the map anew for each density."""
+    """`dape bench` builds the image levels once for all densities, each
+    branch convolved once, and writes the rows of the build that convolved
+    the map anew for each density."""
+    from dape.costs import Trace, cost_scope
+    from dape.harness import BenchRow, forced_density_rule
+    from dape.model import init_model
+    from dape.synth import load_corpus
+    from dape.tensor import Tensor
+
     cfg = tiny_cfg(tmp_path)
     prepared_corpus(tmp_path, cfg)
     densities = [0, 10, 25, 50, 75, 100]
-    prepared, prepare = [], dape.tensor.conv2d_prepare
+    applied, apply = [], dape.tensor.conv2d_apply
 
-    def counted(x, kernel_size, weights):
-        prepared.append(kernel_size)
-        return prepare(x, kernel_size, weights)
+    def counted(conv):
+        applied.append(conv.band.shape[0])
+        return apply(conv)
 
     with monkeypatch.context() as mp:
-        mp.setattr(dape.tensor, "conv2d_prepare", counted)
+        mp.setattr(dape.tensor, "conv2d_apply", counted)
         rows = cmd_bench(cfg, densities)
-    got = (run_root / cfg.hash() / "bench.csv").read_bytes()
-    assert prepared == list(cfg.kernels)
-    with monkeypatch.context() as mp:
-        mp.setattr(dape.nfa, "prepare_branches", lambda m, *_: m)
-        mp.setattr(dape.nfa, "build_hierarchy", oracles.per_layer_hierarchy)
-        want_rows = cmd_bench(cfg, densities)
+    assert applied == list(cfg.kernels)
+
+    corpus, model = load_corpus(cfg.corpus), init_model(cfg)
+    img, txt = Tensor(corpus.images[0]), Tensor(corpus.texts[0])
+    want_rows = []
+    for density in densities:
+        trace = Trace()
+        with cost_scope(trace.counter, "nfa"):
+            oracles.per_layer_hierarchy(
+                img, txt, cfg, model.nfa, trace=trace,
+                density_rule=forced_density_rule(density / 100),
+            )
+        cosines, uniform = trace.counter.cosines["nfa"], trace.hierarchy[0].full_cosines
+        want_rows.append(BenchRow(density / 100, cosines, uniform, cosines / uniform))
     assert rows == want_rows
-    assert got == (run_root / cfg.hash() / "bench.csv").read_bytes()
+    want_csv = "density,cosines,uniform,ratio\n" + "".join(
+        f"{r.density:.17g},{r.cosines},{r.uniform},{r.ratio:.17g}\n" for r in want_rows
+    )
+    assert (run_root / cfg.hash() / "bench.csv").read_bytes() == want_csv.encode()
 
 
 @pytest.mark.parametrize("value", ["nan", "-5", "250", "inf"])
@@ -448,6 +493,21 @@ def test_train_on_truncated_corpus_is_io_error(tmp_path, run_root, capsys):
     path.write_bytes(path.read_bytes()[:-100])
     assert run_cmd(tmp_path, cfg, ["train"]) == 3
     assert "payload" in capsys.readouterr().err
+    assert not run_root.exists()
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=["train", "ablate", "bench"])
+def test_non_finite_corpus_is_io_error(tmp_path, run_root, capsys, command):
+    from dape.container import load_tensors, save_tensors
+
+    cfg = tiny_cfg(tmp_path)
+    prepared_corpus(tmp_path, cfg, n=12)
+    meta, tensors = load_tensors(cfg.corpus)
+    tensors["txt/0009"] = tensors["txt/0009"].copy()
+    tensors["txt/0009"][3, 1] = np.nan
+    save_tensors(cfg.corpus, meta, tensors)
+    assert run_cmd(tmp_path, cfg, command) == 3
+    assert "txt scene 9" in capsys.readouterr().err
     assert not run_root.exists()
 
 

@@ -60,16 +60,28 @@ def corpus_batch(tmp_path):
 # forward
 
 
-def test_forward_matches_monolithic_oracle(corpus_batch):
-    cfg = oracle_cfg()
+def assert_forward_matches_monolithic(cfg, batch):
     model = init_model(cfg)
-    batch = corpus_batch(cfg, n=2)
     ie, te, trace = forward(model, batch, cfg)
     params = {name: t.a for name, t in model.params()}
     want_i, want_t = monolithic.straight_line_forward(params, batch.images, batch.texts, cfg)
     assert np.max(np.abs(ie.a - want_i)) < 1e-10
     assert np.max(np.abs(te.a - want_t)) < 1e-10
+    return trace
+
+
+def test_forward_matches_monolithic_oracle(corpus_batch):
+    cfg = oracle_cfg()
+    trace = assert_forward_matches_monolithic(cfg, corpus_batch(cfg, n=2))
     assert trace.injections == 2  # one per sample at layer 1
+
+
+def test_forward_matches_monolithic_oracle_through_the_carry(corpus_batch):
+    """Four layers at period 2: the second injection reads the detail the
+    first carried, reordered from parent-major to row-major rows."""
+    cfg = oracle_cfg(n_layers=4)
+    trace = assert_forward_matches_monolithic(cfg, corpus_batch(cfg, n=2))
+    assert trace.injections == 4  # one per sample at layers 1 and 3
 
 
 def test_forward_all_masked_out_is_deterministic_zero(corpus_batch):

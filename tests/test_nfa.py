@@ -1,4 +1,4 @@
-"""Non-uniform fine-grained alignment: channel split, multiscale tokens,
+"""Non-uniform fine-grained alignment: channel split, level tokens,
 density-triggered masks, and the combined lattice update."""
 
 from dataclasses import replace
@@ -53,9 +53,14 @@ def seeded_weights(g, c, d, kernels=(3, 5, 7), mu=MU):
 
 
 # ---------------------------------------------------------------------------
-# multiscale_tokens: channel split, depthwise conv, parent-major pooling
+# image_levels: channel split, depthwise conv, parent-major pooling,
+# projection (identity projections keep the pooled branch tokens)
 
 LEVEL_FACTORS = ((1, 1), (2, 1), (2, 2))  # cell, vertical halves, quadrants
+
+
+def identity_projs(widths):
+    return tuple(Tensor(np.eye(wd)) for wd in widths)
 
 
 def region_means(branch, grid, fy, fx):
@@ -89,7 +94,7 @@ def test_split_identity_kernels_copy_channels():
     mu = (1 / 3, 1 / 3, 1 / 3)
     widths = mu_partition(3, mu)
     branches = N.prepare_branches(Tensor(m), mu, (3, 5, 7), identity_kernels(widths, (3, 5, 7)))
-    levels = N.multiscale_tokens(branches, (1, 1))
+    levels = N.image_levels(branches, (1, 1), identity_projs(widths))
     assert [t.shape[1] for t in levels] == [1, 1, 1]
     for i, (tokens, (fy, fx)) in enumerate(zip(levels, LEVEL_FACTORS)):
         copied = T.pool_parent_major(Tensor(m[..., i : i + 1]), 1, 1, fy, fx)
@@ -104,12 +109,13 @@ def test_split_empty_branch_rejected():
 
 
 def make_levels(g, h=8, w=8, c=7):
-    """Multiscale tokens of a random map under identity kernels, plus the
-    branches those kernels copy out of the map."""
+    """Image levels of a random map under identity kernels and
+    projections, plus the branches those kernels copy out of the map."""
     widths = mu_partition(c, MU)
     m = Tensor(g.standard_normal((h, w, c)))
-    levels = N.multiscale_tokens(
-        N.prepare_branches(m, MU, (3, 5, 7), identity_kernels(widths, (3, 5, 7))), (2, 2)
+    levels = N.image_levels(
+        N.prepare_branches(m, MU, (3, 5, 7), identity_kernels(widths, (3, 5, 7))), (2, 2),
+        identity_projs(widths),
     )
     bounds = np.cumsum((0,) + widths)
     return levels, [m.a[..., lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
@@ -125,8 +131,9 @@ def test_multiscale_constant_map_tokens_identical_within_level():
     c = 7
     m = Tensor(np.ones((8, 8, c)) * 2.5)
     widths = mu_partition(c, MU)
-    levels = N.multiscale_tokens(
-        N.prepare_branches(m, MU, (3, 5, 7), identity_kernels(widths, (3, 5, 7))), (2, 2)
+    levels = N.image_levels(
+        N.prepare_branches(m, MU, (3, 5, 7), identity_kernels(widths, (3, 5, 7))), (2, 2),
+        identity_projs(widths),
     )
     for tokens in levels:
         # interior cells match exactly; padding-affected border cells of a
@@ -134,7 +141,7 @@ def test_multiscale_constant_map_tokens_identical_within_level():
         assert np.max(np.abs(tokens.a - tokens.a[0])) < 1e-12
 
 
-def test_multiscale_tokens_match_region_means():
+def test_image_levels_match_region_means():
     levels, branches = make_levels(rng(3))
     for tokens, branch, (fy, fx) in zip(levels, branches, LEVEL_FACTORS):
         assert np.max(np.abs(tokens.a - region_means(branch, (2, 2), fy, fx))) < 1e-12
@@ -148,14 +155,6 @@ def test_prepare_branches_records_only_the_level3_slice():
         branches = N.prepare_branches(m, MU, (3, 5, 7), identity_kernels(widths, (3, 5, 7)))
     assert [b.x.shape[-1] for b in branches] == list(widths)
     assert [id(out) for out, _, _ in tape.entries] == [id(branches[2].x)]
-
-
-def test_parent_major_perm_is_read_only():
-    perm = N.parent_major_perm(2, 2, 2, 2)
-    assert not perm.flags.writeable
-    with pytest.raises(ValueError):
-        perm[0] = 1
-    assert perm[0] == 0
 
 
 def test_multiscale_divisibility_error():

@@ -276,6 +276,20 @@ def test_corpus_bad_meta_or_entry_shape_rejected(tmp_path, defect):
         load_corpus(str(p))
 
 
+@pytest.mark.parametrize("kind,value", [("img", np.inf), ("txt", np.nan)])
+def test_corpus_with_a_non_finite_value_rejected_naming_the_first_scene(tmp_path, kind, value):
+    p = tmp_path / "c.dape"
+    gen_corpus(12, 2, (1, 0, 0), str(p), DapeConfig())
+    meta, tensors = load_tensors(p)
+    for scene in (11, 9):
+        name = f"{kind}/{scene:04d}"
+        tensors[name] = tensors[name].copy()
+        tensors[name].flat[5] = value
+    save_tensors(p, meta, tensors)
+    with pytest.raises(FileFormatError, match=f"{kind} scene 9 "):
+        load_corpus(str(p))
+
+
 @pytest.fixture(scope="module")
 def saved_container(tmp_path_factory):
     """Bytes of a saved container, and a path to write cut copies to."""
