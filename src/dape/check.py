@@ -57,28 +57,33 @@ def check_tensor_core() -> list[CheckResult]:
     p = Tensor(g.standard_normal(4))
     err = T.grad_check(lambda: T.tsum(T.mul(p, p)), [p])
     out.append(_result("gradient check quadratic", err < 1e-6, f"err={err:.2e}"))
-    out.append(_shared_conv_backward(g))
+    out.append(_shared_branch_backward(g))
     return out
 
 
-def _shared_conv_backward(g) -> CheckResult:
-    """Three applies of one prepared convolution share one backward; their
-    weight gradient must be that of three separate convolutions."""
+def _shared_branch_backward(g) -> CheckResult:
+    """Three `shared` builds of one conv -> pool -> projection branch share
+    one backward; their weight gradients must be those of three separate
+    branches."""
     x, w = Tensor(g.standard_normal((2, 6, 9, 3))), Tensor(g.standard_normal((3, 5, 5)))
-    ups = [Tensor(g.standard_normal(x.shape)) for _ in range(3)]
+    proj = Tensor(g.standard_normal((3, 4)))
+    ups = [Tensor(g.standard_normal((2, 9, 4))) for _ in range(3)]
+    prepared = T.conv2d_prepare(x, 5, w)
 
-    def weight_grad(conv) -> np.ndarray:
+    def branch(conv):
+        return T.matmul(T.pool_parent_major(T.conv2d_apply(conv), 3, 3, 1, 1), proj)
+
+    def weight_grads(build) -> list[np.ndarray]:
         with T.GradTape() as tape:
-            ys = [conv() for _ in ups]
+            ys = [build() for _ in ups]
             loss = T.tsum(T.add(T.add(T.mul(ys[0], ups[0]), T.mul(ys[1], ups[1])),
                                 T.mul(ys[2], ups[2])))
-        return tape.gradients(loss, [w])[0]
+        return tape.gradients(loss, [w, proj])
 
-    prepared = T.conv2d_prepare(x, 5, w)
-    got = weight_grad(lambda: T.conv2d_apply(prepared))
-    want = weight_grad(lambda: T.conv2d_local(x, 5, w))
-    err = np.max(np.abs(got - want)) / np.max(np.abs(want))
-    return _result("shared conv backward", err <= 1e-12, f"rel err={err:.2e}")
+    got = weight_grads(lambda: T.shared((prepared, proj), lambda: branch(prepared)))
+    want = weight_grads(lambda: branch(T.conv2d_prepare(x, 5, w)))
+    err = max(np.max(np.abs(a - b)) / np.max(np.abs(b)) for a, b in zip(got, want))
+    return _result("shared branch backward", err <= 1e-12, f"rel err={err:.2e}")
 
 
 def check_coarse_align() -> list[CheckResult]:

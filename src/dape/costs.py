@@ -224,9 +224,11 @@ def cost_report(trace: Trace) -> CostReport:
     )
 
 
-def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def cosine_matrix(a: np.ndarray, b: np.ndarray, pick: np.ndarray | None = None) -> np.ndarray:
     """Pairwise cosine similarity of the rows of (..., n, d) and (..., m, d)
-    per sample, giving (..., n, m); zero rows map to 0.
+    per sample, giving (..., n, m); zero rows map to 0. With `pick`, b is
+    (S, m, d) and sample i of a, (P, n, d), is paired with b[pick[i]]:
+    b's rows are normalised once, however often a sample is picked.
 
     Used for mask construction only (constant w.r.t. gradients), so it
     works on raw arrays; like every tape op it bills the active cost scope.
@@ -236,6 +238,8 @@ def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # a zero row divided by 1 stays zero, so its cosines come out exactly 0
     unit_a = a / np.where(na == 0.0, 1.0, na)
     unit_b = b / np.where(nb == 0.0, 1.0, nb)
+    if pick is not None:
+        unit_b = unit_b[pick]
     sims = unit_a @ np.swapaxes(unit_b, -1, -2)
     np.clip(sims, -1.0, 1.0, out=sims)
     T._count("mac", 3 * a.shape[-1] * sims.size)

@@ -280,9 +280,10 @@ class BenchRow:
 def bench_densities(cfg: DapeConfig, densities, corpus: Corpus | None = None) -> list[BenchRow]:
     """Fine-alignment cosine counts under forced dense-row fractions.
 
-    `densities` are percents in [0, 100]. Masks come from featurized
-    scenes; the dense-row sets are overridden to exact fractions (ranked by
-    measured fill) so the sweep hits the requested densities precisely.
+    `densities` are percents in [0, 100]. Masks come from the corpus's
+    first scene alone (scene 0, raw map against raw text); the dense-row
+    sets are overridden to exact fractions (ranked by measured fill) so
+    the sweep hits the requested densities precisely.
     """
     from .nfa import build_level_masks, image_levels, prepare_branches
 

@@ -12,9 +12,9 @@ Each level source has one builder: `image_levels` (a map's branches,
 convolved, pooled and projected) and `token_levels` (a detail token grid).
 `build_level_masks` is the one mask step after either. The channel split
 and each convolution's padded layout and banded taps do not change
-between layers: `prepare_branches` builds them once per forward, and the
-layers' applies of the level-3 convolution share one backward
-(`tensor.conv2d_apply`), contracted once per step.
+between layers: `prepare_branches` builds them once per forward. Each
+layer still rebuilds the level-3 tokens from them, but those builds share
+one backward (`tensor.shared`), run once per step.
 
 Token rows are ordered parent-major (the 2 halves, then the 4 quadrants of
 parent p occupy rows 2p+dy and 4p+2dy+dx): row r of a level refines row
@@ -154,6 +154,9 @@ def image_levels(
     Level 1 pools whole cells of the base grid (I tokens); level 2 pools
     the two vertical halves of each cell (2I); level 3 its four quadrants
     (4I). Levels 1 and 2 feed only mask construction, so they run off-tape.
+    Level 3 is a `tensor.shared` build keyed by its convolution, grid and
+    projection: every call runs and bills it, but its backward (conv, pool
+    and projection) runs once per tape, on the summed gradient.
     """
     gy, gx = grid
     h, w = branches[0].x.shape[-3:-1]
@@ -168,7 +171,7 @@ def image_levels(
     with T.no_recording():
         l1 = level(0, 1, 1)
         l2 = level(1, 2, 1)
-    return l1, l2, level(2, 2, 2)
+    return l1, l2, T.shared((branches[2], grid, projs[2]), lambda: level(2, 2, 2))
 
 
 def token_levels(tokens: Tensor, grid: tuple[int, int]) -> tuple[Tensor, Tensor, Tensor]:
@@ -218,8 +221,7 @@ def level_mask(
     sample, row = np.nonzero(active.reshape(-1, n))
     if sample.size:
         x = xa.reshape(-1, n, xa.shape[-1])[sample, row][:, None, :]
-        t = ta.reshape((-1,) + ta.shape[-2:])[sample]
-        sims = cosine_matrix(x, t)[:, 0, :]
+        sims = cosine_matrix(x, ta.reshape((-1,) + ta.shape[-2:]), sample)[:, 0, :]
         weights.reshape(-1, n, m)[sample, row] = np.where(sims > k_thr, mu_k, 0.0)
     return weights
 

@@ -36,10 +36,40 @@ from .errors import ConfigurationError, DimensionError, NumericError
 
 # Keep up to 64 MiB of freed heap (glibc's M_TRIM_THRESHOLD, -1): by default a
 # step faults in again the pages the last one freed, about 1 ms in 7 at b=8.
+# Setting it turns off glibc's dynamic mmap threshold, which would map every
+# block of 128 KiB or more afresh and unmap it on free, so the threshold
+# (M_MMAP_THRESHOLD, -3) is raised to its 64-bit maximum, 32 MiB, as well.
 try:
-    HEAP_KEPT = ctypes.CDLL(None).mallopt(-1, 64 << 20) == 1
+    _mallopt = ctypes.CDLL(None).mallopt
+    _mallopt.argtypes, _mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    HEAP_KEPT = [_mallopt(-1, 64 << 20), _mallopt(-3, 32 << 20)] == [1, 1]
 except (AttributeError, OSError, TypeError):  # no mallopt: not glibc
     HEAP_KEPT = False
+
+
+def _pin_blas_threads() -> bool:
+    """Run numpy's OpenBLAS on one thread: a step's products are too small
+    to gain from more, and a busy second core slows a threaded one 1.5-3x.
+    Other BLAS libraries are left alone."""
+    try:
+        from numpy._core import _multiarray_umath as core
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as core
+    try:
+        # a handle's symbol lookup also searches the libraries it links
+        lib = ctypes.CDLL(core.__file__)
+    except OSError:
+        return False
+    for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
+        setter = getattr(lib, name, None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+            return True
+    return False
+
+
+BLAS_PINNED = _pin_blas_threads()
 
 Array = np.ndarray
 
@@ -110,10 +140,10 @@ class GradTape:
         # The closure receives the output gradient and an id-keyed
         # accumulator dict; it keeps its inputs alive, so their ids hold.
         self.entries: list[tuple[Tensor, Callable[[Array, dict], None], tuple[int, ...]]] = []
-        # id of a prepared convolution -> (the convolution, the output of its
-        # first apply on this tape). Holding the convolution keeps its id
-        # from being reused while the tape lives.
-        self.conv_firsts: dict[int, tuple[DepthwiseConv, Tensor]] = {}
+        # ids of a `shared` key's objects -> (the key, the output of its
+        # first build on this tape). Holding the key keeps its ids from
+        # being reused while the tape lives.
+        self.firsts: dict[tuple[int, ...], tuple[tuple, Tensor]] = {}
 
     def __enter__(self) -> "GradTape":
         _TAPE_STACK.append(self)
@@ -200,6 +230,33 @@ def no_recording():
         yield
     finally:
         _RECORDING_PAUSED -= 1
+
+
+def shared(key: tuple, build: Callable[[], Tensor]) -> Tensor:
+    """`build()`, whose backward runs once per tape however often it is
+    called with the same key: a tuple of the objects the output is computed
+    from, matched by identity.
+
+    The first build for a key on a tape records as usual. A later one runs
+    unrecorded, since it recomputes the same value from the same inputs,
+    and records one entry that adds its output gradient to the first
+    build's output. That output's producers sit earlier on the tape, so
+    the reverse sweep reaches them after every later gradient is summed in,
+    and their backward runs once, on the sum. Off a tape it is `build()`.
+    """
+    tape = _tape()
+    if tape is None:
+        return build()
+    ids = tuple(map(id, key))
+    if ids not in tape.firsts:
+        out = build()
+        tape.firsts[ids] = (key, out)
+        return out
+    first = tape.firsts[ids][1]
+    with no_recording():
+        out = build()
+    _rec(out, lambda g, acc: _acc(acc, first, g), first)
+    return out
 
 
 def _count(kind: str, amount: int) -> None:
@@ -766,8 +823,9 @@ class DepthwiseConv(NamedTuple):
     """A depthwise convolution prepared by `conv2d_prepare`: its input, its
     (c, k, k) weights, the input's padded row layout (`_conv_rows`) and the
     weights' banded tap operators (`_conv_bands`), both read-only. The
-    weights must not change while a tape holds an apply of it. A tape runs
-    its backward once, however often it is applied (`conv2d_apply`)."""
+    weights must not change while a tape holds an apply of it. Each apply
+    records its own backward; a caller that applies it several times on
+    one tape shares one backward through `shared`, keyed by it."""
 
     x: Tensor
     weights: Tensor
@@ -799,14 +857,8 @@ def conv2d_prepare(x: Tensor, kernel_size: int, weights: Tensor) -> DepthwiseCon
 def conv2d_apply(conv: DepthwiseConv) -> Tensor:
     """Run a prepared depthwise convolution: k matmuls batched over
     channels, y = sum_di rows_di @ band_di. Bills and records one tape
-    entry per call, as `conv2d_local` does.
-
-    Every apply has the same input and weights, so the backward is linear
-    in the summed output gradient: only the first apply recorded on a tape
-    keeps the real backward. A later apply's entry adds its output
-    gradient to the first apply's output, whose entry the reverse sweep
-    reaches last, so the weight (and input) gradient is contracted once
-    per tape, from the sum.
+    entry per call, whose backward reads the kept layout and bands instead
+    of rebuilding them.
     """
     x, weights, xp, band = conv
     h, w, c = x.shape[-3:]
@@ -823,13 +875,6 @@ def conv2d_apply(conv: DepthwiseConv) -> Tensor:
         y += rows(di) @ band[di]
     _count("mac", x.size * k * k)
     out = _out(y.reshape(c, h, n, w).transpose(2, 1, 3, 0).reshape(x.shape), "conv2d_local")
-    tape = _tape()
-    if tape is None:
-        return out
-    first = tape.conv_firsts.setdefault(id(conv), (conv, out))[1]
-    if first is not out:
-        _rec(out, lambda g, acc: _acc(acc, first, g), first)
-        return out
 
     def backward(g, acc):
         gt = np.ascontiguousarray(g.reshape(n, h, w, c).transpose(3, 1, 0, 2))

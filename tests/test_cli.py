@@ -288,22 +288,23 @@ def test_mutation_transposed_upscale_caught(monkeypatch):
 
 
 def test_mutation_dropped_shared_conv_gradient_caught(monkeypatch):
-    """Fault: the later applies of a prepared convolution lose their
-    gradient, as if the shared backward dropped their share."""
-    real, applied = dape.tensor.conv2d_apply, []
+    """Fault: the later builds of a shared branch lose their gradient, as
+    if the shared backward dropped their link."""
+    real, built = dape.tensor.shared, []
 
-    def dropping(conv):
-        if any(c is conv for c in applied):
+    def dropping(key, build):
+        ids = tuple(map(id, key))
+        if ids in built:
             with dape.tensor.no_recording():
-                return real(conv)
-        applied.append(conv)
-        return real(conv)
+                return build()
+        built.append(ids)
+        return real(key, build)
 
-    monkeypatch.setattr(dape.tensor, "conv2d_apply", dropping)
+    monkeypatch.setattr(dape.tensor, "shared", dropping)
     report = run_checks("tensor-core")
     assert not report["passed"]
     failing = [c["name"] for c in report["suites"]["tensor-core"]["checks"] if not c["ok"]]
-    assert failing == ["shared conv backward"]
+    assert failing == ["shared branch backward"]
 
 
 # ---------------------------------------------------------------------------

@@ -376,10 +376,16 @@ def test_train_step_tape_size_is_independent_of_batch_size(tmp_path, monkeypatch
     assert entries[0] == entries[1]
 
 
-def test_warm_train_steps_reuse_freed_heap(corpus_batch):
-    """On glibc the tensor kernel keeps freed heap, so once warm a default
-    b=8 step reuses its pages; with glibc's default trim threshold each
-    step faults in 500 to 850 fresh ones."""
+@pytest.mark.parametrize(
+    "over", [{}, {"nfa_merge": "pool_add", "k_thr": 0.1}], ids=["default", "pool_add_k_thr_0.1"]
+)
+def test_warm_train_steps_reuse_freed_heap(over, corpus_batch):
+    """On glibc the tensor kernel keeps freed heap, so once warm a b=8
+    step reuses its pages; with glibc's default trim threshold each
+    default step faults in 500 to 850 fresh ones. Blocks of 128 KiB or
+    more (the dense config's level-3 maps and conv temporaries) stay on
+    the heap too: with the trim threshold alone, glibc maps each afresh,
+    600 to 1,600 faults per dense step."""
     import os
     import resource
 
@@ -390,7 +396,7 @@ def test_warm_train_steps_reuse_freed_heap(corpus_batch):
     assert T.HEAP_KEPT == glibc
     if not glibc:
         return
-    cfg = DapeConfig()
+    cfg = DapeConfig(**over)
     batch = corpus_batch(cfg, n=8, seed=7)
     model = init_model(cfg)
     for _ in range(3):
@@ -400,6 +406,43 @@ def test_warm_train_steps_reuse_freed_heap(corpus_batch):
         train_step(model, batch, cfg)
     per_step = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5
     assert per_step < 100
+
+
+def test_blas_runs_one_thread_without_moving_a_bit(corpus_batch):
+    """Where numpy's OpenBLAS exports a thread setter, importing the tensor
+    kernel pins it to one thread; two steps' losses and gradient norms are
+    the same bits at two threads as at one, at the defaults and with
+    refinement live."""
+    import ctypes
+
+    try:
+        from numpy._core import _multiarray_umath as core
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as core
+    lib = ctypes.CDLL(core.__file__)
+    pairs = [
+        (getattr(lib, prefix + "set_num_threads" + suffix, None),
+         getattr(lib, prefix + "get_num_threads" + suffix, None))
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", ""))
+    ]
+    pairs = [pair for pair in pairs if pair[0] is not None]
+    assert T.BLAS_PINNED == bool(pairs)
+    if not pairs:
+        return
+    set_threads, get_threads = pairs[0]
+    assert get_threads is None or get_threads() == 1
+    for over in ({}, {"nfa_merge": "pool_add", "k_thr": 0.1}):
+        cfg = DapeConfig(**over)
+        batch = corpus_batch(cfg, n=8, seed=7)
+        runs = []
+        for threads in (2, 1):
+            set_threads(threads)
+            try:
+                model = init_model(cfg)
+                runs.append([train_step(model, batch, cfg)[:2] for _ in range(2)])
+            finally:
+                set_threads(1)
+        assert runs[0] == runs[1], over
 
 
 # ---------------------------------------------------------------------------
@@ -586,11 +629,14 @@ def test_overflow_names_layer_module_and_sample(weight, module, corpus_batch):
 # 69 entries are attentions: coarse 12 and PHI's slot attention. At k_thr
 # 0.1 the nested one is live and CWA's 6 are still off; pool_add slices the
 # raw map's level-3 channels once per forward, not once in each of the 6
-# layers, so its per-layer NFA path records 5 entries fewer. The first
-# layer pools the raw map onto the grid as one entry (`pool_parent_major`).
+# layers. The first layer builds the level-3 tokens as 3 entries (conv,
+# pool, projection); each of the 5 later layers rebuilds them off the tape
+# and records 1 link entry that adds its gradient to the first build's
+# (`tensor.shared`), 10 fewer than rebuilding on the tape. The first layer
+# pools the raw map onto the grid as one entry (`pool_parent_major`).
 @pytest.mark.parametrize(
     "over, entries",
-    [({}, 69), ({"nfa_merge": "pool_add", "k_thr": 0.1}, 107)],
+    [({}, 69), ({"nfa_merge": "pool_add", "k_thr": 0.1}, 97)],
     ids=["default", "pool_add_k_thr_0.1"],
 )
 def test_train_step_records_one_tape_entry_per_live_attention(
@@ -627,9 +673,10 @@ def test_pool_add_steps_match_the_per_layer_conv_oracle(monkeypatch, corpus_batc
     """Two pool_add train steps over branches prepared once per forward
     match, bit for bit, the steps that convolve the raw map anew in every
     layer: losses, gradient norms and the fine-alignment gradients. The
-    one exception is `nfa.conv2`: its six applies per step share one
-    backward that contracts their summed gradient, so it matches to 1e-12
-    relative (measured 2.3e-16: 2.7e-19 against entries of 1.2e-3)."""
+    exceptions are `nfa.conv2` and `nfa.proj2`: the six level-3 builds per
+    step share one backward that runs on their summed gradient, so those
+    match to 1e-12 relative (measured at most 5.7e-16 and 4.6e-16: 6.6e-19
+    against entries of 1.2e-3, 1.6e-19 against 3.9e-4)."""
     import dape.model as model_module
 
     cfg = DapeConfig(nfa_merge="pool_add", k_thr=0.1)
@@ -665,7 +712,7 @@ def test_pool_add_steps_match_the_per_layer_conv_oracle(monkeypatch, corpus_batc
         assert sorted(grads) == sorted(want_grads) and len(grads) == 6
         for name, g in grads.items():
             want_g = want_grads[name]
-            if name == "nfa.conv2":
+            if name in ("nfa.conv2", "nfa.proj2"):
                 assert np.max(np.abs(g - want_g)) <= 1e-12 * np.max(np.abs(want_g))
             else:
                 assert np.array_equal(g, want_g), name

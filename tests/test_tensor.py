@@ -322,43 +322,23 @@ def test_conv_at_benchmark_shape_matches_tap_loop():
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("lead", [(), (2,)], ids=["unbatched", "batched"])
-@pytest.mark.parametrize("k", [3, 5, 7])
-def test_conv_apply_of_one_preparation_equals_conv2d_local_calls(k, lead):
-    """Three applies of one prepared convolution match three conv2d_local
-    calls: values and billed MACs bit for bit, and the gradients of x and
-    the weights through the tape to 1e-12 relative. The applies share one
-    backward, which contracts the summed output gradient, so the sum is
-    taken before the product, not after; measured at most 3.2e-16."""
-    g = rng(60 + k)
-    x = T.Tensor(g.standard_normal(lead + (6, 9, 3)))
-    w = T.Tensor(g.standard_normal((3, k, k)))
-    ups = [T.Tensor(g.standard_normal(x.shape)) for _ in range(3)]
-
-    def run(conv):
-        counter = CostCounter()
-        with T.GradTape() as tape:
-            with cost_scope(counter, "conv"):
-                ys = [conv() for _ in ups]
-            loss = T.tsum(T.add(T.add(T.mul(ys[0], ups[0]), T.mul(ys[1], ups[1])),
-                                T.mul(ys[2], ups[2])))
-        return [y.a for y in ys], dict(counter.macs), tape.gradients(loss, [x, w])
-
-    prepared = T.conv2d_prepare(x, k, w)
-    got = run(lambda: T.conv2d_apply(prepared))
-    want = run(lambda: T.conv2d_local(x, k, w))
-    assert got[1] == want[1] == {"conv": 3 * x.size * k * k}
-    for a, b in zip(got[0], want[0]):
-        assert np.array_equal(a, b)
-    for a, b in zip(got[2], want[2]):
-        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
-
-
-def _conv_case(seed, k, lead, n_ups):
+def _branch_case(seed, k, lead, n_ups):
+    """An (..., 6, 9, 3) map, its (3, k, k) conv weights, a (3, 4)
+    projection and n_ups output weights for the branch below."""
     g = rng(seed)
     x = T.Tensor(g.standard_normal(lead + (6, 9, 3)))
     w = T.Tensor(g.standard_normal((3, k, k)))
-    return x, w, [T.Tensor(g.standard_normal(x.shape)) for _ in range(n_ups)]
+    proj = T.Tensor(g.standard_normal((3, 4)))
+    return x, w, proj, [T.Tensor(g.standard_normal(lead + (9, 4))) for _ in range(n_ups)]
+
+
+def _branch(conv, proj):
+    """conv -> pool -> projection, the chain `nfa.image_levels` builds."""
+    return T.matmul(T.pool_parent_major(T.conv2d_apply(conv), 3, 3, 1, 1), proj)
+
+
+def _shared_branch(conv, proj):
+    return T.shared((conv, proj), lambda: _branch(conv, proj))
 
 
 def _weighted_sum(ys, ups):
@@ -368,11 +348,12 @@ def _weighted_sum(ys, ups):
     return T.tsum(total)
 
 
-def _separate_conv_grads(x, k, w, ups):
-    """Gradients of x and w through one conv2d_local call per up."""
+def _separate_branch_grads(x, k, w, proj, ups):
+    """Gradients of x, w and proj through one unshared branch per up, each
+    preparing its convolution anew."""
     with T.GradTape() as tape:
-        loss = _weighted_sum([T.conv2d_local(x, k, w) for _ in ups], ups)
-    return tape.gradients(loss, [x, w])
+        loss = _weighted_sum([_branch(T.conv2d_prepare(x, k, w), proj) for _ in ups], ups)
+    return tape.gradients(loss, [x, w, proj])
 
 
 def _assert_close(got, want):
@@ -382,72 +363,128 @@ def _assert_close(got, want):
 
 @pytest.mark.parametrize("lead", [(), (2,)], ids=["unbatched", "batched"])
 @pytest.mark.parametrize("k", [3, 5, 7])
+def test_conv_apply_of_one_preparation_equals_conv2d_local_calls(k, lead):
+    """Three applies of one prepared convolution match three conv2d_local
+    calls bit for bit: values, billed MACs and gradients, since each apply
+    records its own backward. Three `shared` builds of the branch over it
+    match three separate branches in values and MACs bit for bit, and in
+    the gradients of x, the weights and the projection to 1e-12 relative:
+    their one backward takes the sum before the products, not after
+    (measured at most 4.4e-16)."""
+    x, w, proj, ups = _branch_case(60 + k, k, lead, 3)
+    conv_ups = [T.Tensor(rng(70 + k).standard_normal(x.shape)) for _ in ups]
+
+    def run(build, ups):
+        counter = CostCounter()
+        with T.GradTape() as tape:
+            with cost_scope(counter, "branch"):
+                ys = [build() for _ in ups]
+            loss = _weighted_sum(ys, ups)
+        return [y.a for y in ys], dict(counter.macs), tape.gradients(loss, [x, w, proj])
+
+    prepared = T.conv2d_prepare(x, k, w)
+    got = run(lambda: T.conv2d_apply(prepared), conv_ups)
+    want = run(lambda: T.conv2d_local(x, k, w), conv_ups)
+    assert got[1] == want[1] == {"branch": 3 * x.size * k * k}
+    for a, b in zip(got[0] + got[2], want[0] + want[2]):
+        assert np.array_equal(a, b)
+
+    got = run(lambda: _shared_branch(prepared, proj), ups)
+    want = run(lambda: _branch(T.conv2d_prepare(x, k, w), proj), ups)
+    assert got[1] == want[1]
+    for a, b in zip(got[0], want[0]):
+        assert np.array_equal(a, b)
+    _assert_close(got[2], want[2])
+
+
+@pytest.mark.parametrize("lead", [(), (2,)], ids=["unbatched", "batched"])
+@pytest.mark.parametrize("k", [3, 5, 7])
 def test_conv_applies_on_two_tapes_each_get_the_full_gradient(k, lead):
-    x, w, ups = _conv_case(80 + k, k, lead, 4)
+    """One key shared on two tapes: each tape's first build keeps the real
+    backward for its own builds."""
+    x, w, proj, ups = _branch_case(80 + k, k, lead, 4)
     prepared = T.conv2d_prepare(x, k, w)
     grads = []
     for pair in (ups[:2], ups[2:]):
         with T.GradTape() as tape:
-            loss = _weighted_sum([T.conv2d_apply(prepared) for _ in pair], pair)
-        grads.append((tape.gradients(loss, [x, w]), pair))
+            loss = _weighted_sum([_shared_branch(prepared, proj) for _ in pair], pair)
+        grads.append((tape.gradients(loss, [x, w, proj]), pair))
     for got, pair in grads:
-        _assert_close(got, _separate_conv_grads(x, k, w, pair))
+        _assert_close(got, _separate_branch_grads(x, k, w, proj, pair))
 
 
 @pytest.mark.parametrize("lead", [(), (2,)], ids=["unbatched", "batched"])
 @pytest.mark.parametrize("k", [3, 5, 7])
 def test_conv_apply_off_the_tape_joins_no_shared_backward(k, lead):
-    """Prepared outside any tape, applied once unrecorded and twice
-    recorded: the unrecorded output is a constant, and the two recorded
-    applies get the gradient of two conv2d_local calls."""
-    x, w, ups = _conv_case(90 + k, k, lead, 3)
+    """Built once unrecorded and twice recorded on one tape: the
+    unrecorded output is a constant, and the two recorded builds get the
+    gradient of two separate branches."""
+    x, w, proj, ups = _branch_case(90 + k, k, lead, 3)
     prepared = T.conv2d_prepare(x, k, w)
     with T.GradTape() as tape:
         with T.no_recording():
-            y0 = T.conv2d_apply(prepared)
-        loss = _weighted_sum([y0] + [T.conv2d_apply(prepared) for _ in ups[1:]], ups)
-    assert np.array_equal(y0.a, T.conv2d_local(x, k, w).a)
-    _assert_close(tape.gradients(loss, [x, w]), _separate_conv_grads(x, k, w, ups[1:]))
+            y0 = _shared_branch(prepared, proj)
+        loss = _weighted_sum([y0] + [_shared_branch(prepared, proj) for _ in ups[1:]], ups)
+    assert np.array_equal(y0.a, _branch(prepared, proj).a)
+    _assert_close(
+        tape.gradients(loss, [x, w, proj]), _separate_branch_grads(x, k, w, proj, ups[1:])
+    )
 
 
 @pytest.mark.parametrize("k", [3, 5, 7])
 def test_conv_prepared_after_another_is_freed_keeps_its_own_gradient(k):
     """Two prepared convolutions of equal shapes on one tape, the first
-    dropped by its caller before the second is prepared: the second must
-    not pass for a later apply of the first."""
-    xa, wa, (ua,) = _conv_case(100 + k, k, (), 1)
-    xb, wb, (ub,) = _conv_case(110 + k, k, (), 1)
+    dropped by its caller before the second is prepared: the second's
+    build must not pass for a later build of the first. A key that shares
+    the convolution but not the projection does not share either."""
+    xa, wa, proj, (ua, uc) = _branch_case(100 + k, k, (), 2)
+    xb, wb, _, (ub,) = _branch_case(110 + k, k, (), 1)
+    proj_c = T.Tensor(rng(120 + k).standard_normal(proj.shape))
     with T.GradTape() as tape:
         first = T.conv2d_prepare(xa, k, wa)
-        ya = T.conv2d_apply(first)
+        ya = _shared_branch(first, proj)
+        yc = _shared_branch(first, proj_c)
         del first
-        yb = T.conv2d_apply(T.conv2d_prepare(xb, k, wb))
-        loss = _weighted_sum([ya, yb], [ua, ub])
-    got = tape.gradients(loss, [xa, wa, xb, wb])
-    want = _separate_conv_grads(xa, k, wa, [ua]) + _separate_conv_grads(xb, k, wb, [ub])
-    for a, b in zip(got, want):
-        assert np.array_equal(a, b)
+        yb = _shared_branch(T.conv2d_prepare(xb, k, wb), proj)
+        loss = _weighted_sum([ya, yb, yc], [ua, ub, uc])
+    assert len(tape.entries) == 3 * 3 + 6  # three full branches, 3 mul, 2 add, 1 sum
+    got = tape.gradients(loss, [xb, wb, proj_c])
+    with T.GradTape() as tape:
+        loss = _weighted_sum([_branch(T.conv2d_prepare(xb, k, wb), proj)], [ub])
+    assert all(np.array_equal(a, b) for a, b in zip(got[:2], tape.gradients(loss, [xb, wb])))
+    with T.GradTape() as tape:
+        loss = _weighted_sum([_branch(T.conv2d_prepare(xa, k, wa), proj_c)], [uc])
+    assert np.array_equal(got[2], tape.gradients(loss, [proj_c])[0])
 
 
 @pytest.mark.parametrize("lead", [(), (2,)], ids=["unbatched", "batched"])
 def test_conv_backward_contracts_weights_once_per_preparation(monkeypatch, lead):
+    """Each key's branch backward runs once however often it is built: one
+    conv and one projection weight contraction per key, and one link
+    entry per later build."""
     calls = []
-    real = T._conv_dw
 
-    def counted(*args):
-        calls.append(args[2])
-        return real(*args)
+    def counted(name):
+        real = getattr(T, name)
 
-    monkeypatch.setattr(T, "_conv_dw", counted)
-    xa, wa, ups_a = _conv_case(120, 3, lead, 3)
-    xb, wb, ups_b = _conv_case(121, 7, lead, 2)
+        def run(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(T, name, run)
+
+    counted("_conv_dw")
+    counted("_matmul_dw")
+    xa, wa, pa, ups_a = _branch_case(120, 3, lead, 3)
+    xb, wb, pb, ups_b = _branch_case(121, 7, lead, 2)
     a, b = T.conv2d_prepare(xa, 3, wa), T.conv2d_prepare(xb, 7, wb)
     with T.GradTape() as tape:
-        ys = [T.conv2d_apply(a) for _ in ups_a] + [T.conv2d_apply(b) for _ in ups_b]
+        ys = [_shared_branch(a, pa) for _ in ups_a] + [_shared_branch(b, pb) for _ in ups_b]
         loss = _weighted_sum(ys, ups_a + ups_b)
-    assert len(tape.entries) == 5 + 2 * len(ys)  # one per apply, mul and add, and the sum
-    tape.gradients(loss, [wa, wb])
-    assert sorted(calls) == [3, 7]
+    # 3 entries per key's first build, 1 per later build, then the sum's 2 per build and 1
+    assert len(tape.entries) == 3 * 2 + (len(ys) - 2) + 2 * len(ys)
+    tape.gradients(loss, [wa, wb, pa, pb])
+    assert sorted(calls) == ["_conv_dw"] * 2 + ["_matmul_dw"] * 2
 
 
 def test_conv_preparation_is_read_only():
