@@ -98,13 +98,12 @@ def check_coarse_align() -> list[CheckResult]:
     out.append(_result("strict threshold tie rule", at_thr[0, 0] == 0.0))
     imgs = Tensor(g.standard_normal((4, 3)))
     txts = Tensor(g.standard_normal((2, 3)))
-    aff = coarse.affinity(imgs, txts)
+    mask = coarse.affinity_mask(imgs, txts, 0.3)
     perm = g.permutation(4)
-    aff_p = coarse.affinity(Tensor(imgs.a[perm]), txts)
-    out.append(_result("permutation equivariance", np.max(np.abs(aff[perm] - aff_p)) < 1e-12))
-    aff_s = coarse.affinity(Tensor(2.5 * imgs.a), txts)
-    same = np.array_equal(coarse.binarize(aff, 0.3), coarse.binarize(aff_s, 0.3))
-    out.append(_result("mask scale invariance", same))
+    mask_p = coarse.affinity_mask(Tensor(imgs.a[perm]), txts, 0.3)
+    out.append(_result("permutation equivariance", np.array_equal(mask[perm], mask_p)))
+    mask_s = coarse.affinity_mask(Tensor(2.5 * imgs.a), txts, 0.3)
+    out.append(_result("mask scale invariance", np.array_equal(mask, mask_s)))
     d = 3
     eye = Tensor(np.eye(d))
     z = T.attention(

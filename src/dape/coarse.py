@@ -1,5 +1,7 @@
-"""Coarse masked alignment: token extraction, binarized affinity, and the
-two masked cross-attentions producing the updated text and image streams.
+"""Coarse masked alignment: token extraction, the binarized affinity mask,
+and the two masked cross-attentions producing the updated text and image
+streams. `affinity_mask` is the one matching rule of every alignment mask
+(coarse, CWA and each fine-alignment level).
 
 The mask multiplies the softmaxed score matrix entrywise before the value
 sum (the only composition whose shapes close for I != J).
@@ -71,21 +73,7 @@ def tokenize_text(t: Tensor, j: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Affinity and masking
-
-
-def affinity(imgs: Tensor, txts: Tensor) -> np.ndarray:
-    """Pairwise cosine matrix between image tokens (rows) and text tokens,
-    per sample.
-
-    Affinities only ever feed thresholding, so this runs off-tape on raw
-    arrays (stop-gradient by construction).
-    """
-    if imgs.shape[-1] != txts.shape[-1]:
-        raise DimensionError(
-            f"token widths differ: image {imgs.shape[-1]} vs text {txts.shape[-1]}"
-        )
-    return cosine_matrix(imgs.a, txts.a)
+# Matching rule
 
 
 def binarize(a: np.ndarray, threshold: float) -> np.ndarray:
@@ -93,6 +81,34 @@ def binarize(a: np.ndarray, threshold: float) -> np.ndarray:
     if not np.isfinite(threshold):
         raise ConfigurationError("threshold must be finite")
     return np.where(np.asarray(a, dtype=np.float64) > threshold, 1.0, 0.0)
+
+
+def affinity_mask(x: Tensor, t: Tensor, threshold: float, weight: float = 1.0,
+                  active: np.ndarray | None = None) -> np.ndarray:
+    """The matching rule of every alignment mask (coarse, CWA and each NFA
+    level): `weight` where the cosine of a row of x (..., n, d) and a text
+    token of t (..., m, d) strictly exceeds `threshold`, else 0; (..., n, m)
+    per sample.
+
+    `active` flags rows per sample, (..., n); None means every row. Cosines
+    run for the active (sample, row) pairs alone, so the active cost scope
+    is billed exactly what ran, and inactive rows stay 0. Masks only gate
+    attention, so this runs off-tape on raw arrays (stop-gradient by
+    construction).
+    """
+    xa, ta = x.a, t.a
+    if xa.shape[-1] != ta.shape[-1]:
+        raise DimensionError(f"token widths differ: image {xa.shape[-1]} vs text {ta.shape[-1]}")
+    if active is None:
+        return weight * binarize(cosine_matrix(xa, ta), threshold)
+    n, m = xa.shape[-2], ta.shape[-2]
+    mask = np.zeros(xa.shape[:-1] + (m,))
+    sample, row = np.nonzero(active.reshape(-1, n))
+    if sample.size:
+        rows = xa.reshape(-1, n, xa.shape[-1])[sample, row][:, None, :]
+        sims = cosine_matrix(rows, ta.reshape((-1,) + ta.shape[-2:]), sample)[:, 0, :]
+        mask.reshape(-1, n, m)[sample, row] = weight * binarize(sims, threshold)
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +126,7 @@ def coarse_align_block(
     trace=None,
     replay=None,
 ):
-    """Tokenize -> affinity -> binarize -> the two masked attentions.
+    """Tokenize -> affinity mask at k0 -> the two masked attentions.
     Returns (t1, m1, a0, img_tokens, txt_tokens, slots), where a0 is the
     (..., I, J) {0, 1} mask.
 
@@ -152,7 +168,7 @@ def coarse_align_block(
         replay,
         "coarse_mask",
         lead,
-        lambda: binarize(affinity(img_tokens, txt_tokens), cfg.k0),
+        lambda: affinity_mask(img_tokens, txt_tokens, cfg.k0),
     )
 
     # Text update: text queries over image keys/values, mask transposed to

@@ -4,8 +4,10 @@ resulting channel tokens to the text tokens.
 
 Channel tokens have length P (spatial positions); a learned linear map
 bridges them to width d before the cosine, since the similarity needs
-equal-length vectors. Gate weights only rank channels for selection, so
-they sit outside the continuous gradient path by construction.
+equal-length vectors. The mask is coarse's matching rule
+(`coarse.affinity_mask`) at threshold k_c. Gate weights only rank
+channels for selection, so they sit outside the continuous gradient path
+by construction.
 
 Streams are (..., N, d); each sample gets its own selection and mask.
 """
@@ -17,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .coarse import ProjectionSet, binarize
-from .costs import cosine_matrix, decide
+from .coarse import ProjectionSet, affinity_mask
+from .costs import decide
 from .errors import ConfigurationError, DimensionError
 from .tensor import Tensor
 
@@ -77,7 +79,7 @@ def cwa_block(
     replay=None,
 ) -> tuple[Tensor, np.ndarray]:
     """Channel-first view -> gate -> top-k per segment -> project to d ->
-    binarized affinity against the text tokens -> masked attention giving t2.
+    affinity mask at k_c against the text tokens -> masked attention giving t2.
     Returns t2 and the (..., L, J) {0, 1} mask."""
     c = T.transpose(m_spatial)  # (..., d, P): one row per channel
     lead = c.shape[:-2]
@@ -100,7 +102,7 @@ def cwa_block(
         replay,
         "cwa_mask",
         lead,
-        lambda: binarize(cosine_matrix(b_proj.a, t1.a), cfg.k_c),
+        lambda: affinity_mask(b_proj, t1, cfg.k_c),
     )
     txt_proj, img_proj = projections
     t2 = T.attention(

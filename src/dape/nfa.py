@@ -2,7 +2,8 @@
 
 Channels split in a mu-ratio feed three depthwise convolutions; each branch
 is pooled at its own granularity (whole cell, vertical halves, quadrants),
-giving affinity matrices of I x J, 2I x 2J and 4I x 4J. Refinement is
+giving masks of I x J, 2I x 2J and 4I x 4J: level k is coarse's matching
+rule (`coarse.affinity_mask`) at k_thr with weight mu_k. Refinement is
 density-triggered: level l+1 is evaluated only under rows of level l whose
 nonzero fill exceeds tau_d. The level masks stay at their own resolutions;
 `combine_levels` sums them on the finest grid into a single weight matrix
@@ -36,9 +37,9 @@ from itertools import combinations
 import numpy as np
 
 from . import tensor as T
-from .coarse import KeyValueProjection, QueryProjection
+from .coarse import KeyValueProjection, QueryProjection, affinity_mask
 from .config import mu_partition
-from .costs import HierarchyCost, cosine_matrix, decide
+from .costs import HierarchyCost, decide
 from .errors import ConfigurationError, DimensionError
 from .tensor import Tensor
 
@@ -199,33 +200,6 @@ def token_levels(tokens: Tensor, grid: tuple[int, int]) -> tuple[Tensor, Tensor,
 # Masks
 
 
-def level_mask(
-    xk: Tensor,
-    tk: Tensor,
-    k_thr: float,
-    mu_k: float,
-    active: np.ndarray | None = None,
-) -> np.ndarray:
-    """Binarized {0, mu_k} affinity of each sample's (..., n, d) image rows
-    against its (..., m, d) text tokens, evaluated only on active rows.
-
-    `active` flags rows per sample, (..., n); None means every row. Cosines
-    run for the active (sample, row) pairs alone, so the active cost scope
-    is billed exactly what ran.
-    """
-    xa, ta = xk.a, tk.a
-    n, m = xa.shape[-2], ta.shape[-2]
-    if active is None:
-        return np.where(cosine_matrix(xa, ta) > k_thr, mu_k, 0.0)
-    weights = np.zeros(xa.shape[:-1] + (m,))
-    sample, row = np.nonzero(active.reshape(-1, n))
-    if sample.size:
-        x = xa.reshape(-1, n, xa.shape[-1])[sample, row][:, None, :]
-        sims = cosine_matrix(x, ta.reshape((-1,) + ta.shape[-2:]), sample)[:, 0, :]
-        weights.reshape(-1, n, m)[sample, row] = np.where(sims > k_thr, mu_k, 0.0)
-    return weights
-
-
 def density_flag(mask: np.ndarray, tau_d: float) -> np.ndarray:
     """Flags (..., n) of the rows of an (..., n, m) mask whose nonzero fill
     fraction strictly exceeds tau_d."""
@@ -283,7 +257,7 @@ def build_level_masks(
             refined.append(active)
         a = decide(
             trace, replay, f"nfa_mask_l{level}", lead,
-            lambda: level_mask(xk, tk, cfg.k_thr, mu_k, active if level > 1 else None),
+            lambda: affinity_mask(xk, tk, cfg.k_thr, mu_k, active if level > 1 else None),
         )
         masks.append(a)
         if level < 3:

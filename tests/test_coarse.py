@@ -1,4 +1,5 @@
-"""Coarse alignment: tokenization, binarized affinity, masked attention."""
+"""Coarse alignment: tokenization, the matching rule (cosines, affinity mask,
+binarize), masked attention."""
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import oracles
 from dape import coarse as C
 from dape import tensor as T
 from dape.config import DapeConfig
+from dape.costs import cosine_matrix
 from dape.errors import ConfigurationError, DimensionError
 from dape.tensor import Tensor
 
@@ -131,25 +133,22 @@ def test_tokenize_text_rejects_a_count_that_does_not_divide(l, j):
 
 
 # ---------------------------------------------------------------------------
-# affinity / binarize
+# cosine_matrix / affinity_mask / binarize
 
 
 def test_affinity_identical_single_tokens():
-    t = Tensor([[1.0, 2.0]])
-    u = Tensor([[1.0, 2.0]])
-    assert np.allclose(C.affinity(t, u), [[1.0]], atol=1e-12)
+    assert np.allclose(cosine_matrix(np.array([[1.0, 2.0]]), np.array([[1.0, 2.0]])),
+                       [[1.0]], atol=1e-12)
 
 
 def test_affinity_orthogonal_tokens():
-    t = Tensor([[1.0, 0.0]])
-    u = Tensor([[0.0, 1.0]])
-    assert C.affinity(t, u)[0, 0] == 0.0
+    assert cosine_matrix(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))[0, 0] == 0.0
 
 
 def test_affinity_matches_pairwise_loop():
     a = rng(8).standard_normal((3, 5))
     b = rng(9).standard_normal((2, 5))
-    got = C.affinity(Tensor(a), Tensor(b))
+    got = cosine_matrix(a, b)
     for i in range(3):
         for j in range(2):
             assert got[i, j] == pytest.approx(oracles.cosine_direct(a[i], b[j]), abs=1e-12)
@@ -157,7 +156,41 @@ def test_affinity_matches_pairwise_loop():
 
 def test_affinity_dimension_mismatch():
     with pytest.raises(DimensionError):
-        C.affinity(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
+        C.affinity_mask(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))), 0.5)
+
+
+def test_cosine_matrix_pick_pairs_each_row_with_its_sample():
+    g = rng(20)
+    b = g.standard_normal((3, 5, 8))
+    # one row per sample: both paths run the same row-times-matrix product
+    a = g.standard_normal((3, 1, 8))
+    pick = np.array([2, 0, 0, 1, 2])
+    assert np.array_equal(cosine_matrix(a[pick], b, pick), cosine_matrix(a, b)[pick])
+    # rows picked out of full samples: a single row's product may round
+    # differently from the full matrix product's, within d ulps
+    a = g.standard_normal((3, 6, 8))
+    sample, row = np.nonzero(g.random((3, 6)) < 0.5)
+    got = cosine_matrix(a[sample, row][:, None, :], b, sample)[:, 0, :]
+    want = cosine_matrix(a, b)[sample, row]
+    assert np.max(np.abs(got - want)) <= a.shape[-1] * np.finfo(float).eps
+
+
+def test_cosine_matrix_zero_row_gives_exactly_zero():
+    a = rng(21).standard_normal((3, 4))
+    a[1] = 0.0
+    b = rng(22).standard_normal((2, 4))
+    b[0] = 0.0
+    with np.errstate(all="raise"):
+        sims = cosine_matrix(a, b)
+    assert np.all(sims[1] == 0.0) and np.all(sims[:, 0] == 0.0)
+
+
+def test_cosine_matrix_clips_to_unit_interval():
+    a = rng(2).standard_normal((64, 7))
+    unit = a / np.sqrt(np.sum(a * a, axis=-1, keepdims=True))
+    assert np.max(unit @ unit.T) > 1.0  # rounding overshoots unclipped
+    assert np.max(cosine_matrix(a, a)) == 1.0
+    assert np.min(cosine_matrix(a, -a)) == -1.0
 
 
 def test_binarize_basic_threshold():
@@ -310,9 +343,9 @@ def test_permuting_image_tokens_permutes_mask_rows(seed):
     imgs = g.standard_normal((4, 3))
     txts = g.standard_normal((2, 3))
     perm = g.permutation(4)
-    a = C.affinity(Tensor(imgs), Tensor(txts))
-    b = C.affinity(Tensor(imgs[perm]), Tensor(txts))
-    assert np.max(np.abs(a[perm] - b)) < 1e-12
+    a = C.affinity_mask(Tensor(imgs), Tensor(txts), 0.3)
+    b = C.affinity_mask(Tensor(imgs[perm]), Tensor(txts), 0.3)
+    assert np.array_equal(a[perm], b)
 
 
 @settings(max_examples=20, deadline=None)
@@ -321,8 +354,8 @@ def test_scaling_image_features_leaves_mask_unchanged(seed, alpha):
     g = rng(seed)
     imgs = g.standard_normal((4, 3))
     txts = g.standard_normal((2, 3))
-    a = C.binarize(C.affinity(Tensor(imgs), Tensor(txts)), 0.3)
-    b = C.binarize(C.affinity(Tensor(alpha * imgs), Tensor(txts)), 0.3)
+    a = C.affinity_mask(Tensor(imgs), Tensor(txts), 0.3)
+    b = C.affinity_mask(Tensor(alpha * imgs), Tensor(txts), 0.3)
     assert np.array_equal(a, b)
 
 

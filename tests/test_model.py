@@ -784,3 +784,26 @@ def test_blocks_bill_their_cosines_to_the_active_scope(corpus_batch):
         build_hierarchy(branches, texts, cfg, model.nfa)
     b, i, j = 2, cfg.n_img_tokens, cfg.j_text
     assert dict(counter.cosines) == {"coarse": b * i * j, "cwa": b * cfg.L * j, "nfa": b * 21 * i * j}
+
+
+def test_every_alignment_mask_thresholds_through_one_rule(monkeypatch, corpus_batch):
+    """Coarse, CWA and every fine-alignment level decide their masks with
+    the one matching rule: `coarse.binarize` runs once per mask point. At
+    this config every build refines, so every level computes cosines."""
+    import dape.coarse
+
+    calls, binarize = [], dape.coarse.binarize
+
+    def counted(a, threshold):
+        calls.append(threshold)
+        return binarize(a, threshold)
+
+    monkeypatch.setattr(dape.coarse, "binarize", counted)
+    cfg = DapeConfig(nfa_merge="pool_add", k_thr=0.1)
+    _, _, trace = forward(init_model(cfg), corpus_batch(cfg, n=4), cfg)
+    kinds = [kind for kind, _, _ in trace.points
+             if kind in ("coarse_mask", "cwa_mask") or kind.startswith("nfa_mask_l")]
+    assert {"coarse_mask", "cwa_mask", "nfa_mask_l1", "nfa_mask_l2", "nfa_mask_l3"} <= set(kinds)
+    assert all(value.any() for kind, value, _ in trace.points if kind.startswith("nfa_dense"))
+    thresholds = {"coarse_mask": cfg.k0, "cwa_mask": cfg.k_c}
+    assert calls == [thresholds.get(kind, cfg.k_thr) for kind in kinds]

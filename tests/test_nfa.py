@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from dape import nfa as N
 from dape import tensor as T
-from dape.coarse import ProjectionSet
+from dape.coarse import ProjectionSet, affinity_mask
 from dape.config import DapeConfig, mu_partition
 from dape.costs import Trace, cost_report, cost_scope
 from dape.errors import ConfigurationError, DimensionError
@@ -215,7 +215,7 @@ def test_refine_span_too_short():
 
 
 # ---------------------------------------------------------------------------
-# level_mask / density_flag / combine_levels
+# level masks (affinity_mask) / density_flag / combine_levels
 
 
 def test_level_mask_default_threshold_value():
@@ -224,8 +224,8 @@ def test_level_mask_default_threshold_value():
 
 def test_level_mask_empty_active_set():
     g = rng(10)
-    m = N.level_mask(Tensor(g.standard_normal((3, 4))), Tensor(g.standard_normal((2, 4))),
-                     0.6, 0.5, np.zeros(3, dtype=bool))
+    m = affinity_mask(Tensor(g.standard_normal((3, 4))), Tensor(g.standard_normal((2, 4))),
+                      0.6, 0.5, np.zeros(3, dtype=bool))
     assert np.array_equal(m, np.zeros((3, 2)))
 
 
@@ -233,7 +233,7 @@ def test_level_mask_matches_per_entry_oracle():
     g = rng(11)
     x = g.standard_normal((2, 4))
     t = g.standard_normal((2, 4))
-    m = N.level_mask(Tensor(x), Tensor(t), 0.2, 2 / 7)
+    m = affinity_mask(Tensor(x), Tensor(t), 0.2, 2 / 7)
     for i in range(2):
         for j in range(2):
             want = (2 / 7) if oracles.cosine_direct(x[i], t[j]) > 0.2 else 0.0
@@ -242,8 +242,8 @@ def test_level_mask_matches_per_entry_oracle():
 
 def test_level_mask_inactive_rows_exactly_zero():
     g = rng(12)
-    m = N.level_mask(Tensor(g.standard_normal((4, 3))), Tensor(g.standard_normal((2, 3))),
-                     -1.0, 1 / 7, np.array([False, True, False, True]))
+    m = affinity_mask(Tensor(g.standard_normal((4, 3))), Tensor(g.standard_normal((2, 3))),
+                      -1.0, 1 / 7, np.array([False, True, False, True]))
     assert np.array_equal(m[[0, 2]], np.zeros((2, 2)))
     assert np.all(m[[1, 3]] == 1 / 7)  # threshold -1 catches all
 
