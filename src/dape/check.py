@@ -62,25 +62,28 @@ def check_tensor_core() -> list[CheckResult]:
 
 
 def _shared_branch_backward(g) -> CheckResult:
-    """Three `shared` builds of one conv -> pool -> projection branch share
-    one backward; their weight gradients must be those of three separate
+    """Three `shared` builds of one conv -> pool -> projection -> query
+    projection branch, returning its tokens and queries as
+    `nfa.build_hierarchy` builds level 3, share one backward; the weight
+    gradients through their queries must be those of three separate
     branches."""
     x, w = Tensor(g.standard_normal((2, 6, 9, 3))), Tensor(g.standard_normal((3, 5, 5)))
-    proj = Tensor(g.standard_normal((3, 4)))
+    proj, wq = Tensor(g.standard_normal((3, 4))), Tensor(g.standard_normal((4, 4)))
     ups = [Tensor(g.standard_normal((2, 9, 4))) for _ in range(3)]
     prepared = T.conv2d_prepare(x, 5, w)
 
     def branch(conv):
-        return T.matmul(T.pool_parent_major(T.conv2d_apply(conv), 3, 3, 1, 1), proj)
+        tokens = T.matmul(T.pool_parent_major(T.conv2d_apply(conv), 3, 3, 1, 1), proj)
+        return tokens, T.matmul(tokens, wq)
 
     def weight_grads(build) -> list[np.ndarray]:
         with T.GradTape() as tape:
-            ys = [build() for _ in ups]
+            ys = [build()[-1] for _ in ups]
             loss = T.tsum(T.add(T.add(T.mul(ys[0], ups[0]), T.mul(ys[1], ups[1])),
                                 T.mul(ys[2], ups[2])))
-        return tape.gradients(loss, [w, proj])
+        return tape.gradients(loss, [w, proj, wq])
 
-    got = weight_grads(lambda: T.shared((prepared, proj), lambda: branch(prepared)))
+    got = weight_grads(lambda: T.shared((prepared, proj, wq), lambda: branch(prepared)))
     want = weight_grads(lambda: branch(T.conv2d_prepare(x, 5, w)))
     err = max(np.max(np.abs(a - b)) / np.max(np.abs(b)) for a, b in zip(got, want))
     return _result("shared branch backward", err <= 1e-12, f"rel err={err:.2e}")

@@ -205,12 +205,11 @@ def forward(
             m_next = m1
             if _nfa_per_layer(cfg):
                 with cost_scope(counter, "nfa"):
+                    # the level-3 queries come projected: one shared backward per step
                     hier, q3, txt3 = build_hierarchy(
                         branches, t_stream, cfg, model.nfa, trace=record, replay=replay,
                     )
-                    m2 = nfa_attention(
-                        q3, txt3, hier.a_prime, (model.nfa.img_ps, model.nfa.txt_ps)
-                    )
+                    m2 = nfa_attention(q3, txt3, hier.a_prime, (None, model.nfa.txt_ps))
                     # each parent's update is the mean of its four quadrant rows
                     m_next = T.add_rows(m_next, image_rows, T.pool_rows(m2, 4))
 
@@ -312,6 +311,8 @@ def load_checkpoint(path: str) -> tuple[DapeConfig, "DapeModel"]:
             raise FileFormatError(
                 f"parameter {name} shape {tensors[name].shape} != {t.a.shape}"
             )
+        if not np.isfinite(tensors[name]).all():
+            raise FileFormatError(f"{path}: checkpoint parameter {name} holds a non-finite value")
         t.a[...] = tensors[name]
     return cfg, model
 

@@ -14,8 +14,10 @@ convolved, pooled and projected) and `token_levels` (a detail token grid).
 `build_level_masks` is the one mask step after either. The channel split
 and each convolution's padded layout and banded taps do not change
 between layers: `prepare_branches` builds them once per forward. Each
-layer still rebuilds the level-3 tokens from them, but those builds share
-one backward (`tensor.shared`), run once per step.
+layer still rebuilds the level-3 tokens from them and projects them to
+the masked update's queries, but those builds share one backward
+(`tensor.shared`), run once per step: convolution, pool, projection and
+query projection.
 
 Token rows are ordered parent-major (the 2 halves, then the 4 quadrants of
 parent p occupy rows 2p+dy and 4p+2dy+dx): row r of a level refines row
@@ -154,10 +156,8 @@ def image_levels(
 
     Level 1 pools whole cells of the base grid (I tokens); level 2 pools
     the two vertical halves of each cell (2I); level 3 its four quadrants
-    (4I). Levels 1 and 2 feed only mask construction, so they run off-tape.
-    Level 3 is a `tensor.shared` build keyed by its convolution, grid and
-    projection: every call runs and bills it, but its backward (conv, pool
-    and projection) runs once per tape, on the summed gradient.
+    (4I). Levels 1 and 2 feed only mask construction, so they run off-tape;
+    level 3 also feeds the masked update's queries.
     """
     gy, gx = grid
     h, w = branches[0].x.shape[-3:-1]
@@ -172,7 +172,7 @@ def image_levels(
     with T.no_recording():
         l1 = level(0, 1, 1)
         l2 = level(1, 2, 1)
-    return l1, l2, T.shared((branches[2], grid, projs[2]), lambda: level(2, 2, 2))
+    return l1, l2, level(2, 2, 2)
 
 
 def token_levels(tokens: Tensor, grid: tuple[int, int]) -> tuple[Tensor, Tensor, Tensor]:
@@ -284,9 +284,27 @@ def build_hierarchy(
 ):
     """Full fine-alignment mask build from a feature map's branches, as
     `prepare_branches` made them from the map and `weights.conv_kernels`:
-    `image_levels`, then `build_level_masks`."""
-    levels = image_levels(branches, cfg.grid, weights.branch_projs)
-    return build_level_masks(levels, t_stream, cfg, trace, replay, density_rule)
+    `image_levels`, then `build_level_masks`. Returns (HierarchicalMask,
+    the masked update's queries: the level-3 tokens projected by
+    `weights.img_ps`, level-3 text tokens); `nfa_attention` takes them
+    with no query projection.
+
+    The levels and the queries are one `tensor.shared` build keyed by the
+    branches, the grid and both projections, which every layer of a
+    forward passes alike: every call runs and bills it, but its backward
+    (level-3 conv, pool, projection and query projection) runs once per
+    tape, on the queries' summed gradient."""
+    wq = weights.img_ps.wq
+
+    def levels_and_queries() -> tuple[Tensor, Tensor, Tensor, Tensor]:
+        levels = image_levels(branches, cfg.grid, weights.branch_projs)
+        return *levels, T.matmul(levels[2], wq)
+
+    *levels, queries = T.shared(
+        (branches, cfg.grid, weights.branch_projs, wq), levels_and_queries
+    )
+    hier, _, txt3 = build_level_masks(levels, t_stream, cfg, trace, replay, density_rule)
+    return hier, queries, txt3
 
 
 def build_hierarchy_from_tokens(
@@ -308,10 +326,12 @@ def nfa_attention(
     m_tokens: Tensor,
     t_tokens: Tensor,
     a_prime: np.ndarray,
-    projections: tuple[QueryProjection, KeyValueProjection],
+    projections: tuple[QueryProjection | None, KeyValueProjection],
 ) -> Tensor:
     """Masked update over the finest tokens: softmaxed scores scaled by the
     combined lattice mask (already checked by `check_structure`), then the
-    text value sum."""
+    text value sum. A `None` query projection reads m_tokens as queries
+    already projected (`build_hierarchy`'s)."""
     q_proj, kv_proj = projections
-    return T.attention(m_tokens, t_tokens, q_proj.wq, kv_proj.wk, kv_proj.wv, a_prime)
+    wq = None if q_proj is None else q_proj.wq
+    return T.attention(m_tokens, t_tokens, wq, kv_proj.wk, kv_proj.wv, a_prime)

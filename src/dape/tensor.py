@@ -140,8 +140,8 @@ class GradTape:
         # The closure receives the output gradient and an id-keyed
         # accumulator dict; it keeps its inputs alive, so their ids hold.
         self.entries: list[tuple[Tensor, Callable[[Array, dict], None], tuple[int, ...]]] = []
-        # ids of a `shared` key's objects -> (the key, the output of its
-        # first build on this tape). Holding the key keeps its ids from
+        # ids of a `shared` key's objects -> (the key, the last output of
+        # its first build on this tape). Holding the key keeps its ids from
         # being reused while the tape lives.
         self.firsts: dict[tuple[int, ...], tuple[tuple, Tensor]] = {}
 
@@ -232,31 +232,34 @@ def no_recording():
         _RECORDING_PAUSED -= 1
 
 
-def shared(key: tuple, build: Callable[[], Tensor]) -> Tensor:
+def shared(key: tuple, build: Callable[[], tuple[Tensor, ...]]) -> tuple[Tensor, ...]:
     """`build()`, whose backward runs once per tape however often it is
-    called with the same key: a tuple of the objects the output is computed
-    from, matched by identity.
+    called with the same key: a tuple of the objects the outputs are
+    computed from, matched by identity.
 
-    The first build for a key on a tape records as usual. A later one runs
-    unrecorded, since it recomputes the same value from the same inputs,
-    and records one entry that adds its output gradient to the first
-    build's output. That output's producers sit earlier on the tape, so
-    the reverse sweep reaches them after every later gradient is summed in,
-    and their backward runs once, on the sum. Off a tape it is `build()`.
+    `build` returns a tuple of tensors. Only the last one feeds later ops
+    on the tape; the ones before it are read off the tape (mask
+    construction), so they need no gradient. The first build for a key on
+    a tape records as usual. A later one runs unrecorded, since it
+    recomputes the same values from the same inputs, and records one entry
+    that adds its last output's gradient to the first build's. That
+    output's producers sit earlier on the tape, so the reverse sweep
+    reaches them after every later gradient is summed in, and their
+    backward runs once, on the sum. Off a tape it is `build()`.
     """
     tape = _tape()
     if tape is None:
         return build()
     ids = tuple(map(id, key))
     if ids not in tape.firsts:
-        out = build()
-        tape.firsts[ids] = (key, out)
-        return out
+        outs = build()
+        tape.firsts[ids] = (key, outs[-1])
+        return outs
     first = tape.firsts[ids][1]
     with no_recording():
-        out = build()
-    _rec(out, lambda g, acc: _acc(acc, first, g), first)
-    return out
+        outs = build()
+    _rec(outs[-1], lambda g, acc: _acc(acc, first, g), first)
+    return outs
 
 
 def _count(kind: str, amount: int) -> None:
@@ -466,7 +469,7 @@ def _softmax(a: Array) -> Array:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def attention(xq: Tensor, xkv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
+def attention(xq: Tensor, xkv: Tensor, wq: Tensor | None, wk: Tensor, wv: Tensor,
               mask: Array | None) -> Tensor:
     """softmax(Q K^T / sqrt(d)) scaled entrywise by a constant mask, times
     V, with Q = xq @ wq, K = xkv @ wk and V = xkv @ wv, as one tape entry.
@@ -478,20 +481,31 @@ def attention(xq: Tensor, xkv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
     (d, d) and the mask, off the tape, (..., N_q, N_kv); `mask=None` runs
     unmasked attention. Values, MACs and gradients are those of the chain
     matmul, transpose, matmul, scale, row_softmax, mul, matmul.
+
+    `wq=None` reads xq as queries already projected: a caller whose queries
+    are shared by several attentions projects them once with `matmul`,
+    which bills the projection, and the op bills the rest, so the two
+    together bill what the projecting call does. Its backward hands the
+    query gradient to xq as is.
     """
     x, z = xq.a, xkv.a
     d = x.shape[-1]
+    weights = (wk, wv) if wq is None else (wq, wk, wv)
     if (
         x.ndim < 2 or z.ndim < 2 or z.shape[-1] != d
         or (x.ndim > 2 and z.ndim > 2 and x.shape[:-2] != z.shape[:-2])
-        or any(w.shape != (d, d) for w in (wq, wk, wv))
+        or any(w.shape != (d, d) for w in weights)
     ):
         raise DimensionError(
             f"attention shape mismatch: {xq.shape} over {xkv.shape} with weights "
-            f"{wq.shape}, {wk.shape}, {wv.shape}"
+            f"{[w.shape for w in weights]}"
         )
-    q = x @ wq.a
-    _check_finite(q, "attention queries")
+    if wq is None:
+        q, macs = x, 0
+    else:
+        q = x @ wq.a
+        _check_finite(q, "attention queries")
+        macs = q.size * d
     k = z @ wk.a
     _check_finite(k, "attention keys")
     v = z @ wv.a
@@ -501,7 +515,7 @@ def attention(xq: Tensor, xkv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
     _check_finite(s, "attention scores")
     c = 1.0 / np.sqrt(d)
     sm = _softmax(s * c)
-    macs = (q.size + k.size + v.size + s.size) * d + s.size
+    macs += (k.size + v.size + s.size) * d + s.size
     if mask is None:
         m, p = None, sm
     else:
@@ -519,7 +533,7 @@ def attention(xq: Tensor, xkv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
         # the chain's gradient expressions, in its order: the value
         # product, then the mask, softmax and scale, then the projections
         # of v, k and q
-        want_q = _wants(acc, xq) or _wants(acc, wq)
+        want_q = _wants(acc, xq) or (wq is not None and _wants(acc, wq))
         want_k = _wants(acc, xkv) or _wants(acc, wk)
         if want_q or want_k:
             gp = _matmul_dx(g, p, v)
@@ -540,6 +554,9 @@ def attention(xq: Tensor, xkv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
                 _acc(acc, wk, _matmul_dw(gk, z, wk.a))
         if want_q:
             gq = _matmul_dx(gs, q, kt)
+            if wq is None:
+                _acc(acc, xq, gq)
+                return
             if _wants(acc, xq):
                 _acc(acc, xq, _matmul_dx(gq, x, wq.a))
             if _wants(acc, wq):
@@ -549,7 +566,7 @@ def attention(xq: Tensor, xkv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
     # constant: no tape entry, so backward also skips every op that feeds
     # only this one (the mask is tested only while a tape records)
     if _tape() is not None and (m is None or m.any()):
-        _rec(out, backward, xq, xkv, wq, wk, wv)
+        _rec(out, backward, xq, xkv, *weights)
     return out
 
 

@@ -235,8 +235,8 @@ def attention_chain(xq, xkv, wq, wk, wv, mask):
 def per_layer_hierarchy(m, t_stream, cfg, weights, trace=None, replay=None, density_rule=None):
     """`nfa.build_hierarchy` as it ran from the raw map m itself: every
     call slices m and runs each branch through `conv2d_local`, preparing
-    its layout and bands anew, before the pooling, the projections and the
-    level masks."""
+    its layout and bands anew, before the pooling, the projections, the
+    level masks and the level-3 query projection, all on the tape."""
     from dape import tensor as T
     from dape.config import mu_partition
     from dape.nfa import build_level_masks
@@ -253,7 +253,8 @@ def per_layer_hierarchy(m, t_stream, cfg, weights, trace=None, replay=None, dens
     with T.no_recording():
         p1, p2 = level(0, 1, 1), level(1, 2, 1)
     p3 = level(2, 2, 2)
-    return build_level_masks((p1, p2, p3), t_stream, cfg, trace, replay, density_rule)
+    hier, _, txt3 = build_level_masks((p1, p2, p3), t_stream, cfg, trace, replay, density_rule)
+    return hier, T.matmul(p3, weights.img_ps.wq), txt3
 
 
 def span_mean_rows(seq, spans):

@@ -582,6 +582,22 @@ def test_checkpoint_with_the_unread_projections_still_loads(tmp_path):
     assert sorted(tensors) == sorted(old.keys() - set(UNREAD_PROJECTIONS))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_checkpoint_with_a_non_finite_parameter_is_a_file_format_error(tmp_path, bad):
+    from dape.container import load_tensors, save_tensors
+    from dape.errors import FileFormatError
+
+    cfg = DapeConfig()
+    path = tmp_path / "ck.dape"
+    save_checkpoint(str(path), cfg, init_model(cfg))
+    meta, tensors = load_tensors(path)
+    tensors = {name: t.copy() for name, t in tensors.items()}
+    tensors["temperature"][...] = bad
+    save_tensors(path, meta, tensors)
+    with pytest.raises(FileFormatError, match="parameter temperature holds a non-finite"):
+        load_checkpoint(str(path))
+
+
 @pytest.mark.parametrize("config", ["missing", 7, [1, 2]])
 def test_checkpoint_without_config_object_is_a_file_format_error(tmp_path, config):
     from dape.container import save_tensors
@@ -629,14 +645,16 @@ def test_overflow_names_layer_module_and_sample(weight, module, corpus_batch):
 # 69 entries are attentions: coarse 12 and PHI's slot attention. At k_thr
 # 0.1 the nested one is live and CWA's 6 are still off; pool_add slices the
 # raw map's level-3 channels once per forward, not once in each of the 6
-# layers. The first layer builds the level-3 tokens as 3 entries (conv,
-# pool, projection); each of the 5 later layers rebuilds them off the tape
-# and records 1 link entry that adds its gradient to the first build's
-# (`tensor.shared`), 10 fewer than rebuilding on the tape. The first layer
+# layers. The first layer builds the level-3 queries as 4 entries (conv,
+# pool, projection, query projection); each of the 5 later layers rebuilds
+# them off the tape and records 1 link entry that adds the queries'
+# gradient to the first build's (`tensor.shared`), 15 fewer than
+# rebuilding on the tape. The level-3 tokens a later build makes for the
+# masks get no link, as no gradient could reach them. The first layer
 # pools the raw map onto the grid as one entry (`pool_parent_major`).
 @pytest.mark.parametrize(
     "over, entries",
-    [({}, 69), ({"nfa_merge": "pool_add", "k_thr": 0.1}, 97)],
+    [({}, 69), ({"nfa_merge": "pool_add", "k_thr": 0.1}, 98)],
     ids=["default", "pool_add_k_thr_0.1"],
 )
 def test_train_step_records_one_tape_entry_per_live_attention(
@@ -655,6 +673,35 @@ def test_train_step_records_one_tape_entry_per_live_attention(
     assert lengths == [entries]
 
 
+@pytest.mark.parametrize("enable_phi, products", [(True, 2), (False, 1)], ids=["phi", "no_phi"])
+def test_pool_add_step_projects_the_nfa_query_gradient_once(
+    enable_phi, products, monkeypatch, corpus_batch
+):
+    """The six pool_add layers read their level-3 queries from one shared
+    build, so a step runs the query projection's dx and dw once on the
+    summed gradient (not once per layer); PHI's live nested attention
+    still projects its own queries, one more of each."""
+    cfg = DapeConfig(nfa_merge="pool_add", k_thr=0.1, enable_phi=enable_phi)
+    model = init_model(cfg)
+    wq = model.nfa.img_ps.wq
+    calls = {"_matmul_dx": 0, "_matmul_dw": 0}
+
+    def counting(name):
+        real = getattr(T, name)
+
+        def counted(g, x, w):
+            if w is wq.a:
+                calls[name] += 1
+            return real(g, x, w)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(T, name, counting(name))
+    train_step(model, corpus_batch(cfg, n=8), cfg)
+    assert calls == {"_matmul_dx": products, "_matmul_dw": products}
+
+
 @pytest.mark.parametrize("n_layers", [2, 6])
 def test_pool_add_forward_prepares_each_branch_once(n_layers, monkeypatch, corpus_batch):
     cfg = DapeConfig(nfa_merge="pool_add", k_thr=0.1, n_layers=n_layers)
@@ -671,12 +718,12 @@ def test_pool_add_forward_prepares_each_branch_once(n_layers, monkeypatch, corpu
 
 def test_pool_add_steps_match_the_per_layer_conv_oracle(monkeypatch, corpus_batch):
     """Two pool_add train steps over branches prepared once per forward
-    match, bit for bit, the steps that convolve the raw map anew in every
-    layer: losses, gradient norms and the fine-alignment gradients. The
-    exceptions are `nfa.conv2` and `nfa.proj2`: the six level-3 builds per
-    step share one backward that runs on their summed gradient, so those
-    match to 1e-12 relative (measured at most 5.7e-16 and 4.6e-16: 6.6e-19
-    against entries of 1.2e-3, 1.6e-19 against 3.9e-4)."""
+    match, bit for bit, the steps that convolve the raw map anew and
+    project its level-3 queries in every layer: losses, gradient norms and
+    the fine-alignment gradients. The exceptions are `nfa.conv2`,
+    `nfa.proj2` and `nfa.img.wq`: the six level-3 query builds per step
+    share one backward that runs on their summed gradient, so those match
+    to 1e-12 relative (measured at most 9.4e-16, 8.3e-16 and 5.7e-16)."""
     import dape.model as model_module
 
     cfg = DapeConfig(nfa_merge="pool_add", k_thr=0.1)
@@ -690,7 +737,8 @@ def test_pool_add_steps_match_the_per_layer_conv_oracle(monkeypatch, corpus_batc
         def kept(tape, target, sources):
             grads = gradients(tape, target, sources)
             steps[-1].append({
-                n: g for n, g in zip(names, grads) if n.startswith(("nfa.conv", "nfa.proj"))
+                n: g for n, g in zip(names, grads)
+                if n.startswith(("nfa.conv", "nfa.proj", "nfa.img"))
             })
             return grads
 
@@ -709,10 +757,10 @@ def test_pool_add_steps_match_the_per_layer_conv_oracle(monkeypatch, corpus_batc
         want = run()
     for (grads, loss, gnorm), (want_grads, want_loss, want_gnorm) in zip(got, want):
         assert (loss, gnorm) == (want_loss, want_gnorm)
-        assert sorted(grads) == sorted(want_grads) and len(grads) == 6
+        assert sorted(grads) == sorted(want_grads) and len(grads) == 7
         for name, g in grads.items():
             want_g = want_grads[name]
-            if name in ("nfa.conv2", "nfa.proj2"):
+            if name in ("nfa.conv2", "nfa.proj2", "nfa.img.wq"):
                 assert np.max(np.abs(g - want_g)) <= 1e-12 * np.max(np.abs(want_g))
             else:
                 assert np.array_equal(g, want_g), name

@@ -202,6 +202,43 @@ def test_attention_non_finite_mask_raises(bad):
     assert err.value.index == (1, 2, 0)
 
 
+@pytest.mark.parametrize("masked", [True, False], ids=["mask", "no_mask"])
+@pytest.mark.parametrize("shapes", list(ATTENTION_SHAPES))
+def test_attention_on_projected_queries_equals_the_projecting_call(shapes, masked):
+    """`wq=None` over queries projected by an explicit `matmul`: the values
+    are the projecting call's bit for bit, the op bills exactly the query
+    projection less, and the gradients to xq and wq, now through the
+    matmul, match to 1e-12 relative."""
+    inputs, mask = attention_inputs(shapes, masked)
+    xq, xkv, wq, wk, wv = inputs
+    out, macs, n_entries, grads = billed_run(T.attention, inputs, mask, INPUTS)
+
+    def projected(xq, xkv, wq, wk, wv, mask):
+        return T.attention(T.matmul(xq, wq), xkv, None, wk, wv, mask)
+
+    counter = CostCounter()
+    with cost_scope(counter, "attention"):
+        alone = T.attention(T.Tensor(xq.a @ wq.a), xkv, None, wk, wv, mask)
+    got, got_macs, got_entries, got_grads = billed_run(projected, inputs, mask, INPUTS)
+    assert np.array_equal(alone.a, out) and np.array_equal(got, out)
+    assert counter.macs["attention"] == macs - xq.size * wq.shape[0]
+    assert (got_macs, got_entries) == (macs, n_entries + 1)
+    for name, a, b in zip(INPUTS, got_grads, grads):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
+
+
+def test_attention_on_projected_queries_shape_mismatch():
+    (xq, xkv, _, wk, wv), mask = attention_inputs("batched", True)
+    with pytest.raises(DimensionError):
+        T.attention(xq, xkv, None, wk, wv, mask[..., :-1])
+    with pytest.raises(DimensionError):  # queries wider than the keys
+        T.attention(T.Tensor(np.ones((2, 3, 5))), xkv, None, wk, wv, mask)
+    with pytest.raises(DimensionError):
+        T.attention(xq, xkv, None, wk, T.Tensor(np.eye(3)), mask)
+    with pytest.raises(DimensionError):
+        T.attention(xq, T.Tensor(np.ones((3, 5, 6))), None, wk, wv, None)
+
+
 def test_attention_shape_mismatch():
     (xq, xkv, wq, wk, wv), mask = attention_inputs("batched", True)
     with pytest.raises(DimensionError):
@@ -338,7 +375,8 @@ def _branch(conv, proj):
 
 
 def _shared_branch(conv, proj):
-    return T.shared((conv, proj), lambda: _branch(conv, proj))
+    (y,) = T.shared((conv, proj), lambda: (_branch(conv, proj),))
+    return y
 
 
 def _weighted_sum(ys, ups):
@@ -485,6 +523,33 @@ def test_conv_backward_contracts_weights_once_per_preparation(monkeypatch, lead)
     assert len(tape.entries) == 3 * 2 + (len(ys) - 2) + 2 * len(ys)
     tape.gradients(loss, [wa, wb, pa, pb])
     assert sorted(calls) == ["_conv_dw"] * 2 + ["_matmul_dw"] * 2
+
+
+def test_shared_build_links_only_its_last_output():
+    """A build of (tokens, queries), as `nfa.build_hierarchy` shares the
+    level-3 branch: every build returns both at the first build's values,
+    a later build records one link, for the queries alone, and the
+    gradients through the queries are those of separate branches."""
+    x, w, proj, ups = _branch_case(130, 5, (2,), 3)
+    wq = T.Tensor(rng(131).standard_normal((4, 4)))
+    prepared = T.conv2d_prepare(x, 5, w)
+
+    def build():
+        tokens = _branch(prepared, proj)
+        return tokens, T.matmul(tokens, wq)
+
+    with T.GradTape() as tape:
+        outs = [T.shared((prepared, proj, wq), build) for _ in ups]
+        n_built = len(tape.entries)
+        loss = _weighted_sum([queries for _, queries in outs], ups)
+    assert n_built == 4 + len(ups) - 1  # conv, pool, projection, query projection
+    for later in outs[1:]:
+        assert all(np.array_equal(a.a, b.a) for a, b in zip(later, outs[0]))
+    got = tape.gradients(loss, [x, w, proj, wq])
+    with T.GradTape() as tape:
+        separate = [T.matmul(_branch(T.conv2d_prepare(x, 5, w), proj), wq) for _ in ups]
+        loss = _weighted_sum(separate, ups)
+    _assert_close(got, tape.gradients(loss, [x, w, proj, wq]))
 
 
 def test_conv_preparation_is_read_only():
